@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -32,23 +31,15 @@ from .model import (
     source_from_dict,
     validate_channel,
 )
-from .region import OptimizerConfig, rate_tuple, scalar_region, trace_boundary
+from .region import (
+    OptimizerConfig,
+    _compositions,
+    rate_tuple,
+    scalar_region,
+    trace_boundary,
+)
 
 LN2 = math.log(2.0)
-
-
-def _worker_cap() -> int:
-    """Worker-count cap from MIMO_BC_THREADS (0 or unset = auto). The
-    implementation runs checks sequentially, which is always a valid
-    schedule under the cap."""
-    raw = os.environ.get("MIMO_BC_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise InputFormatError("MIMO_BC_THREADS must be an integer")
-    if v < 0:
-        raise InputFormatError("MIMO_BC_THREADS must be >= 0")
-    return v
 
 
 def _load_json(path: str) -> dict:
@@ -80,16 +71,7 @@ def _weight_sweep(num_users: int, grid: int) -> list[tuple[float, ...]]:
     g = 1
     while math.comb(g + num_users - 1, num_users - 1) < grid:
         g += 1
-
-    def comps(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in comps(total - head, parts - 1):
-                yield (head,) + rest
-
-    return [tuple(c / g for c in comp) for comp in comps(g, num_users)]
+    return [tuple(c / g for c in comp) for comp in _compositions(g, num_users)]
 
 
 def _rates_csv(weight_list, results, bits: bool) -> str:
@@ -291,7 +273,6 @@ def main(argv=None) -> int:
     try:
         if cfg.samples < 2 or cfg.grid < 2 or cfg.tol < 0:
             raise InputFormatError("samples and grid must be >= 2, tol >= 0")
-        _worker_cap()
         return cfg.fn(cfg)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices as mat
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError, LoewnerOrderError, NumericalError
 from .model import BroadcastChannel
 
 __all__ = [
@@ -27,15 +27,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class CovarianceSplit:
-    """PSD matrices K_1 ... K_K summing to the input cap."""
+    """PSD matrices K_1 ... K_K summing to the input cap.
 
-    parts: tuple[np.ndarray, ...]
+    The parts are symmetrized and kept as one read-only (K, n, n) stack,
+    which holds a split in about half the memory of K separate arrays;
+    ``parts`` hands them out one by one.
+    """
 
-    def __post_init__(self):
-        parts = tuple(mat.symmetrize(K) for K in self.parts)
-        object.__setattr__(self, "parts", parts)
+    __slots__ = ("_stack",)
+
+    def __init__(self, parts):
+        sym = [mat.symmetrize(K) for K in parts]
+        try:
+            stack = np.array(sym)
+        except ValueError as exc:  # parts of different shapes
+            raise DimensionMismatchError("split parts must share one shape") from exc
+        if stack.ndim != 3:
+            raise DimensionMismatchError("a split needs at least one part")
+        stack.flags.writeable = False
+        self._stack = stack
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._stack)
+
+    def __repr__(self) -> str:
+        return f"CovarianceSplit(parts={self.parts!r})"
 
     def validate(self, input_cap, tol: float | None = None) -> None:
         cap = mat.symmetrize(input_cap)
@@ -53,12 +71,19 @@ class CovarianceSplit:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Boundary-tracer settings: KKT tolerance on the projected-gradient
+    residual, iteration cap per ascent, random starts per weight vector,
+    seed of the starts, and the Armijo sufficient-increase constant."""
+
     grad_tol: float = 1e-8
     max_iters: int = 5000
-    fd_step: float = 1e-6
     restarts: int = 8
     seed: int = 0
     armijo: float = 1e-4
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 def _clamped_rate(r: float) -> float:
@@ -96,99 +121,155 @@ def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> 
 
 
 # --- boundary tracing --------------------------------------------------------
-
-def _givens_rotation(n: int, angles: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix from n(n-1)/2 Givens angles."""
-    V = np.eye(n)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            c, s = math.cos(angles[k]), math.sin(angles[k])
-            G = np.eye(n)
-            G[i, i] = c
-            G[j, j] = c
-            G[i, j] = -s
-            G[j, i] = s
-            V = V @ G
-            k += 1
-    return V
-
-
-def _params_per_stage(n: int) -> int:
-    return n + n * (n - 1) // 2
+#
+# In the cumulative covariances C_k = K_1 + ... + K_k (C_0 = 0, C_K = S) the
+# weighted sum rate is, up to a constant, a sum of one term per C_k:
+#
+#     f = 1/2 sum_{k<K} [w_k ln|C_k + Sigma_k| - w_{k+1} ln|C_k + Sigma_{k+1}|],
+#
+# and the gradient identity grad_Sigma h = J/2 (Palomar & Verdu 2006) gives
+# its gradient in closed form:
+#
+#     df/dC_k = 1/2 [w_k (C_k + Sigma_k)^-1 - w_{k+1} (C_k + Sigma_{k+1})^-1].
+#
+# If w_k >= w_{k+1} that gradient is PSD, because Sigma_k <= Sigma_{k+1}, so
+# raising C_k to C_{k+1} never lowers f: user k+1 gets no power and drops out.
+# The users left (the "active" ones) have strictly increasing weights. The
+# ascent runs on their chain in whitened coordinates C_i = S^{1/2} Q_i S^{1/2},
+# 0 <= Q_1 <= ... <= Q_{m-1} <= I, where the gradient is S^{1/2} df/dC_i S^{1/2}.
 
 
-def _split_from_params(ch: BroadcastChannel, params: np.ndarray) -> CovarianceSplit:
-    """Feasible split from box-constrained parameters.
+def _active_users(w: np.ndarray) -> list[int]:
+    """Users that can get power at weights w: the first user and every user
+    whose weight exceeds that of all users before it."""
+    active = [0]
+    for k in range(1, w.size):
+        if w[k] > w[active[-1]]:
+            active.append(k)
+    return active
 
-    Each of the first K-1 parts takes a fraction of the current residual:
-    K_i = R^{1/2} V diag(q) V^T R^{1/2} with q in [0,1]^n, which keeps every
-    part PSD and below the residual by construction. The last part is the
-    leftover.
+
+def _with_ends(Q: np.ndarray) -> np.ndarray:
+    """The chain Q_1, ..., Q_c with its fixed ends: (0, Q_1, ..., Q_c, I)."""
+    n = Q.shape[-1]
+    return np.concatenate([np.zeros((1, n, n)), Q, np.eye(n)[None]])
+
+
+def _project_pairs(E: np.ndarray, first: int) -> np.ndarray:
+    """Nearest chain (Frobenius norm) to E = (0, Q_1, ..., Q_c, I) that
+    satisfies E_j <= E_{j+1} for j = first, first + 2, ...; E_0 and E_{c+1}
+    stay fixed.
+
+    The pairs are disjoint, so each is projected on its own: the negative
+    part of E_{j+1} - E_j is split evenly between the two matrices, or given
+    wholly to the free one when the other is the fixed 0 or I.
     """
-    n = ch.dim
-    per = _params_per_stage(n)
-    residual = ch.input_cap.copy()
-    parts = []
-    for i in range(ch.num_users - 1):
-        p = params[i * per : (i + 1) * per]
-        q = np.clip(p[:n], 0.0, 1.0)
-        V = _givens_rotation(n, p[n:])
-        root = mat.sqrt_psd(residual)
-        Q = mat.symmetrize((V * q) @ V.T)
-        K = mat.symmetrize(root @ Q @ root)
-        parts.append(K)
-        residual = mat.symmetrize(residual - K)
-        # round-off can leave a tiny negative eigenvalue; pull it back
-        w, U = np.linalg.eigh(residual)
-        residual = mat.symmetrize((U * np.clip(w, 0.0, None)) @ U.T)
-    parts.append(residual)
-    return CovarianceSplit(parts=tuple(parts))
-
-
-def _project(params: np.ndarray, n: int, stages: int) -> np.ndarray:
-    out = params.copy()
-    per = _params_per_stage(n)
-    for i in range(stages):
-        out[i * per : i * per + n] = np.clip(out[i * per : i * per + n], 0.0, 1.0)
+    c = E.shape[0] - 2
+    j = np.arange(first, c + 1, 2)
+    lam, V = np.linalg.eigh(E[j + 1] - E[j])
+    neg = (V * np.clip(-lam, 0.0, None)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    left = np.where(j == 0, 0.0, np.where(j == c, 1.0, 0.5))[:, None, None]
+    out = E.copy()
+    out[j] -= left * neg
+    out[j + 1] += (1.0 - left) * neg
     return out
 
 
-def _ascend(objective, x0: np.ndarray, n: int, stages: int, opt: OptimizerConfig):
-    """Projected gradient ascent with Armijo backtracking and central
-    finite-difference gradients."""
-    x = _project(x0, n, stages)
-    f = objective(x)
-    if not np.isfinite(f):
-        raise NumericalError("objective is non-finite at the starting point")
-    stalled = 0
+_MAX_SWEEPS = 10_000
+
+
+def _project_chain(Q: np.ndarray) -> np.ndarray:
+    """Nearest point of {0 <= Q_1 <= ... <= Q_c <= I} to the stack Q.
+
+    Alternates between the even and the odd pairwise constraints with
+    Dykstra's corrections (Boyle & Dykstra 1986), which converge to the
+    projection. For one matrix the two constraints share its eigenvectors,
+    and the first sweep is already the eigenvalue clip to [0, 1].
+    """
+    x = _with_ends(Q)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(_MAX_SWEEPS):
+        y = _project_pairs(x + p, 0)
+        p = x + p - y
+        x_next = _project_pairs(y + q, 1)
+        q = y + q - x_next
+        moved = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if moved <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
+            break
+    return x[1:-1]
+
+
+class _ActiveChain:
+    """Weighted sum rate of the active users, up to a constant, and its
+    gradient, as functions of the whitened chain Q of shape (m-1, n, n)."""
+
+    def __init__(self, ch: BroadcastChannel, w: np.ndarray, active: list[int]):
+        self.root = mat.sqrt_psd(ch.input_cap)
+        sig = [ch.noise_covs[k] for k in active]
+        self.noise = np.stack(sig[:-1] + sig[1:])
+        self.w_lo = w[active[:-1]]
+        self.w_hi = w[active[1:]]
+
+    def value_and_grad(self, Q: np.ndarray) -> tuple[float, np.ndarray]:
+        c = Q.shape[0]
+        C = self.root @ Q @ self.root
+        lam, V = np.linalg.eigh(np.concatenate([C, C]) + self.noise)
+        if not lam.min() > 0.0:
+            raise NumericalError("objective is non-finite on the feasible set")
+        logdets = np.log(lam).sum(axis=-1)
+        inv = (V / lam[..., None, :]) @ np.swapaxes(V, -1, -2)
+        f = 0.5 * float(self.w_lo @ logdets[:c] - self.w_hi @ logdets[c:])
+        G = 0.5 * (self.w_lo[:, None, None] * inv[:c] - self.w_hi[:, None, None] * inv[c:])
+        return f, self.root @ G @ self.root
+
+
+def _ascend(chain: _ActiveChain, Q: np.ndarray, opt: OptimizerConfig):
+    """Projected gradient ascent from the feasible chain Q, with
+    Barzilai-Borwein trial steps and Armijo backtracking along the
+    projection arc.
+
+    Stops at a KKT point: the trial ``P(Q + t grad)`` moved less than
+    ``opt.grad_tol * min(t, 1)``, which bounds the projected-gradient
+    residual |P(Q + grad) - Q| by ``opt.grad_tol``. Also stops when the gains
+    fall to round-off, when backtracking finds no ascent step, or after
+    ``opt.max_iters`` iterations.
+    """
+    f, g = chain.value_and_grad(Q)
+    step, stalled = 1.0, 0
     for _ in range(opt.max_iters):
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = opt.fd_step
-            g[i] = (objective(_project(x + e, n, stages)) - objective(_project(x - e, n, stages))) / (2 * opt.fd_step)
-        if float(np.linalg.norm(_project(x + g, n, stages) - x)) < opt.grad_tol:
-            break
-        step = 1.0
-        improved = False
-        while step > 1e-14:
-            cand = _project(x + step * g, n, stages)
-            fc = objective(cand)
-            if not np.isfinite(fc):
-                raise NumericalError("objective diverged during line search")
-            if fc >= f + opt.armijo * float(g @ (cand - x)):
-                gain = fc - f
-                x, f = cand, fc
-                improved = True
-                # the objective is smooth, so once per-step gains fall to
-                # round-off the iterate has converged to working precision
-                stalled = stalled + 1 if gain <= 1e-12 * (1.0 + abs(f)) else 0
+        t = step
+        while True:
+            d = _project_chain(Q + t * g) - Q
+            if float(np.linalg.norm(d)) < opt.grad_tol * min(t, 1.0):
+                return Q, f
+            fc, gc = chain.value_and_grad(Q + d)
+            if fc >= f + opt.armijo * float(np.sum(g * d)):
                 break
-            step *= 0.5
-        if not improved or stalled >= 3:
+            t *= 0.5
+            if t <= 1e-14:
+                return Q, f
+        # the objective is smooth, so once gains fall to round-off the
+        # iterate has converged to working precision
+        stalled = stalled + 1 if fc - f <= 1e-15 * (1.0 + abs(fc)) else 0
+        curvature = -float(np.sum(d * (gc - g)))
+        Q, f, g = Q + d, fc, gc
+        if stalled >= 3:
             break
-    return x, f
+        step = float(np.sum(d * d)) / curvature if curvature > 0.0 else 2.0 * t
+        step = min(max(step, 1e-10), 1e10)
+    return Q, f
+
+
+def _random_chain(rng: np.random.Generator, c: int, n: int) -> np.ndarray:
+    """Random feasible chain: partial sums of c+1 Wishart draws, whitened by
+    their total so that the last partial sum is I."""
+    G = rng.standard_normal((c + 1, n, n))
+    X = G @ np.swapaxes(G, -1, -2)
+    lam, V = np.linalg.eigh(X.sum(axis=0))
+    inv_root = (V / np.sqrt(lam)) @ V.T
+    return np.cumsum(inv_root @ X @ inv_root, axis=0)[:c]
 
 
 def trace_boundary(
@@ -198,37 +279,42 @@ def trace_boundary(
 ) -> list[tuple[CovarianceSplit, tuple[float, ...]]]:
     """Locally maximal split for each weight vector, with multi-start.
 
-    Restart initializations are drawn from sub-seeds derived from
-    (opt.seed, weight index, restart index), so parallel and sequential
-    sweeps are identical.
+    The channel must be degraded (Sigma_1 <= ... <= Sigma_K). Users whose
+    weight does not exceed an earlier user's get no power. With one active
+    user the split is closed-form (all of S to it); otherwise the chain of
+    active users is ascended from ``opt.restarts`` random starts, drawn from
+    sub-seeds of (opt.seed, weight index, restart index), and the best KKT
+    point is kept.
     """
     if opt is None:
         opt = OptimizerConfig()
-    n = ch.dim
-    stages = ch.num_users - 1
-    per = _params_per_stage(n)
+    K, n = ch.num_users, ch.dim
+    if not all(mat.loewner_leq(a, b) for a, b in zip(ch.noise_covs, ch.noise_covs[1:])):
+        raise LoewnerOrderError("noise covariances must be Loewner-ordered")
     results = []
     for widx, weights in enumerate(weight_list):
         w = np.asarray(weights, dtype=float)
+        if w.shape != (K,):
+            raise DimensionMismatchError("one weight per user required")
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weight vectors must be nonnegative and not all zero")
-
-        def objective(params):
-            return weighted_sum_rate(ch, _split_from_params(ch, params), w)
-
-        best_x, best_f = None, -np.inf
-        for r in range(opt.restarts):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([opt.seed, widx, r]))
-            )
-            x0 = np.empty(stages * per)
-            for i in range(stages):
-                x0[i * per : i * per + n] = rng.random(n)
-                x0[i * per + n : (i + 1) * per] = rng.random(per - n) * math.pi
-            x, f = _ascend(objective, x0, n, stages, opt)
-            if f > best_f:
-                best_x, best_f = x, f
-        split = _split_from_params(ch, best_x)
+        active = _active_users(w)
+        parts = [np.zeros((n, n)) for _ in range(K)]
+        if len(active) == 1:
+            parts[0] = ch.input_cap
+        else:
+            chain = _ActiveChain(ch, w, active)
+            best_Q, best_f = None, -np.inf
+            for r in range(opt.restarts):
+                rng = np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence([opt.seed, widx, r]))
+                )
+                Q, f = _ascend(chain, _random_chain(rng, len(active) - 1, n), opt)
+                if f > best_f:
+                    best_Q, best_f = Q, f
+            for k, D in zip(active, np.diff(_with_ends(best_Q), axis=0)):
+                parts[k] = chain.root @ D @ chain.root
+        split = CovarianceSplit(parts=tuple(parts))
         results.append((split, rate_tuple(ch, split)))
     return results
 
@@ -273,13 +359,13 @@ def grid_oracle(
     r2 = 0.5 * (mat.logdet(S + sig2) - _logdet_batch(K1s + sig2))
     r1 = np.clip(r1, 0.0, None)
     r2 = np.clip(r2, 0.0, None)
-    out = []
-    for K1, a, b in zip(K1s, r1, r2):
-        K2 = mat.symmetrize(S - K1)
-        w, U = np.linalg.eigh(K2)
-        K2 = mat.symmetrize((U * np.clip(w, 0.0, None)) @ U.T)
-        out.append((CovarianceSplit(parts=(K1, K2)), (float(a), float(b))))
-    return out
+    # K_2 = S - K_1, with round-off's tiny negative eigenvalues clipped
+    lam, U = np.linalg.eigh(S - K1s)
+    K2s = (U * np.clip(lam, 0.0, None)[:, None, :]) @ np.transpose(U, (0, 2, 1))
+    return [
+        (CovarianceSplit(parts=(K1, K2)), (a, b))
+        for K1, K2, a, b in zip(K1s, K2s, r1.tolist(), r2.tolist())
+    ]
 
 
 # --- scalar closed form --------------------------------------------------------

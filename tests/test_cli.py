@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -30,13 +29,8 @@ BAD_ORDER_CHANNEL = {
 }
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=300)
 
 
 def write(tmp_path, name, obj):
@@ -182,17 +176,6 @@ class TestSelftestAndFlags:
         res = run_cli("selftest", "--samples", "5000", "--tol", "1e-30")
         assert res.returncode == 1
         assert "FAIL" in res.stdout
-
-    def test_bad_thread_env_exits_2(self, tmp_path):
-        path = write(tmp_path, "ch.json", SCALAR_CHANNEL)
-        res = run_cli("region", path, "--grid", "3", env_extra={"MIMO_BC_THREADS": "x"})
-        assert res.returncode == 2
-
-    def test_thread_env_does_not_change_output(self, tmp_path):
-        path = write(tmp_path, "ch.json", SCALAR_CHANNEL)
-        a = run_cli("region", path, "--grid", "3", env_extra={"MIMO_BC_THREADS": "1"})
-        b = run_cli("region", path, "--grid", "3", env_extra={"MIMO_BC_THREADS": "4"})
-        assert a.stdout == b.stdout
 
     def test_unknown_command_exits_2(self):
         res = run_cli("nonsense")

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimobc.errors import DimensionMismatchError
-from mimobc.fixtures import random_channel, rng_for, scalar_channel
+from mimobc.errors import DimensionMismatchError, LoewnerOrderError
+from mimobc.fixtures import (
+    admissible_mixture_for,
+    random_channel,
+    rng_for,
+    scalar_channel,
+)
+from mimobc.model import BroadcastChannel
 from mimobc.region import (
     CovarianceSplit,
     OptimizerConfig,
@@ -17,6 +23,7 @@ from mimobc.region import (
     trace_boundary,
     weighted_sum_rate,
 )
+from mimobc.verifier import converse_walkthrough
 
 # frozen oracle value: scalar S=1, noise variances (1, 2), equal power split.
 SCALAR_SPLIT_RATES = (0.2027325541, 0.0911607784)
@@ -153,6 +160,123 @@ class TestTraceBoundary:
         split, rates = trace_boundary(ch, [(0.5, 0.5)], opt)[0]
         split.validate(ch.input_cap)
         assert rate_tuple(ch, split) == rates
+
+    def test_rejects_non_degraded_channel(self):
+        ch = BroadcastChannel(
+            noise_covs=(np.diag([1.0, 3.0]), np.diag([2.0, 2.0])), input_cap=np.eye(2)
+        )
+        with pytest.raises(LoewnerOrderError):
+            trace_boundary(ch, [(0.4, 0.6)])
+
+    def test_rejects_wrong_weight_length(self):
+        with pytest.raises(DimensionMismatchError):
+            trace_boundary(scalar_channel(), [(0.2, 0.3, 0.5)])
+
+
+def _sqrt_and_inv_sqrt(S):
+    lam, V = np.linalg.eigh(S)
+    return (V * np.sqrt(lam)) @ V.T, (V / np.sqrt(lam)) @ V.T
+
+
+class TestClosedFormGradientTracer:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_heavier_strong_user_takes_all_power(self, n):
+        # w_1 >= w_2 makes df/dC PSD, so the split is (S, 0) in closed form
+        ch = random_channel(rng_for(60, n), n, 2)
+        S, sig1 = ch.input_cap, ch.noise_covs[0]
+        r1 = 0.5 * (np.linalg.slogdet(S + sig1)[1] - np.linalg.slogdet(sig1)[1])
+        weights = [(1.0, 0.0), (0.7, 0.7), (0.8, 0.3)]
+        for split, rates in trace_boundary(ch, weights):
+            np.testing.assert_allclose(split.parts[0], S, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(split.parts[1], np.zeros((n, n)))
+            assert rates[0] == pytest.approx(r1, abs=1e-12)
+            assert rates[1] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_returned_point_is_kkt(self, n):
+        # projected-gradient residual |P(Q + grad) - Q| in whitened
+        # coordinates K_1 = S^1/2 Q S^1/2, 0 <= Q <= I; P clips eigenvalues
+        # to [0, 1]. The gradient is taken straight from the closed form.
+        ch = random_channel(rng_for(61, n), n, 2)
+        opt = OptimizerConfig(seed=3)
+        root, inv_root = _sqrt_and_inv_sqrt(ch.input_cap)
+        sig1, sig2 = ch.noise_covs
+        thetas = np.linspace(math.pi / 4 + 0.02, math.pi / 2, 7)
+        weights = [(math.cos(t), math.sin(t)) for t in thetas]
+        for w, (split, _) in zip(weights, trace_boundary(ch, weights, opt)):
+            K1 = split.parts[0]
+            Q = inv_root @ K1 @ inv_root
+            grad = 0.5 * root @ (
+                w[0] * np.linalg.inv(K1 + sig1) - w[1] * np.linalg.inv(K1 + sig2)
+            ) @ root
+            lam, V = np.linalg.eigh(Q + grad)
+            projected = (V * np.clip(lam, 0.0, 1.0)) @ V.T
+            assert np.linalg.norm(projected - Q) <= 10 * opt.grad_tol
+
+    def test_gradient_matches_finite_differences(self):
+        # the closed form df/dC = 1/2 [w_1 (C + S_1)^-1 - w_2 (C + S_2)^-1]
+        # against central differences of weighted_sum_rate with K_2 = S - C
+        ch = random_channel(rng_for(62), 2, 2)
+        w = np.array([0.4, 0.9])
+        C = 0.5 * ch.input_cap
+        sig1, sig2 = ch.noise_covs
+        grad = 0.5 * (w[0] * np.linalg.inv(C + sig1) - w[1] * np.linalg.inv(C + sig2))
+        h = 1e-6
+        for E in (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+            def f(t):
+                K1 = C + t * E
+                return weighted_sum_rate(ch, CovarianceSplit((K1, ch.input_cap - K1)), w)
+
+            fd = (f(h) - f(-h)) / (2 * h)
+            assert fd == pytest.approx(float(np.sum(grad * E)), abs=1e-8)
+
+    def test_three_users_not_beaten_by_random_chains(self):
+        # K = 3, n = 2, weights at which all three users get power
+        ch = random_channel(rng_for(303, 4), 2, 3)
+        w = np.array([0.25, 0.35, 0.4])
+        (split, rates), = trace_boundary(ch, [w], OptimizerConfig(seed=1))
+        split.validate(ch.input_cap)
+        assert all(np.trace(K) > 0.1 for K in split.parts)
+        traced = float(w @ rates)
+        # random feasible chains 0 <= C_1 <= C_2 <= S: three Wishart
+        # increments rescaled so that they sum to S
+        rng = rng_for(304)
+        root, _ = _sqrt_and_inv_sqrt(ch.input_cap)
+        best = -np.inf
+        for _ in range(2000):
+            G = rng.standard_normal((3, 2, 2))
+            X = G @ np.swapaxes(G, -1, -2)
+            _, inv_total = _sqrt_and_inv_sqrt(X.sum(axis=0))
+            parts = tuple(root @ inv_total @ Xi @ inv_total @ root for Xi in X)
+            best = max(best, float(w @ rate_tuple(ch, CovarianceSplit(parts))))
+        assert traced >= best
+
+
+# Slack of the theorem check below. The walkthrough's achieved rates for
+# K = 2 use one quadrature value, h(Y_2) from mixture_entropy_quad at its
+# default order (160 nodes at n = 1, 56 x 56 at n = 2); against the doubled
+# order it moved by at most 9e-14 over 300 fixture mixtures of this kind
+# (and by 1.2e-9 at half the order). The traced point stops at a projected-
+# gradient residual below grad_tol = 1e-8 in whitened coordinates, which can
+# leave w.R below the maximum by about grad_tol times the diameter of
+# {0 <= Q <= I}, sqrt(n) <= 1.5. Both together stay below 1e-7.
+THEOREM_SLACK = 1e-7
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2]), st.sampled_from([2, 3]))
+def test_achieved_rates_never_beat_traced_boundary(seed, n, m):
+    """The paper's theorem end to end: no input distribution's achieved rates
+    lie outside the superposition region, so for every weight vector w the
+    walkthrough's w . R_achieved is at most w . R of the traced boundary."""
+    rng = rng_for(1100, seed)
+    ch = random_channel(rng, n, 2)
+    src = admissible_mixture_for(ch, rng, m)
+    achieved = np.array(converse_walkthrough(src, ch, method="quad").achieved_rates)
+    thetas = np.linspace(0.0, math.pi / 2.0, 11)
+    weights = [(math.cos(t), math.sin(t)) for t in thetas]
+    for w, (_, rates) in zip(weights, trace_boundary(ch, weights, OptimizerConfig(seed=seed))):
+        assert np.dot(w, achieved) <= np.dot(w, rates) + THEOREM_SLACK
 
 
 class TestGridOracle:
