@@ -6,10 +6,22 @@ Quantities conditional on the mixture label are exact closed forms.
 Unconditional quantities come in two flavors: seeded Monte Carlo estimates
 with standard errors, and deterministic Gauss-Hermite quadrature for the
 small dimensions (n <= 3) this package targets.
+
+The quadrature integrates over each component on a tensor Gauss-Hermite
+grid, pruned of the nodes whose weight is at most ``_PRUNE_REL`` times the
+largest; at the default orders the dropped nodes carry under 1e-19 of the
+weight. The error of the order itself is not estimated: it is negligible
+on mildly separated mixtures but reaches about 5e-4 in entropy and 3e-3 in
+Fisher information at the default order on a badly conditioned one (see
+``mixture_entropy_quad``).
+
+Both paths evaluate the mixture through the Cholesky factors of its
+observed components, in whitened coordinates (see ``_MixtureDensity``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +30,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import matrices as mat
 from .errors import DimensionMismatchError
-from .model import LOG_2PI_E, BroadcastChannel, MixtureSource, aggregate_covariance
+from .model import LOG_2PI_E, MixtureSource
 
 __all__ = [
     "SampleBatch",
@@ -31,58 +43,79 @@ __all__ = [
     "entropy_unconditional",
     "mixture_entropy_quad",
     "mixture_fisher_quad",
-    "mutual_info_terms",
 ]
 
 
 # --- observed-mixture plumbing ---------------------------------------------
 
 def _observed(src: MixtureSource, noise_cov) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariances of the mixture law of X + N."""
+    """Means and covariances of the mixture law of X + N.
+
+    The components are symmetric and finite from the ``MixtureSource``
+    constructor, so only the noise is symmetrized here.
+    """
     S = mat.symmetrize(noise_cov)
     if S.shape[0] != src.dim:
         raise DimensionMismatchError("noise covariance dimension mismatch")
-    covs = np.stack([mat.symmetrize(C + S) for C in src.comp_covs])
-    return src.means, covs
+    return src.means, src.comp_covs + S[None]
 
 
 class _MixtureDensity:
-    """Vectorized density, score and sampling for one observed mixture."""
+    """Density, score and sampling for one observed mixture, in whitened
+    coordinates.
 
-    def __init__(self, weights, means, covs):
-        self.weights = np.asarray(weights, dtype=float)
-        self.means = np.asarray(means, dtype=float)
-        self.covs = np.asarray(covs, dtype=float)
-        self.n = self.means.shape[1]
-        self.chols = np.stack([np.linalg.cholesky(C) for C in self.covs])
-        self.precs = np.stack([mat.inv_pd(C) for C in self.covs])
-        self.log_norms = np.array(
-            [
-                -0.5 * (self.n * math.log(2.0 * math.pi) + mat.logdet(C))
-                for C in self.covs
-            ]
-        )
-        self.log_w = np.log(np.clip(self.weights, 1e-300, None))
+    With C_v = L_v L_v^T, component v sees y through its whitened residual
+    r_v = L_v^{-1} (y - mu_v), so ln p_v N(y; mu_v, C_v) = c_v - |r_v|^2 / 2
+    and the score of the mixture is -sum_v post_v(y) L_v^{-T} r_v. Points
+    are columns: the residuals of N points under all m components form one
+    (m*n, N) array, made by one matmul with the stacked factors
+    ``whiten`` = [L_1^{-1}; ...; L_m^{-1}], and the score is one more,
+    against ``whiten.T``. Reductions over components then run over rows.
+    """
 
-    def component_logpdfs(self, y: np.ndarray) -> np.ndarray:
-        """(N, m) matrix of per-component log densities."""
-        d = y[:, None, :] - self.means[None, :, :]  # (N, m, n)
-        q = np.einsum("Nui,uij,Nuj->Nu", d, self.precs, d)
-        return self.log_norms[None, :] - 0.5 * q
+    def __init__(self, src: MixtureSource, noise_cov):
+        self.weights = src.weights
+        self.means, covs = _observed(src, noise_cov)
+        self.m, self.n = self.means.shape
+        self.chols = np.linalg.cholesky(covs)
+        inv_chols = np.linalg.inv(self.chols)
+        self.whiten = inv_chols.reshape(self.m * self.n, self.n)
+        self.shift = (inv_chols @ self.means[:, :, None]).ravel()
+        log_diag = np.log(np.diagonal(self.chols, axis1=1, axis2=2)).sum(axis=1)
+        self.log_c = (
+            np.log(np.clip(self.weights, 1e-300, None))
+            - 0.5 * self.n * math.log(2.0 * math.pi)
+            - log_diag
+        )[:, None]
 
-    def logpdf(self, y: np.ndarray) -> np.ndarray:
-        lp = self.component_logpdfs(y) + self.log_w[None, :]
-        m = lp.max(axis=1, keepdims=True)
-        return (m + np.log(np.exp(lp - m).sum(axis=1, keepdims=True)))[:, 0]
+    def residuals(self, y: np.ndarray) -> np.ndarray:
+        """(m*n, N) whitened residuals; column k stacks r_1 ... r_m of y[k]."""
+        return self.whiten @ y.T - self.shift[:, None]
 
-    def score(self, y: np.ndarray) -> np.ndarray:
-        lp = self.component_logpdfs(y) + self.log_w[None, :]
-        m = lp.max(axis=1, keepdims=True)
-        w = np.exp(lp - m)
-        w /= w.sum(axis=1, keepdims=True)  # posterior weights
-        d = y[:, None, :] - self.means[None, :, :]
-        comp_scores = -np.einsum("uij,Nuj->Nui", self.precs, d)
-        return np.einsum("Nu,Nui->Ni", w, comp_scores)
+    def grid_residuals(self, u: int, z: np.ndarray) -> np.ndarray:
+        """Residuals at y = mu_u + L_u z for the standard-normal nodes (rows
+        of z), formed from z directly:
+        r_v = (L_v^{-1} L_u) z + L_v^{-1} (mu_u - mu_v)."""
+        offset = self.whiten @ self.means[u] - self.shift
+        return (self.whiten @ self.chols[u]) @ z.T + offset[:, None]
+
+    def _log_joint(self, R: np.ndarray) -> np.ndarray:
+        """(m, N) array of ln p_v + ln N(y; mu_v, C_v)."""
+        q = np.square(R).reshape(self.m, self.n, -1).sum(axis=1)
+        return self.log_c - 0.5 * q
+
+    def logpdf(self, R: np.ndarray) -> np.ndarray:
+        lp = self._log_joint(R)
+        top = lp.max(axis=0)
+        return top + np.log(np.exp(lp - top).sum(axis=0))
+
+    def score(self, R: np.ndarray) -> np.ndarray:
+        """(n, N) scores, one column per point."""
+        lp = self._log_joint(R)
+        post = np.exp(lp - lp.max(axis=0))
+        post /= post.sum(axis=0)
+        weighted = R.reshape(self.m, self.n, -1) * post[:, None, :]
+        return -self.whiten.T @ weighted.reshape(self.m * self.n, -1)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         cum = np.cumsum(self.weights)
@@ -107,6 +140,12 @@ class SampleBatch:
     draws: np.ndarray
 
 
+def _draws(dens: _MixtureDensity, count: int, seed: int, streams: int) -> np.ndarray:
+    per = [count // streams + (1 if i < count % streams else 0) for i in range(streams)]
+    parts = [dens.sample(c, _rng(seed, i)) for i, c in enumerate(per) if c > 0]
+    return np.concatenate(parts, axis=0)
+
+
 def sample_outputs(
     src: MixtureSource, noise_cov, count: int, seed: int, streams: int = 1
 ) -> SampleBatch:
@@ -117,29 +156,24 @@ def sample_outputs(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    means, covs = _observed(src, noise_cov)
-    dens = _MixtureDensity(src.weights, means, covs)
-    per = [count // streams + (1 if i < count % streams else 0) for i in range(streams)]
-    parts = [dens.sample(c, _rng(seed, i)) for i, c in enumerate(per) if c > 0]
-    return SampleBatch(seed=seed, count=count, draws=np.concatenate(parts, axis=0))
+    draws = _draws(_MixtureDensity(src, noise_cov), count, seed, streams)
+    return SampleBatch(seed=seed, count=count, draws=draws)
 
 
 # --- pointwise density and score -------------------------------------------
 
 def mixture_logpdf(src: MixtureSource, noise_cov, y) -> float:
     """ln f(y) of Y = X + N, stabilized with a max shift."""
-    means, covs = _observed(src, noise_cov)
-    dens = _MixtureDensity(src.weights, means, covs)
+    dens = _MixtureDensity(src, noise_cov)
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return float(dens.logpdf(y)[0])
+    return float(dens.logpdf(dens.residuals(y))[0])
 
 
 def score(src: MixtureSource, noise_cov, y) -> np.ndarray:
     """Gradient of ln f(y): posterior-weighted Gaussian scores."""
-    means, covs = _observed(src, noise_cov)
-    dens = _MixtureDensity(src.weights, means, covs)
+    dens = _MixtureDensity(src, noise_cov)
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return dens.score(y)[0]
+    return dens.score(dens.residuals(y))[:, 0]
 
 
 # --- exact conditional quantities -------------------------------------------
@@ -171,10 +205,9 @@ def entropy_unconditional(
     """MC estimate of h(X+N) with its standard error."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    means, covs = _observed(src, noise_cov)
-    dens = _MixtureDensity(src.weights, means, covs)
-    y = sample_outputs(src, noise_cov, samples, seed, streams).draws
-    vals = -dens.logpdf(y)
+    dens = _MixtureDensity(src, noise_cov)
+    y = _draws(dens, samples, seed, streams)
+    vals = -dens.logpdf(dens.residuals(y))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
@@ -184,10 +217,9 @@ def fisher_unconditional(
     """MC estimate of J(X+N) with entrywise standard errors."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    means, covs = _observed(src, noise_cov)
-    dens = _MixtureDensity(src.weights, means, covs)
-    y = sample_outputs(src, noise_cov, samples, seed, streams).draws
-    s = dens.score(y)
+    dens = _MixtureDensity(src, noise_cov)
+    y = _draws(dens, samples, seed, streams)
+    s = dens.score(dens.residuals(y)).T
     outer = np.einsum("Ni,Nj->Nij", s, s)
     J = mat.symmetrize(outer.mean(axis=0))
     stderr = outer.std(axis=0, ddof=1) / math.sqrt(samples)
@@ -198,9 +230,17 @@ def fisher_unconditional(
 
 _DEFAULT_QUAD_ORDER = {1: 160, 2: 56, 3: 28}
 
+# Tensor nodes whose weight is at most this fraction of the largest are
+# dropped; at the default orders the dropped weight is 3.3e-22 (n = 1),
+# 6.4e-21 (n = 2) and 4.0e-20 (n = 3), and n = 3 keeps 13,824 of 21,952.
+_PRUNE_REL = 1e-20
 
+
+@functools.lru_cache(maxsize=16)
 def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Hermite grid for a standard normal in n dimensions."""
+    """Pruned tensor Gauss-Hermite grid for a standard normal in n
+    dimensions: (nodes (N, n), weights (N,)), both read-only because every
+    caller shares them."""
     x, w = hermgauss(order)
     z1 = math.sqrt(2.0) * x
     w1 = w / math.sqrt(math.pi)
@@ -208,6 +248,10 @@ def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     z = np.stack([g.ravel() for g in grids], axis=1)
     wts = np.meshgrid(*([w1] * n), indexing="ij")
     wt = np.prod(np.stack([g.ravel() for g in wts], axis=1), axis=1)
+    keep = wt > _PRUNE_REL * wt.max()
+    z, wt = np.ascontiguousarray(z[keep]), wt[keep]
+    z.flags.writeable = False
+    wt.flags.writeable = False
     return z, wt
 
 
@@ -222,51 +266,31 @@ def _quad_order(n: int, order: int | None) -> int:
 def mixture_entropy_quad(src: MixtureSource, noise_cov, order: int | None = None) -> float:
     """h(X+N) by per-component Gauss-Hermite quadrature (n <= 3).
 
-    Deterministic and, for the mildly separated mixtures used here, accurate
-    far beyond the verification tolerances.
+    Each component's expectation of -ln f is taken on the pruned tensor grid
+    of ``_gh_grid``, whose dropped nodes carry under 1e-19 of the weight at
+    the default orders. The error of the order itself is not estimated: it
+    is negligible on well separated mixtures but reaches about 5e-4 at the
+    default order on a badly conditioned one (weights (0.3, 0.7),
+    covariances 0.05 I and [[2, .9], [.9, 1]], noise 0.05 I).
     """
-    means, covs = _observed(src, noise_cov)
-    dens = _MixtureDensity(src.weights, means, covs)
+    dens = _MixtureDensity(src, noise_cov)
     n = src.dim
     z, wt = _gh_grid(n, _quad_order(n, order))
     total = 0.0
-    for pu, mu, L in zip(src.weights, means, dens.chols):
-        y = mu[None, :] + z @ L.T
-        total += pu * float(wt @ dens.logpdf(y))
+    for u, pu in enumerate(src.weights):
+        total += pu * float(wt @ dens.logpdf(dens.grid_residuals(u, z)))
     return -total
 
 
 def mixture_fisher_quad(src: MixtureSource, noise_cov, order: int | None = None) -> np.ndarray:
-    """J(X+N) by per-component Gauss-Hermite quadrature (n <= 3)."""
-    means, covs = _observed(src, noise_cov)
-    dens = _MixtureDensity(src.weights, means, covs)
+    """J(X+N) by per-component Gauss-Hermite quadrature (n <= 3), on the
+    same grid as ``mixture_entropy_quad``; on the badly conditioned mixture
+    described there the default order is off by about 3e-3."""
+    dens = _MixtureDensity(src, noise_cov)
     n = src.dim
     z, wt = _gh_grid(n, _quad_order(n, order))
     J = np.zeros((n, n))
-    for pu, mu, L in zip(src.weights, means, dens.chols):
-        y = mu[None, :] + z @ L.T
-        s = dens.score(y)
-        J += pu * np.einsum("N,Ni,Nj->ij", wt, s, s)
+    for u, pu in enumerate(src.weights):
+        s = dens.score(dens.grid_residuals(u, z))
+        J += pu * ((s * wt) @ s.T)
     return mat.symmetrize(J)
-
-
-# --- mutual-information terms for the two-user region ------------------------
-
-def mutual_info_terms(
-    src: MixtureSource, ch: BroadcastChannel, samples: int, seed: int
-) -> tuple[float, float, tuple[float, float], bool]:
-    """(I(X;Y_1|U), I(U;Y_2), stderrs, admissible_flag) for a 2-user channel.
-
-    The first term is exact; the second carries the Monte Carlo standard
-    error of the unconditional entropy of Y_2. An inadmissible source is
-    flagged rather than rejected.
-    """
-    if ch.num_users != 2:
-        raise DimensionMismatchError("mutual_info_terms requires a 2-user channel")
-    from .model import gaussian_entropy  # local to avoid cycle at import time
-
-    admissible = mat.loewner_leq(aggregate_covariance(src), ch.input_cap)
-    i1 = entropy_conditional(src, ch.noise_covs[0]) - gaussian_entropy(ch.noise_covs[0])
-    h2, se2 = entropy_unconditional(src, ch.noise_covs[1], samples, seed)
-    i2 = h2 - entropy_conditional(src, ch.noise_covs[1])
-    return i1, i2, (0.0, se2), admissible

@@ -90,10 +90,10 @@ def test_criterion_02_oracle_optimizer_agreement():
     for trial in range(5):
         rng = rng_for(1002, trial)
         ch = random_channel(rng, 2, 2)
-        oracle = grid_oracle(ch, 41)
+        oracle = np.array([r for _, r in grid_oracle(ch, 41)])
         results = trace_boundary(ch, weights, OptimizerConfig(restarts=6, seed=trial))
         for w, (_, rates) in zip(weights, results):
-            best = max(float(np.dot(w, r)) for _, r in oracle)
+            best = float(np.max(oracle @ np.asarray(w)))
             worst = min(worst, float(np.dot(w, rates)) - best)
     ok = worst >= -1e-3
     _report(2, "oracle-optimizer agreement", ok, f"worst margin {worst:.2e}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,20 +12,18 @@ from mimobc.estimators import (
     mixture_entropy_quad,
     mixture_fisher_quad,
     mixture_logpdf,
-    mutual_info_terms,
     sample_outputs,
     score,
 )
+from mimobc import estimators
 from mimobc.fixtures import (
-    admissible_mixture_for,
     gaussian_source,
-    random_channel,
     random_mixture,
+    random_spd,
     rng_for,
-    scalar_channel,
     two_component_scalar_source,
 )
-from mimobc.model import LOG_2PI_E, gaussian_entropy
+from mimobc.model import LOG_2PI_E, MixtureSource, gaussian_entropy
 
 # frozen oracle: J(X+N) for p=(1/2,1/2), component variances (1,3), unit noise,
 # equal means — given the label the output is Gaussian, so J = E[1/(C_u+1)].
@@ -189,25 +188,104 @@ class TestMonteCarlo:
             entropy_unconditional(src, np.eye(1), 1, seed=0)
 
 
-class TestMutualInfoTerms:
-    def test_gaussian_terms(self):
-        ch = scalar_channel()
-        src = gaussian_source(np.array([[1.0]]))
-        i1, i2, (se1, se2), ok = mutual_info_terms(src, ch, 100000, seed=42)
-        assert ok
-        # degenerate U: I(U; Y_2) should be ~0, I(X; Y_1|U) = 0.5 ln 2
-        assert i1 == pytest.approx(0.5 * math.log(2.0), abs=1e-10)
-        assert abs(i2) <= 4 * se2 + 1e-9
+def _full_grid(n, order):
+    """Unpruned tensor Gauss-Hermite grid for a standard normal."""
+    x, w = np.polynomial.hermite.hermgauss(order)
+    z1 = math.sqrt(2.0) * x
+    w1 = w / math.sqrt(math.pi)
+    z = np.array(list(itertools.product(z1, repeat=n)))
+    wt = np.array([math.prod(c) for c in itertools.product(w1, repeat=n)])
+    return z, wt
 
-    def test_inadmissible_flagged(self):
-        ch = scalar_channel()  # cap 1, but Cov(X) = 2.0625
-        src = two_component_scalar_source()
-        *_, ok = mutual_info_terms(src, ch, 2000, seed=0)
-        assert not ok
 
-    def test_admissible_mixture_flag(self):
-        rng = rng_for(77)
-        ch = random_channel(rng, 2, 2)
-        src = admissible_mixture_for(ch, rng, 2)
-        *_, ok = mutual_info_terms(src, ch, 2000, seed=0)
-        assert ok
+def _reference_quad(src, noise, order):
+    """(h, J) of X + N on the full tensor grid, with the plain precision-
+    matrix density and score of every component."""
+    n = src.dim
+    z, wt = _full_grid(n, order)
+    covs = [C + noise for C in src.comp_covs]
+    precs = [np.linalg.inv(C) for C in covs]
+    log_norms = [-0.5 * (n * math.log(2 * math.pi) + np.linalg.slogdet(C)[1]) for C in covs]
+    h, J = 0.0, np.zeros((n, n))
+    for pu, mu, C in zip(src.weights, src.means, covs):
+        y = mu + z @ np.linalg.cholesky(C).T
+        diffs = [y - mv for mv in src.means]
+        logs = np.stack([
+            math.log(pv) + c - 0.5 * np.einsum("Ni,ij,Nj->N", d, P, d)
+            for pv, c, d, P in zip(src.weights, log_norms, diffs, precs)
+        ], axis=1)
+        top = logs.max(axis=1, keepdims=True)
+        post = np.exp(logs - top)
+        total = post.sum(axis=1, keepdims=True)
+        post /= total
+        logf = (top + np.log(total))[:, 0]
+        s = -sum(post[:, [v]] * (d @ P) for v, (d, P) in enumerate(zip(diffs, precs)))
+        h -= pu * float(wt @ logf)
+        J += pu * np.einsum("N,Ni,Nj->ij", wt, s, s)
+    return h, J
+
+
+# weights (0.3, 0.7): a narrow component inside a wide, correlated one
+BADLY_CONDITIONED = (
+    MixtureSource(
+        weights=[0.3, 0.7],
+        means=[[0.0, 0.0], [1.0, 0.5]],
+        comp_covs=[0.05 * np.eye(2), [[2.0, 0.9], [0.9, 1.0]]],
+    ),
+    0.05 * np.eye(2),
+)
+
+
+class TestWhitenedKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pruned_grid_drops_negligible_weight(self, n):
+        order = estimators._DEFAULT_QUAD_ORDER[n]
+        z, wt = estimators._gh_grid(n, order)
+        full_z, full_wt = _full_grid(n, order)
+        keep = full_wt > estimators._PRUNE_REL * full_wt.max()
+        assert np.array_equal(z, full_z[keep])
+        assert np.allclose(wt, full_wt[keep], rtol=1e-14, atol=0.0)
+        assert full_wt[~keep].sum() < 1e-18
+        assert abs(wt.sum() - 1.0) <= 1e-14
+
+    def test_pruning_shrinks_the_three_dimensional_grid(self):
+        z, _ = estimators._gh_grid(3, estimators._DEFAULT_QUAD_ORDER[3])
+        assert z.shape == (13824, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_quadrature_matches_full_grid_reference(self, n, m):
+        rng = rng_for(303, n, m)
+        src = random_mixture(rng, n, m)
+        noise = random_spd(rng, n, 0.5, 1.5)
+        h_ref, J_ref = _reference_quad(src, noise, estimators._DEFAULT_QUAD_ORDER[n])
+        assert mixture_entropy_quad(src, noise) == pytest.approx(h_ref, abs=1e-12)
+        assert np.max(np.abs(mixture_fisher_quad(src, noise) - J_ref)) <= 1e-12
+
+    def test_quadrature_matches_reference_on_badly_conditioned_mixture(self):
+        src, noise = BADLY_CONDITIONED
+        h_ref, J_ref = _reference_quad(src, noise, estimators._DEFAULT_QUAD_ORDER[2])
+        assert mixture_entropy_quad(src, noise) == pytest.approx(h_ref, abs=1e-12)
+        assert np.max(np.abs(mixture_fisher_quad(src, noise) - J_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_score_matches_central_differences(self, n):
+        rng = rng_for(304, n)
+        src = random_mixture(rng, n, 3)
+        noise = random_spd(rng, n, 0.5, 1.5)
+        step = 1e-5
+        for y in rng.normal(size=(4, n)):
+            fd = [
+                (mixture_logpdf(src, noise, y + step * e) - mixture_logpdf(src, noise, y - step * e))
+                / (2 * step)
+                for e in np.eye(n)
+            ]
+            assert np.allclose(score(src, noise, y), fd, rtol=1e-6, atol=1e-8)
+
+    def test_cached_grid_is_shared_and_read_only(self):
+        z, wt = estimators._gh_grid(2, 56)
+        assert estimators._gh_grid(2, 56)[0] is z
+        with pytest.raises(ValueError):
+            z[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            wt[0] = 0.0
