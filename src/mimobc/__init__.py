@@ -30,7 +30,6 @@ from .model import (
 from .region import (
     CovarianceSplit,
     OptimizerConfig,
-    dominates,
     grid_oracle,
     rate_tuple,
     scalar_region,

@@ -1,10 +1,18 @@
 """Command-line front end.
 
-Subcommands:
-  region       boundary CSV of the superposition rate region for a channel
-  verify       run the full inequality suite on a source, emit JSON reports
-  walkthrough  replay the converse chain on a channel + source/hierarchy
-  selftest     run the built-in acceptance checks on bundled fixtures
+Subcommands and the flags each one reads:
+  region INPUT       boundary CSV of the superposition rate region for a
+                     channel; --seed --tol --grid --bits --output
+  verify INPUT       run the full inequality suite on a source, emit JSON
+                     reports; --tol --output
+  walkthrough INPUT  replay the converse chain on a channel + source/hierarchy
+                     by quadrature, emit a JSON report; --bits --output
+  selftest           run the built-in acceptance checks on bundled fixtures;
+                     --samples --seed --tol
+
+Every command validates its channel (degraded order, positive first noise
+and cap); ``verify`` and ``walkthrough`` also reject sources of a dimension
+the quadrature does not support (n > 3).
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input or configuration. Outputs are byte-identical for identical inputs,
@@ -22,7 +30,7 @@ import numpy as np
 
 from . import fixtures, verifier
 from .errors import InadmissibleSourceError, InputFormatError, NumericalError
-from .estimators import entropy_unconditional
+from .estimators import _quad_order, entropy_unconditional
 from .model import (
     aggregate_covariance,
     channel_from_dict,
@@ -85,28 +93,36 @@ def _rates_csv(weight_list, results, bits: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _extract_channel(obj: dict):
-    return channel_from_dict(obj["channel"] if "channel" in obj else obj)
+def _extract_channel(obj: dict, tol: float | None = None):
+    """The channel, top level or under "channel", rejected unless it is
+    degraded with a positive first noise and cap (at ``tol``, default the
+    noise scale's PSD tolerance)."""
+    ch = channel_from_dict(obj["channel"] if "channel" in obj else obj)
+    report = validate_channel(ch, tol)
+    if not report.passed:
+        bad = [r.label for r in report.residuals if r.value < -report.tolerance_used]
+        raise InputFormatError(f"channel validation failed: {', '.join(bad)}")
+    return ch
 
 
 def _extract_source_or_hierarchy(obj: dict):
     if "hierarchy" in obj:
-        return hierarchy_from_dict(obj["hierarchy"])
-    if "source" in obj:
+        thing = hierarchy_from_dict(obj["hierarchy"])
+    elif "source" in obj:
         d = obj["source"]
-        if "transitions" in d:
-            return hierarchy_from_dict(d)
-        return source_from_dict(d)
-    raise InputFormatError("input must contain a 'source' or 'hierarchy' object")
+        thing = hierarchy_from_dict(d) if "transitions" in d else source_from_dict(d)
+    else:
+        raise InputFormatError("input must contain a 'source' or 'hierarchy' object")
+    try:  # both commands that read a source need its quadrature
+        _quad_order(thing.dim, None)
+    except ValueError as exc:
+        raise InputFormatError(str(exc))
+    return thing
 
 
 def cmd_region(cfg) -> int:
     obj = _load_json(cfg.input)
-    ch = _extract_channel(obj)
-    report = validate_channel(ch, cfg.tol if cfg.tol is not None else None)
-    if not report.passed:
-        bad = [r.label for r in report.residuals if r.value < -report.tolerance_used]
-        raise InputFormatError(f"channel validation failed: {', '.join(bad)}")
+    ch = _extract_channel(obj, cfg.tol)
     weights = _weight_sweep(ch.num_users, cfg.grid)
     opt = OptimizerConfig(seed=cfg.seed)
     results = trace_boundary(ch, weights, opt)
@@ -117,7 +133,7 @@ def cmd_region(cfg) -> int:
 def cmd_verify(cfg) -> int:
     obj = _load_json(cfg.input)
     thing = _extract_source_or_hierarchy(obj)
-    ch = channel_from_dict(obj["channel"]) if "channel" in obj else None
+    ch = _extract_channel(obj) if "channel" in obj else None
     from .model import MarkovHierarchy
 
     if isinstance(thing, MarkovHierarchy):
@@ -135,9 +151,7 @@ def cmd_walkthrough(cfg) -> int:
     ch = _extract_channel(obj)
     thing = _extract_source_or_hierarchy(obj)
     try:
-        report = verifier.converse_walkthrough(
-            thing, ch, samples=cfg.samples, seed=cfg.seed
-        )
+        report = verifier.converse_walkthrough(thing, ch)
     except InadmissibleSourceError as exc:
         raise InputFormatError(
             f"{exc}; the converse presumes the input covariance constraint"
@@ -188,22 +202,16 @@ def _selftest_checks(cfg):
     fp = verifier.solve_fixed_point(gsrc, ch, 2, ch.input_cap, tol=1e-10)
     yield ("fixed_point_gaussian_t0", fp.t_star == 0.0 and abs(fp.A[0, 0] - 0.8) < 1e-8)
 
-    wt = verifier.converse_walkthrough(
-        msrc, fixtures.scalar_channel(S=2.5), samples=cfg.samples, seed=cfg.seed
-    )
+    wt = verifier.converse_walkthrough(msrc, fixtures.scalar_channel(S=2.5))
     yield ("walkthrough_two_user", wt.passed)
-    wt_g = verifier.converse_walkthrough(
-        fixtures.gaussian_source(np.array([[1.0]])), ch, samples=cfg.samples, seed=cfg.seed
-    )
-    tight = max(
-        abs(a - r) for a, r in zip(wt_g.achieved_rates, wt_g.region_rates)
-    ) < 3.0 * max(wt_g.achieved_stderrs) + 1e-6
+    wt_g = verifier.converse_walkthrough(fixtures.gaussian_source(np.array([[1.0]])), ch)
+    tight = max(abs(a - r) for a, r in zip(wt_g.achieved_rates, wt_g.region_rates)) < 1e-6
     yield ("walkthrough_gaussian_tight", wt_g.passed and tight)
 
     rng = fixtures.rng_for(cfg.seed, 77)
     h3 = fixtures.random_hierarchy(rng, 1, (3, 2))
     ch3 = fixtures.admissible_channel_for(aggregate_covariance(h3.base), rng, 3)
-    wt3 = verifier.converse_walkthrough(h3, ch3, samples=cfg.samples, seed=cfg.seed)
+    wt3 = verifier.converse_walkthrough(h3, ch3)
     yield ("walkthrough_three_user", wt3.passed)
 
     h_est, se = entropy_unconditional(gsrc, np.array([[0.2]]), cfg.samples, cfg.seed)
@@ -234,6 +242,39 @@ def cmd_selftest(cfg) -> int:
     return 0 if failures == 0 else 1
 
 
+def _at_least_two(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+_FLAGS = {
+    "--seed": dict(type=int, default=42, help="random seed (default 42)"),
+    "--samples": dict(type=_at_least_two, default=100_000,
+                      help="Monte Carlo sample count (default 100000)"),
+    "--tol": dict(type=_nonnegative, default=1e-8, help="check tolerance (default 1e-8)"),
+    "--grid": dict(type=_at_least_two, default=101,
+                   help="number of weight vectors (default 101)"),
+    "--bits": dict(action="store_true", help="report rates in bits"),
+    "--output": dict(default=None, help="output path (default stdout)"),
+}
+
+_COMMANDS = [
+    ("region", cmd_region, True, ("--seed", "--tol", "--grid", "--bits", "--output")),
+    ("verify", cmd_verify, True, ("--tol", "--output")),
+    ("walkthrough", cmd_walkthrough, True, ("--bits", "--output")),
+    ("selftest", cmd_selftest, False, ("--samples", "--seed", "--tol")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mimobc",
@@ -241,25 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
         "computation and numerical verification of the Fisher-information converse.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, needs_input=True):
+    for name, fn, needs_input, flags in _COMMANDS:
+        sp = sub.add_parser(name)
         if needs_input:
             sp.add_argument("input", help="path to the input JSON file")
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--samples", type=int, default=100_000)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--grid", type=int, default=101)
-        sp.add_argument("--output", default=None, help="output path (default stdout)")
-        sp.add_argument("--bits", action="store_true", help="report rates in bits")
-
-    for name, fn, needs_input in [
-        ("region", cmd_region, True),
-        ("verify", cmd_verify, True),
-        ("walkthrough", cmd_walkthrough, True),
-        ("selftest", cmd_selftest, False),
-    ]:
-        sp = sub.add_parser(name)
-        common(sp, needs_input)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(fn=fn)
     return p
 
@@ -271,8 +299,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if cfg.samples < 2 or cfg.grid < 2 or cfg.tol < 0:
-            raise InputFormatError("samples and grid must be >= 2, tol >= 0")
         return cfg.fn(cfg)
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

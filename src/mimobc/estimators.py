@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -33,8 +32,6 @@ from .errors import DimensionMismatchError
 from .model import LOG_2PI_E, MixtureSource
 
 __all__ = [
-    "SampleBatch",
-    "sample_outputs",
     "mixture_logpdf",
     "score",
     "fisher_conditional",
@@ -125,39 +122,9 @@ class _MixtureDensity:
         return self.means[idx] + np.einsum("Nij,Nj->Ni", self.chols[idx], z)
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator with documented stream splitting: the Philox
-    key is derived from (seed, stream), so distinct streams never overlap."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed) & (2**63 - 1), int(stream)])))
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Reproducible draws from the law of X + N."""
-
-    seed: int
-    count: int
-    draws: np.ndarray
-
-
-def _draws(dens: _MixtureDensity, count: int, seed: int, streams: int) -> np.ndarray:
-    per = [count // streams + (1 if i < count % streams else 0) for i in range(streams)]
-    parts = [dens.sample(c, _rng(seed, i)) for i, c in enumerate(per) if c > 0]
-    return np.concatenate(parts, axis=0)
-
-
-def sample_outputs(
-    src: MixtureSource, noise_cov, count: int, seed: int, streams: int = 1
-) -> SampleBatch:
-    """Draw ``count`` outputs Y = X + N, sharded over deterministic streams.
-
-    The concatenation order is fixed by the stream index, so the result is
-    identical no matter how shards are scheduled.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    draws = _draws(_MixtureDensity(src, noise_cov), count, seed, streams)
-    return SampleBatch(seed=seed, count=count, draws=draws)
+def _rng(seed: int) -> np.random.Generator:
+    """Counter-based Philox generator keyed by the words (seed, 0)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed) & (2**63 - 1), 0])))
 
 
 # --- pointwise density and score -------------------------------------------
@@ -200,25 +167,25 @@ def entropy_conditional(src: MixtureSource, noise_cov) -> float:
 # --- Monte Carlo unconditional quantities ------------------------------------
 
 def entropy_unconditional(
-    src: MixtureSource, noise_cov, samples: int, seed: int, streams: int = 1
+    src: MixtureSource, noise_cov, samples: int, seed: int
 ) -> tuple[float, float]:
     """MC estimate of h(X+N) with its standard error."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     dens = _MixtureDensity(src, noise_cov)
-    y = _draws(dens, samples, seed, streams)
+    y = dens.sample(samples, _rng(seed))
     vals = -dens.logpdf(dens.residuals(y))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 def fisher_unconditional(
-    src: MixtureSource, noise_cov, samples: int, seed: int, streams: int = 1
+    src: MixtureSource, noise_cov, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """MC estimate of J(X+N) with entrywise standard errors."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     dens = _MixtureDensity(src, noise_cov)
-    y = _draws(dens, samples, seed, streams)
+    y = dens.sample(samples, _rng(seed))
     s = dens.score(dens.residuals(y)).T
     outer = np.einsum("Ni,Nj->Nij", s, s)
     J = mat.symmetrize(outer.mean(axis=0))

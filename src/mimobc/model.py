@@ -115,10 +115,6 @@ class MixtureSource:
     def num_components(self) -> int:
         return self.weights.shape[0]
 
-    def admissible_for(self, ch: BroadcastChannel, tol: float | None = None) -> bool:
-        """True when Cov(X) <= input cap in the Loewner order."""
-        return mat.loewner_leq(aggregate_covariance(self), ch.input_cap, tol)
-
 
 @dataclass(frozen=True, eq=False)
 class MarkovHierarchy:

@@ -23,7 +23,6 @@ __all__ = [
     "trace_boundary",
     "grid_oracle",
     "scalar_region",
-    "dominates",
 ]
 
 
@@ -409,17 +408,3 @@ def scalar_region(S: float, sigmas, num_points: int) -> list[tuple[float, ...]]:
             below = top
         tuples.append(tuple(rates))
     return tuples
-
-
-def dominates(region_points, candidate, slack: float = 0.0) -> bool:
-    """True iff some region point dominates the candidate within slack."""
-    pts = [np.asarray(p, dtype=float) for p in region_points]
-    if not pts:
-        raise ValueError("region_points must be nonempty")
-    c = np.asarray(candidate, dtype=float)
-    for p in pts:
-        if p.shape != c.shape:
-            raise DimensionMismatchError("rate tuple length mismatch")
-        if np.all(p + slack >= c):
-            return True
-    return False

@@ -78,23 +78,17 @@ class WalkthroughStage:
 class WalkthroughReport:
     stages: tuple[WalkthroughStage, ...]
     achieved_rates: tuple[float, ...]
-    achieved_stderrs: tuple[float, ...]
     region_rates: tuple[float, ...]
     split: tuple  # recovered covariance split, one ndarray per user
-    dominated: bool
     passed: bool
-    slack: float
     reports: tuple[VerificationReport, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
         return {
             "stages": [s.to_dict() for s in self.stages],
             "achieved_rates": list(self.achieved_rates),
-            "achieved_stderrs": list(self.achieved_stderrs),
             "region_rates": list(self.region_rates),
             "split": [[list(row) for row in K] for K in self.split],
-            "dominated": self.dominated,
             "passed": self.passed,
-            "slack": self.slack,
             "reports": [r.to_dict() for r in self.reports],
         }

@@ -24,7 +24,6 @@ from . import matrices as mat
 from .errors import InadmissibleSourceError, LoewnerOrderError
 from .estimators import (
     entropy_conditional,
-    entropy_unconditional,
     fisher_conditional,
     mixture_entropy_quad,
     mixture_fisher_quad,
@@ -240,18 +239,14 @@ def check_f_epsilon(
     src: MixtureSource,
     sigma,
     eps_grid,
-    samples: int | None = None,
-    seed: int | None = None,
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Deficit f(eps) = h(X + sqrt(eps) N|U) - Gaussian entropy at matched
     Fisher information: nonincreasing in eps, nonnegative at the small end,
     vanishing at the large end, and inside its eigenvalue envelope.
 
-    All quantities are conditional on the finest auxiliary, hence exact;
-    ``samples``/``seed`` are accepted for interface uniformity but unused.
+    All quantities are conditional on the finest auxiliary, hence exact.
     """
-    del samples, seed
     sigma = mat.symmetrize(sigma)
     if mat.min_eig(sigma) <= 0:
         raise ValueError("sigma must be positive definite")
@@ -370,12 +365,9 @@ def solve_fixed_point(
 def converse_walkthrough(
     source,
     ch: BroadcastChannel,
-    samples: int = 100_000,
-    seed: int = 42,
     tol: float = 1e-10,
     sandwich_tol: float = 1e-8,
     quad_order: int | None = None,
-    method: str = "quad",
 ) -> WalkthroughReport:
     """Replay the converse chain on a concrete input distribution.
 
@@ -383,11 +375,12 @@ def converse_walkthrough(
     verifies the sandwich and the integral entropy bound at every stage,
     computes the achieved rates I(U_k; Y_k | U_{k+1}), and checks that they
     are dominated by the superposition rates of the recovered split
-    K_k = A_{k+1} - A_k.
+    K_k = A_{k+1} - A_k, within 1e-6 per user (the ``domination`` report).
 
-    ``method`` selects how the single truly unconditional entropy h(Y_K) is
-    computed: "quad" (deterministic, zero stderr) or "mc" (seeded Monte
-    Carlo with a standard error that widens the domination slack).
+    Every entropy is deterministic: closed form given the finest auxiliary,
+    Gauss-Hermite quadrature given a coarser one and for the unconditional
+    h(Y_K). Each conditional entropy is computed once, at the stage that
+    needs it, and the achieved rates are differences of the stored values.
     """
     if isinstance(source, MixtureSource):
         hierarchy = MarkovHierarchy(base=source)
@@ -408,6 +401,7 @@ def converse_walkthrough(
     reports: list[VerificationReport] = []
     A = {K + 1: S.copy()}
     h_cond = {}  # h(Y_k | U_k)
+    h_prev = {}  # h(Y_{k-1} | U_k)
     for k in range(K, 1, -1):
         sigma = ch.noise_covs[k - 1]
         groups = grouped[k]
@@ -418,13 +412,13 @@ def converse_walkthrough(
         A[k] = fp.A
         # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
         sigma_prev = ch.noise_covs[k - 2]
-        h_prev = _entropy_given(groups, sigma_prev, quad_order)
+        h_prev[k] = _entropy_given(groups, sigma_prev, quad_order)
         integral = mat.matrix_line_integral(
             lambda Sig: _fisher_given(groups, Sig, quad_order), sigma_prev, sigma, 32
         )
-        integral_residual = (h_prev - h) - (-0.5 * integral)
+        integral_residual = (h_prev[k] - h) - (-0.5 * integral)
         entropy_bound_residual = (
-            0.5 * (n * LOG_2PI_E + mat.logdet(fp.A + sigma_prev)) - h_prev
+            0.5 * (n * LOG_2PI_E + mat.logdet(fp.A + sigma_prev)) - h_prev[k]
         )
         stages.append(
             WalkthroughStage(
@@ -459,22 +453,12 @@ def converse_walkthrough(
             )
         )
 
-    # achieved rates, finest to coarsest
-    achieved = [0.0] * K
-    stderrs = [0.0] * K
-    achieved[0] = _entropy_given(grouped[2], ch.noise_covs[0], quad_order) - gaussian_entropy(
-        ch.noise_covs[0]
-    )
-    for k in range(2, K):
-        h_given_coarser = _entropy_given(grouped[k + 1], ch.noise_covs[k - 1], quad_order)
-        achieved[k - 1] = h_given_coarser - h_cond[k]
+    # achieved rates, finest to coarsest: R_k = h(Y_k|U_{k+1}) - h(Y_k|U_k),
+    # with U_1 = X (so h(Y_1|X) = h(N_1)) and U_{K+1} constant
     full = coarsen(hierarchy, 2).source
-    if method == "mc":
-        hK, seK = entropy_unconditional(full, ch.noise_covs[K - 1], samples, seed)
-    else:
-        hK, seK = mixture_entropy_quad(full, ch.noise_covs[K - 1], quad_order), 0.0
-    achieved[K - 1] = hK - h_cond[K]
-    stderrs[K - 1] = seK
+    h_cond[1] = gaussian_entropy(ch.noise_covs[0])
+    h_prev[K + 1] = mixture_entropy_quad(full, ch.noise_covs[K - 1], quad_order)
+    achieved = [h_prev[k + 1] - h_cond[k] for k in range(1, K + 1)]
 
     # recovered split and its superposition rates
     A[1] = np.zeros((n, n))
@@ -486,29 +470,23 @@ def converse_walkthrough(
     split = CovarianceSplit(parts=tuple(parts))
     region_rates = rate_tuple(ch, split)
 
-    slack = 3.0 * max(stderrs) + 1e-6
-    dominated = all(a <= r + 3.0 * se + 1e-6 for a, r, se in zip(achieved, region_rates, stderrs))
     reports.append(
         VerificationReport.from_residuals(
             "domination",
             [
-                Residual(f"rate_{k + 1}_gap", r + 3.0 * se + 1e-6 - a, "ineq")
-                for k, (a, r, se) in enumerate(zip(achieved, region_rates, stderrs))
+                Residual(f"rate_{k + 1}_gap", r + 1e-6 - a, "ineq")
+                for k, (a, r) in enumerate(zip(achieved, region_rates))
             ],
             0.0,
             notes="region rate + slack - achieved rate, per user",
         )
     )
-    passed = dominated and all(rep.passed for rep in reports)
     return WalkthroughReport(
         stages=tuple(stages),
         achieved_rates=tuple(achieved),
-        achieved_stderrs=tuple(stderrs),
         region_rates=tuple(region_rates),
         split=tuple(parts),
-        dominated=dominated,
-        passed=passed,
-        slack=slack,
+        passed=all(rep.passed for rep in reports),
         reports=tuple(reports),
     )
 

@@ -1,9 +1,13 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from mimobc import cli
 
 CLI = [sys.executable, "-m", "mimobc.cli"]
 
@@ -17,6 +21,25 @@ MIXTURE_INPUT = {
         "weights": [0.5, 0.5],
         "means": [[0.0], [0.5]],
         "comp_covs": [[[1.0]], [[3.0]]],
+    },
+}
+
+# the mixture input on a non-degraded channel: the second noise is smaller
+NOT_DEGRADED_INPUT = {
+    "channel": {"noise_covs": [[[2.0]], [[1.0]]], "input_cap": [[2.5]]},
+    "source": MIXTURE_INPUT["source"],
+}
+
+# a four-antenna mixture on a four-antenna channel: beyond the quadrature
+FOUR_DIM_INPUT = {
+    "channel": {
+        "noise_covs": [np.eye(4).tolist(), (2.0 * np.eye(4)).tolist()],
+        "input_cap": (10.0 * np.eye(4)).tolist(),
+    },
+    "source": {
+        "weights": [0.5, 0.5],
+        "means": [[0.0] * 4, [0.5] * 4],
+        "comp_covs": [np.eye(4).tolist(), (2.0 * np.eye(4)).tolist()],
     },
 }
 
@@ -140,28 +163,50 @@ class TestVerify:
 class TestWalkthrough:
     def test_pass(self, tmp_path):
         path = write(tmp_path, "in.json", MIXTURE_INPUT)
-        res = run_cli("walkthrough", path, "--samples", "20000")
+        res = run_cli("walkthrough", path)
         assert res.returncode == 0, res.stderr
         rep = json.loads(res.stdout)
-        assert rep["passed"] and rep["dominated"]
+        assert rep["passed"]
+        assert [r["passed"] for r in rep["reports"] if r["name"] == "domination"] == [True]
         assert len(rep["achieved_rates"]) == 2
 
     def test_inadmissible_exits_2(self, tmp_path):
         bad = dict(MIXTURE_INPUT)
         bad["channel"] = SCALAR_CHANNEL["channel"]  # cap 1 < Cov(X)
         path = write(tmp_path, "in.json", bad)
-        res = run_cli("walkthrough", path, "--samples", "5000")
+        res = run_cli("walkthrough", path)
         assert res.returncode == 2
 
     def test_seed_determinism(self, tmp_path):
+        # the walkthrough is deterministic quadrature: it takes no seed, and
+        # two runs on one input give the same bytes
         path = write(tmp_path, "in.json", MIXTURE_INPUT)
-        a = run_cli("walkthrough", path, "--samples", "10000", "--seed", "3")
-        b = run_cli("walkthrough", path, "--samples", "10000", "--seed", "3")
-        assert a.stdout == b.stdout
+        a = run_cli("walkthrough", path)
+        b = run_cli("walkthrough", path)
+        assert a.returncode == 0 and a.stdout == b.stdout
+        assert run_cli("walkthrough", path, "--seed", "3").returncode == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         res = run_cli("walkthrough", str(tmp_path / "missing.json"))
         assert res.returncode == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command", ["verify", "walkthrough"])
+    def test_not_degraded_exits_2(self, tmp_path, command):
+        path = write(tmp_path, "in.json", NOT_DEGRADED_INPUT)
+        res = run_cli(command, path)
+        assert res.returncode == 2, res.stderr
+        assert "channel validation failed" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "walkthrough"])
+    def test_four_dimensional_source_exits_2(self, tmp_path, command):
+        path = write(tmp_path, "in.json", FOUR_DIM_INPUT)
+        res = run_cli(command, path)
+        assert res.returncode == 2, res.stderr
+        assert "quadrature supports dimensions 1..3 only" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestSelftestAndFlags:
@@ -185,3 +230,21 @@ class TestSelftestAndFlags:
         path = write(tmp_path, "ch.json", SCALAR_CHANNEL)
         res = run_cli("region", path, "--grid", "1")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--samples", "1"],
+        ["selftest", "--tol", "-1"],
+    ])
+    def test_out_of_range_values_exit_2(self, argv):
+        assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("region", {"--seed", "--tol", "--grid", "--bits", "--output"}),
+        ("verify", {"--tol", "--output"}),
+        ("walkthrough", {"--bits", "--output"}),
+        ("selftest", {"--samples", "--seed", "--tol"}),
+    ])
+    def test_each_command_takes_only_the_flags_it_reads(self, capsys, command, flags):
+        assert cli.main([command, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+        assert listed == flags | {"--help"}

@@ -12,7 +12,6 @@ from mimobc.estimators import (
     mixture_entropy_quad,
     mixture_fisher_quad,
     mixture_logpdf,
-    sample_outputs,
     score,
 )
 from mimobc import estimators
@@ -88,28 +87,28 @@ class TestDensityAndScore:
 
 
 class TestSampling:
+    """The draws behind the Monte Carlo estimators, seen through them."""
+
     def test_deterministic(self):
         src = two_component_scalar_source()
-        a = sample_outputs(src, np.eye(1), 1000, seed=42).draws
-        b = sample_outputs(src, np.eye(1), 1000, seed=42).draws
-        assert np.array_equal(a, b)
+        a = fisher_unconditional(src, np.eye(1), 1000, seed=42)
+        b = fisher_unconditional(src, np.eye(1), 1000, seed=42)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_seed_changes_draws(self):
         src = two_component_scalar_source()
-        a = sample_outputs(src, np.eye(1), 1000, seed=42).draws
-        b = sample_outputs(src, np.eye(1), 1000, seed=43).draws
-        assert not np.array_equal(a, b)
-
-    def test_stream_sharding_consistent_count(self):
-        src = two_component_scalar_source()
-        batch = sample_outputs(src, np.eye(1), 997, seed=5, streams=4)
-        assert batch.draws.shape == (997, 1)
+        a = entropy_unconditional(src, np.eye(1), 1000, seed=42)
+        b = entropy_unconditional(src, np.eye(1), 1000, seed=43)
+        assert a != b
 
     def test_moments(self):
-        src = two_component_scalar_source()
-        y = sample_outputs(src, np.eye(1), 200000, seed=1).draws
-        # Var(Y) = Cov(X) + 1 = 3.0625
-        assert float(np.var(y)) == pytest.approx(3.0625, rel=0.02)
+        # Y ~ N(0, v) with v = 2.0625 + 1 = 3.0625 has score -y / v, so the
+        # Fisher estimate is mean(y^2) / v^2: it checks the draws' second
+        # moment, mean(y^2) = v.
+        v = 3.0625
+        src = gaussian_source(np.array([[v - 1.0]]))
+        J, _ = fisher_unconditional(src, np.eye(1), 200000, seed=1)
+        assert float(J[0, 0]) * v * v == pytest.approx(v, rel=0.02)
 
 
 class TestQuadrature:

@@ -16,7 +16,6 @@ from mimobc.model import BroadcastChannel
 from mimobc.region import (
     CovarianceSplit,
     OptimizerConfig,
-    dominates,
     grid_oracle,
     rate_tuple,
     scalar_region,
@@ -121,18 +120,6 @@ class TestScalarRegion:
     def test_bad_sigma_order(self):
         with pytest.raises(ValueError):
             scalar_region(1.0, (2.0, 1.0), 5)
-
-
-class TestDominates:
-    def test_exact_point(self):
-        assert dominates([(0.2, 0.1)], (0.2, 0.1))
-
-    def test_slack(self):
-        assert not dominates([(0.2, 0.1)], (0.2, 0.1 + 1e-9))
-        assert dominates([(0.2, 0.1)], (0.2, 0.1 + 1e-9), slack=1e-8)
-
-    def test_needs_all_coordinates(self):
-        assert not dominates([(1.0, 0.0), (0.0, 1.0)], (0.6, 0.6))
 
 
 class TestTraceBoundary:
@@ -272,7 +259,7 @@ def test_achieved_rates_never_beat_traced_boundary(seed, n, m):
     rng = rng_for(1100, seed)
     ch = random_channel(rng, n, 2)
     src = admissible_mixture_for(ch, rng, m)
-    achieved = np.array(converse_walkthrough(src, ch, method="quad").achieved_rates)
+    achieved = np.array(converse_walkthrough(src, ch).achieved_rates)
     thetas = np.linspace(0.0, math.pi / 2.0, 11)
     weights = [(math.cos(t), math.sin(t)) for t in thetas]
     for w, (_, rates) in zip(weights, trace_boundary(ch, weights, OptimizerConfig(seed=seed))):
