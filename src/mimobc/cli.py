@@ -8,11 +8,13 @@ Subcommands and the flags each one reads:
   walkthrough INPUT  replay the converse chain on a channel + source/hierarchy
                      by quadrature, emit a JSON report; --bits --output
   selftest           run the built-in acceptance checks on bundled fixtures;
-                     --samples --seed --tol
+                     --seed --tol
 
 Every command validates its channel (degraded order, positive first noise
-and cap); ``verify`` and ``walkthrough`` also reject sources of a dimension
-the quadrature does not support (n > 3).
+and cap). ``verify`` and ``walkthrough`` also reject a source of a dimension
+the quadrature does not support (n > 3) or other than the channel's, and
+``walkthrough`` one whose hierarchy depth is not the channel's user count
+(a plain source has depth 2).
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input or configuration. Outputs are byte-identical for identical inputs,
@@ -30,8 +32,10 @@ import numpy as np
 
 from . import fixtures, verifier
 from .errors import InadmissibleSourceError, InputFormatError, NumericalError
-from .estimators import _quad_order, entropy_unconditional
+from .estimators import _quad_order, mixture_entropy_quad
 from .model import (
+    MarkovHierarchy,
+    MixtureSource,
     aggregate_covariance,
     channel_from_dict,
     gaussian_entropy,
@@ -40,6 +44,7 @@ from .model import (
     validate_channel,
 )
 from .region import (
+    CovarianceSplit,
     OptimizerConfig,
     _compositions,
     rate_tuple,
@@ -105,7 +110,11 @@ def _extract_channel(obj: dict, tol: float | None = None):
     return ch
 
 
-def _extract_source_or_hierarchy(obj: dict):
+def _extract_source_or_hierarchy(obj: dict, ch=None, match_users: bool = False):
+    """The source or hierarchy, rejected unless the quadrature supports its
+    dimension and, given a channel, the dimensions agree; with
+    ``match_users`` its depth (2 for a plain source) must also be the
+    channel's user count."""
     if "hierarchy" in obj:
         thing = hierarchy_from_dict(obj["hierarchy"])
     elif "source" in obj:
@@ -117,6 +126,16 @@ def _extract_source_or_hierarchy(obj: dict):
         _quad_order(thing.dim, None)
     except ValueError as exc:
         raise InputFormatError(str(exc))
+    if ch is not None and thing.dim != ch.dim:
+        raise InputFormatError(
+            f"source dimension {thing.dim} does not match channel dimension {ch.dim}"
+        )
+    if match_users:
+        depth = thing.num_users if isinstance(thing, MarkovHierarchy) else 2
+        if depth != ch.num_users:
+            raise InputFormatError(
+                f"hierarchy depth {depth} does not match the channel's {ch.num_users} users"
+            )
     return thing
 
 
@@ -132,10 +151,8 @@ def cmd_region(cfg) -> int:
 
 def cmd_verify(cfg) -> int:
     obj = _load_json(cfg.input)
-    thing = _extract_source_or_hierarchy(obj)
     ch = _extract_channel(obj) if "channel" in obj else None
-    from .model import MarkovHierarchy
-
+    thing = _extract_source_or_hierarchy(obj, ch)
     if isinstance(thing, MarkovHierarchy):
         src, hierarchy = thing.base, thing
     else:
@@ -149,7 +166,7 @@ def cmd_verify(cfg) -> int:
 def cmd_walkthrough(cfg) -> int:
     obj = _load_json(cfg.input)
     ch = _extract_channel(obj)
-    thing = _extract_source_or_hierarchy(obj)
+    thing = _extract_source_or_hierarchy(obj, ch, match_users=True)
     try:
         report = verifier.converse_walkthrough(thing, ch)
     except InadmissibleSourceError as exc:
@@ -169,8 +186,6 @@ def _selftest_checks(cfg):
     """Curated fixture checks; yields (name, passed) pairs."""
     tol = cfg.tol
     ch = fixtures.scalar_channel()
-    from .region import CovarianceSplit
-
     split = CovarianceSplit(parts=(np.array([[0.5]]), np.array([[0.5]])))
     r = rate_tuple(ch, split)
     yield (
@@ -199,7 +214,7 @@ def _selftest_checks(cfg):
         reports = verifier.run_inequality_suite(src, ch=ch, tol=tol)
         yield (f"inequality_suite_{name}", all(rep.passed for rep in reports))
 
-    fp = verifier.solve_fixed_point(gsrc, ch, 2, ch.input_cap, tol=1e-10)
+    fp = verifier.solve_fixed_point(gsrc, ch, 2, ch.input_cap)
     yield ("fixed_point_gaussian_t0", fp.t_star == 0.0 and abs(fp.A[0, 0] - 0.8) < 1e-8)
 
     wt = verifier.converse_walkthrough(msrc, fixtures.scalar_channel(S=2.5))
@@ -214,13 +229,11 @@ def _selftest_checks(cfg):
     wt3 = verifier.converse_walkthrough(h3, ch3)
     yield ("walkthrough_three_user", wt3.passed)
 
-    h_est, se = entropy_unconditional(gsrc, np.array([[0.2]]), cfg.samples, cfg.seed)
+    h_quad = mixture_entropy_quad(gsrc, np.array([[0.2]]))
     exact = gaussian_entropy(np.array([[1.0]]))
-    yield ("mc_entropy_3sigma", abs(h_est - exact) <= 3.0 * se)
+    yield ("quad_entropy_gaussian", abs(h_quad - exact) <= 1e-10)
 
     # equality case with genuine round-off: exercises the tolerance plumbing
-    from .model import MixtureSource
-
     eq_src = MixtureSource(
         weights=np.array([1.0 / 3.0, 2.0 / 3.0]),
         means=np.array([[0.0, 0.0], [1.0, 0.5]]),
@@ -258,8 +271,6 @@ def _nonnegative(text: str) -> float:
 
 _FLAGS = {
     "--seed": dict(type=int, default=42, help="random seed (default 42)"),
-    "--samples": dict(type=_at_least_two, default=100_000,
-                      help="Monte Carlo sample count (default 100000)"),
     "--tol": dict(type=_nonnegative, default=1e-8, help="check tolerance (default 1e-8)"),
     "--grid": dict(type=_at_least_two, default=101,
                    help="number of weight vectors (default 101)"),
@@ -271,7 +282,7 @@ _COMMANDS = [
     ("region", cmd_region, True, ("--seed", "--tol", "--grid", "--bits", "--output")),
     ("verify", cmd_verify, True, ("--tol", "--output")),
     ("walkthrough", cmd_walkthrough, True, ("--bits", "--output")),
-    ("selftest", cmd_selftest, False, ("--samples", "--seed", "--tol")),
+    ("selftest", cmd_selftest, False, ("--seed", "--tol")),
 ]
 
 

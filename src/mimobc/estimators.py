@@ -1,11 +1,12 @@
 """Information quantities for Gaussian-mixture sources observed through
-additive Gaussian noise: mixture densities, score functions, Fisher
-information matrices, and differential entropies.
+additive Gaussian noise: Fisher information matrices and differential
+entropies.
 
-Quantities conditional on the mixture label are exact closed forms.
-Unconditional quantities come in two flavors: seeded Monte Carlo estimates
-with standard errors, and deterministic Gauss-Hermite quadrature for the
-small dimensions (n <= 3) this package targets.
+Quantities conditional on the mixture label are exact closed forms. The
+unconditional ones come from deterministic Gauss-Hermite quadrature for the
+small dimensions (n <= 3) this package targets, evaluating the mixture
+through the Cholesky factors of its observed components, in whitened
+coordinates (see ``_MixtureDensity``).
 
 The quadrature integrates over each component on a tensor Gauss-Hermite
 grid, pruned of the nodes whose weight is at most ``_PRUNE_REL`` times the
@@ -14,9 +15,6 @@ weight. The error of the order itself is not estimated: it is negligible
 on mildly separated mixtures but reaches about 5e-4 in entropy and 3e-3 in
 Fisher information at the default order on a badly conditioned one (see
 ``mixture_entropy_quad``).
-
-Both paths evaluate the mixture through the Cholesky factors of its
-observed components, in whitened coordinates (see ``_MixtureDensity``).
 """
 
 from __future__ import annotations
@@ -32,12 +30,8 @@ from .errors import DimensionMismatchError
 from .model import LOG_2PI_E, MixtureSource
 
 __all__ = [
-    "mixture_logpdf",
-    "score",
     "fisher_conditional",
     "entropy_conditional",
-    "fisher_unconditional",
-    "entropy_unconditional",
     "mixture_entropy_quad",
     "mixture_fisher_quad",
 ]
@@ -58,8 +52,7 @@ def _observed(src: MixtureSource, noise_cov) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _MixtureDensity:
-    """Density, score and sampling for one observed mixture, in whitened
-    coordinates.
+    """Density and score of one observed mixture, in whitened coordinates.
 
     With C_v = L_v L_v^T, component v sees y through its whitened residual
     r_v = L_v^{-1} (y - mu_v), so ln p_v N(y; mu_v, C_v) = c_v - |r_v|^2 / 2
@@ -84,10 +77,6 @@ class _MixtureDensity:
             - 0.5 * self.n * math.log(2.0 * math.pi)
             - log_diag
         )[:, None]
-
-    def residuals(self, y: np.ndarray) -> np.ndarray:
-        """(m*n, N) whitened residuals; column k stacks r_1 ... r_m of y[k]."""
-        return self.whiten @ y.T - self.shift[:, None]
 
     def grid_residuals(self, u: int, z: np.ndarray) -> np.ndarray:
         """Residuals at y = mu_u + L_u z for the standard-normal nodes (rows
@@ -114,34 +103,6 @@ class _MixtureDensity:
         weighted = R.reshape(self.m, self.n, -1) * post[:, None, :]
         return -self.whiten.T @ weighted.reshape(self.m * self.n, -1)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(cum, rng.random(count) * cum[-1])
-        idx = np.clip(idx, 0, len(self.weights) - 1)
-        z = rng.standard_normal((count, self.n))
-        return self.means[idx] + np.einsum("Nij,Nj->Ni", self.chols[idx], z)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    """Counter-based Philox generator keyed by the words (seed, 0)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed) & (2**63 - 1), 0])))
-
-
-# --- pointwise density and score -------------------------------------------
-
-def mixture_logpdf(src: MixtureSource, noise_cov, y) -> float:
-    """ln f(y) of Y = X + N, stabilized with a max shift."""
-    dens = _MixtureDensity(src, noise_cov)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    return float(dens.logpdf(dens.residuals(y))[0])
-
-
-def score(src: MixtureSource, noise_cov, y) -> np.ndarray:
-    """Gradient of ln f(y): posterior-weighted Gaussian scores."""
-    dens = _MixtureDensity(src, noise_cov)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    return dens.score(dens.residuals(y))[:, 0]
-
 
 # --- exact conditional quantities -------------------------------------------
 
@@ -162,35 +123,6 @@ def entropy_conditional(src: MixtureSource, noise_cov) -> float:
     n = src.dim
     vals = np.array([0.5 * (n * LOG_2PI_E + mat.logdet(C)) for C in covs])
     return float(src.weights @ vals)
-
-
-# --- Monte Carlo unconditional quantities ------------------------------------
-
-def entropy_unconditional(
-    src: MixtureSource, noise_cov, samples: int, seed: int
-) -> tuple[float, float]:
-    """MC estimate of h(X+N) with its standard error."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    dens = _MixtureDensity(src, noise_cov)
-    y = dens.sample(samples, _rng(seed))
-    vals = -dens.logpdf(dens.residuals(y))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
-
-
-def fisher_unconditional(
-    src: MixtureSource, noise_cov, samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """MC estimate of J(X+N) with entrywise standard errors."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    dens = _MixtureDensity(src, noise_cov)
-    y = dens.sample(samples, _rng(seed))
-    s = dens.score(dens.residuals(y)).T
-    outer = np.einsum("Ni,Nj->Nij", s, s)
-    J = mat.symmetrize(outer.mean(axis=0))
-    stderr = outer.std(axis=0, ddof=1) / math.sqrt(samples)
-    return J, stderr
 
 
 # --- deterministic quadrature -----------------------------------------------

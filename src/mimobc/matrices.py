@@ -51,20 +51,26 @@ def min_eig(M) -> float:
     return float(np.linalg.eigvalsh(symmetrize(M))[0])
 
 
-def default_psd_tol(M) -> float:
-    """Scale-invariant PSD slack: 1e-9 * (1 + largest |eigenvalue|)."""
-    w = np.linalg.eigvalsh(symmetrize(M))
+def _psd_tol(w: np.ndarray) -> float:
+    """Scale-invariant PSD slack from the eigenvalues w of a matrix."""
     return 1e-9 * (1.0 + float(np.max(np.abs(w))))
 
 
+def default_psd_tol(M) -> float:
+    """Scale-invariant PSD slack: 1e-9 * (1 + largest |eigenvalue|)."""
+    return _psd_tol(np.linalg.eigvalsh(symmetrize(M)))
+
+
 def is_psd(M, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue of M is >= -tol."""
+    """True iff the smallest eigenvalue of M is >= -tol (default
+    ``default_psd_tol(M)``, taken from the same eigenvalues)."""
     A = symmetrize(M)
-    if tol is None:
-        tol = default_psd_tol(A)
-    if tol < 0:
+    if tol is not None and tol < 0:
         raise ValueError("tol must be nonnegative")
-    return min_eig(A) >= -tol
+    w = np.linalg.eigvalsh(A)
+    if tol is None:
+        tol = _psd_tol(w)
+    return float(w[0]) >= -tol
 
 
 def loewner_leq(A, B, tol: float | None = None) -> bool:

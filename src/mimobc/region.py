@@ -68,17 +68,20 @@ class CovarianceSplit:
             raise ValueError("split parts do not sum to the input cap")
 
 
+# Each ascent stops at a projected-gradient (KKT) residual below _GRAD_TOL,
+# or after _MAX_ITERS iterations; _ARMIJO is its sufficient-increase constant.
+_GRAD_TOL = 1e-8
+_MAX_ITERS = 5000
+_ARMIJO = 1e-4
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Boundary-tracer settings: KKT tolerance on the projected-gradient
-    residual, iteration cap per ascent, random starts per weight vector,
-    seed of the starts, and the Armijo sufficient-increase constant."""
+    """Boundary-tracer settings: random starts per weight vector and the
+    seed of the starts."""
 
-    grad_tol: float = 1e-8
-    max_iters: int = 5000
     restarts: int = 8
     seed: int = 0
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -224,27 +227,27 @@ class _ActiveChain:
         return f, self.root @ G @ self.root
 
 
-def _ascend(chain: _ActiveChain, Q: np.ndarray, opt: OptimizerConfig):
+def _ascend(chain: _ActiveChain, Q: np.ndarray):
     """Projected gradient ascent from the feasible chain Q, with
     Barzilai-Borwein trial steps and Armijo backtracking along the
     projection arc.
 
     Stops at a KKT point: the trial ``P(Q + t grad)`` moved less than
-    ``opt.grad_tol * min(t, 1)``, which bounds the projected-gradient
-    residual |P(Q + grad) - Q| by ``opt.grad_tol``. Also stops when the gains
+    ``_GRAD_TOL * min(t, 1)``, which bounds the projected-gradient
+    residual |P(Q + grad) - Q| by ``_GRAD_TOL``. Also stops when the gains
     fall to round-off, when backtracking finds no ascent step, or after
-    ``opt.max_iters`` iterations.
+    ``_MAX_ITERS`` iterations.
     """
     f, g = chain.value_and_grad(Q)
     step, stalled = 1.0, 0
-    for _ in range(opt.max_iters):
+    for _ in range(_MAX_ITERS):
         t = step
         while True:
             d = _project_chain(Q + t * g) - Q
-            if float(np.linalg.norm(d)) < opt.grad_tol * min(t, 1.0):
+            if float(np.linalg.norm(d)) < _GRAD_TOL * min(t, 1.0):
                 return Q, f
             fc, gc = chain.value_and_grad(Q + d)
-            if fc >= f + opt.armijo * float(np.sum(g * d)):
+            if fc >= f + _ARMIJO * float(np.sum(g * d)):
                 break
             t *= 0.5
             if t <= 1e-14:
@@ -308,7 +311,7 @@ def trace_boundary(
                 rng = np.random.Generator(
                     np.random.Philox(np.random.SeedSequence([opt.seed, widx, r]))
                 )
-                Q, f = _ascend(chain, _random_chain(rng, len(active) - 1, n), opt)
+                Q, f = _ascend(chain, _random_chain(rng, len(active) - 1, n))
                 if f > best_f:
                     best_Q, best_f = Q, f
             for k, D in zip(active, np.diff(_with_ends(best_Q), axis=0)):

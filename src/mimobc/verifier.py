@@ -11,6 +11,11 @@ and does not enter any tolerance; on a badly conditioned mixture it reaches
 about 5e-4 in entropy and 3e-3 in Fisher information at the default order
 (see ``estimators.mixture_entropy_quad``), more than the 1e-6 to 1e-10 the
 walkthrough's identities are judged at, so a pass does not bound it.
+
+Every evaluation is deterministic. The settings no caller varies are module
+constants: the fixed-point bisection tolerance, the walkthrough's sandwich
+tolerance and the Gauss-Legendre nodes of the matrix line integrals. The
+de Bruijn check takes its finite-difference step from its noise covariance.
 """
 
 from __future__ import annotations
@@ -55,10 +60,17 @@ __all__ = [
     "run_inequality_suite",
 ]
 
+# bisection tolerance on the entropy match of every fixed point
+_FIXED_POINT_TOL = 1e-10
+# tolerance of the walkthrough's per-stage sandwich and entropy-bound report
+_SANDWICH_TOL = 1e-8
+# Gauss-Legendre nodes of every matrix line integral of the Fisher field
+_LINE_NODES = 32
+
 
 # --- conditional quantities for grouped (coarse) auxiliaries -----------------
 
-def _fisher_given(groups, noise_cov, order=None) -> np.ndarray:
+def _fisher_given(groups, noise_cov) -> np.ndarray:
     """J(X+N | U_level) for a coarsened source: per-group conditional laws
     are Gaussian mixtures; single-component groups are exact. Callers pass
     a symmetric ``noise_cov`` (a channel's, or a point on a line between
@@ -68,11 +80,11 @@ def _fisher_given(groups, noise_cov, order=None) -> np.ndarray:
         if sub.num_components == 1:
             J = J + pg * mat.inv_pd(sub.comp_covs[0] + noise_cov)
         else:
-            J = J + pg * mixture_fisher_quad(sub, noise_cov, order)
+            J = J + pg * mixture_fisher_quad(sub, noise_cov)
     return mat.symmetrize(J)
 
 
-def _entropy_given(groups, noise_cov, order=None) -> float:
+def _entropy_given(groups, noise_cov) -> float:
     """h(X+N | U_level) for a coarsened source; ``noise_cov`` as in
     ``_fisher_given``."""
     h = 0.0
@@ -80,7 +92,7 @@ def _entropy_given(groups, noise_cov, order=None) -> float:
         if sub.num_components == 1:
             h += pg * gaussian_entropy(sub.comp_covs[0] + noise_cov)
         else:
-            h += pg * mixture_entropy_quad(sub, noise_cov, order)
+            h += pg * mixture_entropy_quad(sub, noise_cov)
     return h
 
 
@@ -131,16 +143,20 @@ def _sym_basis(n: int):
             yield i, j, E
 
 
-def check_debruijn(src: MixtureSource, noise_cov, fd_step: float = 1e-4, tol: float = 1e-6) -> VerificationReport:
+def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> VerificationReport:
     """Gradient of h(X+N|U) w.r.t. the noise covariance vs half the Fisher
     matrix, by central differences over the symmetric basis.
 
     An off-diagonal basis direction perturbs both (i,j) and (j,i), so the
-    directional derivative along it equals twice the gradient entry.
+    directional derivative along it equals twice the gradient entry. The
+    step is min(1e-4, 0.1 * min_eig(noise_cov)), so both sides of every
+    difference stay positive definite.
     """
     noise_cov = mat.symmetrize(noise_cov)
-    if mat.min_eig(noise_cov) <= fd_step:
-        raise ValueError("fd_step too large for this noise covariance")
+    lam = mat.min_eig(noise_cov)
+    if lam <= 0:
+        raise ValueError("noise covariance must be positive definite")
+    fd_step = min(1e-4, 0.1 * lam)
     n = src.dim
     half_J = 0.5 * fisher_conditional(src, noise_cov)
     max_err = 0.0
@@ -180,15 +196,14 @@ def check_fisher_dpi(
     level_coarse: int,
     noise_cov,
     tol: float = 1e-8,
-    order: int | None = None,
 ) -> VerificationReport:
     """Fisher data-processing: conditioning on the finer auxiliary gives a
     larger Fisher matrix."""
     if not 2 <= level_fine <= level_coarse <= h.num_users:
         raise ValueError("need 2 <= level_fine <= level_coarse <= K")
     noise_cov = mat.symmetrize(noise_cov)
-    J_fine = _fisher_given(coarsen(h, level_fine).group_mixtures(), noise_cov, order)
-    J_coarse = _fisher_given(coarsen(h, level_coarse).group_mixtures(), noise_cov, order)
+    J_fine = _fisher_given(coarsen(h, level_fine).group_mixtures(), noise_cov)
+    J_coarse = _fisher_given(coarsen(h, level_coarse).group_mixtures(), noise_cov)
     return VerificationReport.from_residuals(
         "fisher_dpi",
         [Residual("min_eig(J_fine - J_coarse)", mat.min_eig(J_fine - J_coarse), "ineq")],
@@ -217,21 +232,21 @@ def check_fisher_convolution(src: MixtureSource, sigma_a, sigma_b, tol: float = 
 
 
 def check_line_integral_entropy(
-    src: MixtureSource, sigma_a, sigma_b, tol: float = 1e-6, nodes: int = 32
+    src: MixtureSource, sigma_a, sigma_b, tol: float = 1e-6
 ) -> VerificationReport:
     """Entropy difference as a matrix line integral of the conditional
     Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J."""
     sigma_a = mat.symmetrize(sigma_a)
     sigma_b = mat.symmetrize(sigma_b)
     integral = mat.matrix_line_integral(
-        lambda Sig: fisher_conditional(src, Sig), sigma_a, sigma_b, nodes
+        lambda Sig: fisher_conditional(src, Sig), sigma_a, sigma_b, _LINE_NODES
     )
     exact = entropy_conditional(src, sigma_b) - entropy_conditional(src, sigma_a)
     return VerificationReport.from_residuals(
         "line_integral_entropy",
         [Residual("integral_minus_entropy_gap", 0.5 * integral - exact, "eq")],
         tol,
-        notes=f"{nodes}-node Gauss-Legendre",
+        notes=f"{_LINE_NODES}-node Gauss-Legendre",
     )
 
 
@@ -301,11 +316,13 @@ class FixedPointResult:
 
 
 def _solve_fixed_point_core(
-    J: np.ndarray, h_target: float, sigma: np.ndarray, upper_cap: np.ndarray, tol: float
+    J: np.ndarray, h_target: float, sigma: np.ndarray, upper_cap: np.ndarray
 ) -> FixedPointResult:
     """Bisection for t with Gaussian entropy of A(t) + sigma matching the
-    target; A(t) interpolates from J^{-1} - sigma to the cap and is Loewner
-    nondecreasing, so the objective is monotone."""
+    target within ``_FIXED_POINT_TOL``; A(t) interpolates from
+    J^{-1} - sigma to the cap and is Loewner nondecreasing, so the objective
+    is monotone."""
+    tol = _FIXED_POINT_TOL
     lower = mat.symmetrize(mat.inv_pd(J) - sigma)
 
     def A_of(t: float) -> np.ndarray:
@@ -350,7 +367,6 @@ def solve_fixed_point(
     ch: BroadcastChannel,
     user_index: int,
     upper_cap,
-    tol: float = 1e-10,
 ) -> FixedPointResult:
     """Fixed point for one converse stage, conditioning on the source's own
     auxiliary (the mixture label)."""
@@ -359,16 +375,10 @@ def solve_fixed_point(
     sigma = ch.noise_covs[user_index - 1]
     J = fisher_conditional(src, sigma)
     h = entropy_conditional(src, sigma)
-    return _solve_fixed_point_core(J, h, sigma, mat.symmetrize(upper_cap), tol)
+    return _solve_fixed_point_core(J, h, sigma, mat.symmetrize(upper_cap))
 
 
-def converse_walkthrough(
-    source,
-    ch: BroadcastChannel,
-    tol: float = 1e-10,
-    sandwich_tol: float = 1e-8,
-    quad_order: int | None = None,
-) -> WalkthroughReport:
+def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
     """Replay the converse chain on a concrete input distribution.
 
     Builds the anchored covariances A_K ... A_2 by repeated fixed points,
@@ -405,16 +415,16 @@ def converse_walkthrough(
     for k in range(K, 1, -1):
         sigma = ch.noise_covs[k - 1]
         groups = grouped[k]
-        J = _fisher_given(groups, sigma, quad_order)
-        h = _entropy_given(groups, sigma, quad_order)
+        J = _fisher_given(groups, sigma)
+        h = _entropy_given(groups, sigma)
         h_cond[k] = h
-        fp = _solve_fixed_point_core(J, h, sigma, A[k + 1], tol)
+        fp = _solve_fixed_point_core(J, h, sigma, A[k + 1])
         A[k] = fp.A
         # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
         sigma_prev = ch.noise_covs[k - 2]
-        h_prev[k] = _entropy_given(groups, sigma_prev, quad_order)
+        h_prev[k] = _entropy_given(groups, sigma_prev)
         integral = mat.matrix_line_integral(
-            lambda Sig: _fisher_given(groups, Sig, quad_order), sigma_prev, sigma, 32
+            lambda Sig: _fisher_given(groups, Sig), sigma_prev, sigma, _LINE_NODES
         )
         integral_residual = (h_prev[k] - h) - (-0.5 * integral)
         entropy_bound_residual = (
@@ -441,7 +451,7 @@ def converse_walkthrough(
                     Residual("bracketed", 0.0 if fp.bracketed else -1.0, "ineq"),
                     Residual("entropy_bound", entropy_bound_residual, "ineq"),
                 ],
-                sandwich_tol,
+                _SANDWICH_TOL,
                 notes=f"t_star={fp.t_star}",
             )
         )
@@ -457,7 +467,7 @@ def converse_walkthrough(
     # with U_1 = X (so h(Y_1|X) = h(N_1)) and U_{K+1} constant
     full = coarsen(hierarchy, 2).source
     h_cond[1] = gaussian_entropy(ch.noise_covs[0])
-    h_prev[K + 1] = mixture_entropy_quad(full, ch.noise_covs[K - 1], quad_order)
+    h_prev[K + 1] = mixture_entropy_quad(full, ch.noise_covs[K - 1])
     achieved = [h_prev[k + 1] - h_cond[k] for k in range(1, K + 1)]
 
     # recovered split and its superposition rates
@@ -498,7 +508,6 @@ def run_inequality_suite(
     ch: BroadcastChannel | None = None,
     hierarchy: MarkovHierarchy | None = None,
     tol: float = 1e-8,
-    fd_step: float = 1e-4,
 ) -> list[VerificationReport]:
     """All inequality checks on one source; noise covariances come from the
     channel when given, otherwise identity-based defaults."""
@@ -518,7 +527,7 @@ def run_inequality_suite(
     reports = [
         check_cramer_rao(src, sigma_a, tol),
         check_fisher_shift(src, sigma_a, sigma_b, tol),
-        check_debruijn(src, sigma_a, fd_step, max(tol, 1e-6)),
+        check_debruijn(src, sigma_a, max(tol, 1e-6)),
         check_dembo(src, sigma_a, tol),
         check_fisher_dpi(hierarchy, 2, hierarchy.num_users, sigma_a, max(tol, 1e-8)),
         check_fisher_convolution(src, sigma_a, sigma_b, tol),

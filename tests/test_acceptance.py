@@ -16,9 +16,8 @@ import pytest
 from mimobc import matrices as mat
 from mimobc.estimators import (
     entropy_conditional,
-    entropy_unconditional,
-    fisher_conditional,
-    fisher_unconditional,
+    mixture_entropy_quad,
+    mixture_fisher_quad,
 )
 from mimobc.fixtures import (
     admissible_channel_for,
@@ -30,6 +29,7 @@ from mimobc.fixtures import (
     random_spd,
     rng_for,
     scalar_channel,
+    two_component_scalar_source,
 )
 from mimobc.model import (
     LOG_2PI_E,
@@ -107,7 +107,7 @@ def test_criterion_03_entropy_gradient_identity():
             rng = rng_for(1003, n, trial)
             src = random_mixture(rng, n, 2)
             sigma = random_spd(rng, n, 0.8, 1.5)
-            rep = check_debruijn(src, sigma, fd_step=1e-4, tol=1e-6)
+            rep = check_debruijn(src, sigma, tol=1e-6)
             worst = max(worst, max(abs(r.value) for r in rep.residuals))
             count += 1
             if count >= 20:
@@ -130,11 +130,9 @@ def test_criterion_04_inequality_suite():
                 check_dembo(src, a, tol=1e-8),
                 check_fisher_convolution(src, a, b, tol=1e-8),
             ]
-            # data processing on a genuine two-table hierarchy, with a cheap
-            # quadrature at n=3 (stable to ~1e-10, far below the tolerance)
+            # data processing on a genuine two-table hierarchy
             h = random_hierarchy(rng, n, (3, 2))
-            reps.append(check_fisher_dpi(h, 2, 3, a, tol=1e-8,
-                                         order=20 if n == 3 else None))
+            reps.append(check_fisher_dpi(h, 2, 3, a, tol=1e-8))
             for rep in reps:
                 assert rep.passed, rep.to_dict()
                 worst_ineq = min(
@@ -178,7 +176,7 @@ def test_criterion_05_matrix_integral_identity():
         src = random_mixture(rng, n, 2)
         a = random_spd(rng, n, 0.6, 1.4)
         b = a + random_spd(rng, n, 0.2, 1.0)
-        rep = check_line_integral_entropy(src, a, b, tol=1e-6, nodes=32)
+        rep = check_line_integral_entropy(src, a, b, tol=1e-6)
         assert rep.passed, rep.to_dict()
         worst = max(worst, abs(rep.residual("integral_minus_entropy_gap")))
     ok = worst <= 1e-6
@@ -296,30 +294,56 @@ def test_criterion_08_deficit_function():
             f"single-component max {worst_g:.2e}" + ("; " + "; ".join(detail) if detail else ""))
 
 
-def _mc_seed_ok(C, sigma, seed) -> bool:
-    src = gaussian_source(C)
-    n = C.shape[0]
-    h_true = gaussian_entropy(C + sigma)
-    J_true = mat.inv_pd(C + sigma)
-    h, se_h = entropy_unconditional(src, sigma, 100_000, seed)
-    if abs(h - h_true) > 3 * se_h:
-        return False
-    J, se_J = fisher_unconditional(src, sigma, 100_000, seed)
-    return bool(np.all(np.abs(J - J_true) <= 3 * se_J + 1e-12))
+def _monte_carlo(src, noise, samples, seed):
+    """Independent Monte Carlo reference for Y = X + N: (h, se_h, J, se_J),
+    with entrywise standard errors. Draws come from a plain NumPy generator;
+    density and score use each component's precision matrix directly."""
+    rng = np.random.default_rng(seed)
+    n = src.dim
+    covs = [C + noise for C in src.comp_covs]
+    precs = [np.linalg.inv(C) for C in covs]
+    labels = rng.choice(len(src.weights), size=samples, p=src.weights)
+    z = rng.standard_normal((samples, n))
+    y = np.empty((samples, n))
+    for u, C in enumerate(covs):
+        at = labels == u
+        y[at] = src.means[u] + z[at] @ np.linalg.cholesky(C).T
+    diffs = [y - mu for mu in src.means]
+    logs = np.stack([
+        math.log(p) - 0.5 * (n * math.log(2 * math.pi) + np.linalg.slogdet(C)[1])
+        - 0.5 * np.einsum("Ni,ij,Nj->N", d, P, d)
+        for p, C, d, P in zip(src.weights, covs, diffs, precs)
+    ], axis=1)
+    top = logs.max(axis=1, keepdims=True)
+    post = np.exp(logs - top)
+    total = post.sum(axis=1, keepdims=True)
+    post /= total
+    neg_logf = -(top + np.log(total))[:, 0]
+    s = -sum(post[:, [v]] * (d @ P) for v, (d, P) in enumerate(zip(diffs, precs)))
+    outer = np.einsum("Ni,Nj->Nij", s, s)
+    root = math.sqrt(samples)
+    return (float(neg_logf.mean()), float(neg_logf.std(ddof=1)) / root,
+            outer.mean(axis=0), outer.std(axis=0, ddof=1) / root)
 
 
-def test_criterion_09_monte_carlo_estimators():
-    rng = rng_for(1009)
-    n = 2
-    C = random_spd(rng, n, 0.8, 1.5)
-    sigma = random_spd(rng, n, 0.8, 1.5)
-    failures = [s for s in range(20) if not _mc_seed_ok(C, sigma, s)]
-    if len(failures) > 1:
-        # one full fresh-seed retry of the failing draws
-        failures = [s for s in failures if not _mc_seed_ok(C, sigma, s + 10_000)]
-    ok = len(failures) <= 1
-    _report(9, "Monte Carlo estimator envelopes", ok,
-            f"{len(failures)} exceedance(s) in 20 seeds")
+def test_criterion_09_quadrature_vs_monte_carlo():
+    # the scalar fixture and three 3-component mixtures per dimension,
+    # each compared at 200,000 draws: |quad - MC| <= 4 standard errors for h
+    # and for every entry of J
+    cases = [(two_component_scalar_source(), np.eye(1))]
+    for n in (1, 2, 3):
+        for trial in range(3):
+            rng = rng_for(1009, n, trial)
+            cases.append((random_mixture(rng, n, 3), random_spd(rng, n, 0.5, 1.5)))
+    worst = 0.0
+    for seed, (src, noise) in enumerate(cases):
+        h, se_h, J, se_J = _monte_carlo(src, noise, 200_000, seed)
+        z_h = abs(mixture_entropy_quad(src, noise) - h) / se_h
+        z_J = np.max(np.abs(mixture_fisher_quad(src, noise) - J) / se_J)
+        worst = max(worst, z_h, float(z_J))
+    ok = worst <= 4.0
+    _report(9, "quadrature vs Monte Carlo reference", ok,
+            f"worst |z| {worst:.2f} over {len(cases)} mixtures")
 
 
 def test_criterion_10_determinism_and_interface(tmp_path):

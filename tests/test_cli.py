@@ -43,6 +43,28 @@ FOUR_DIM_INPUT = {
     },
 }
 
+# the one-antenna mixture on a two-antenna channel
+DIMENSION_MISMATCH_INPUT = {
+    "channel": {
+        "noise_covs": [np.eye(2).tolist(), (2.0 * np.eye(2)).tolist()],
+        "input_cap": (2.5 * np.eye(2)).tolist(),
+    },
+    "source": MIXTURE_INPUT["source"],
+}
+
+# the mixture, a plain source (depth 2), on a three-user channel
+DEPTH_MISMATCH_INPUT = {
+    "channel": {"noise_covs": [[[1.0]], [[2.0]], [[3.0]]], "input_cap": [[2.5]]},
+    "source": MIXTURE_INPUT["source"],
+}
+
+# the mixture with a first noise variance far below the de Bruijn check's
+# largest finite-difference step
+TINY_NOISE_INPUT = {
+    "channel": {"noise_covs": [[[1e-5]], [[2.0]]], "input_cap": [[2.5]]},
+    "source": MIXTURE_INPUT["source"],
+}
+
 BAD_ORDER_CHANNEL = {
     "channel": {
         # the second noise covariance is not an increment of the first
@@ -208,17 +230,29 @@ class TestInputValidation:
         assert "quadrature supports dimensions 1..3 only" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("command, doc, code", [
+        ("verify", DIMENSION_MISMATCH_INPUT, 2),
+        ("walkthrough", DIMENSION_MISMATCH_INPUT, 2),
+        ("walkthrough", DEPTH_MISMATCH_INPUT, 2),
+        ("verify", TINY_NOISE_INPUT, 0),
+    ], ids=["dimension-verify", "dimension-walkthrough", "depth-walkthrough", "tiny-noise-verify"])
+    def test_exit_code_contract(self, tmp_path, command, doc, code):
+        path = write(tmp_path, "in.json", doc)
+        res = run_cli(command, path)
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestSelftestAndFlags:
     def test_selftest_passes(self):
-        res = run_cli("selftest", "--samples", "20000")
+        res = run_cli("selftest")
         assert res.returncode == 0, res.stdout + res.stderr
         lines = res.stdout.strip().splitlines()
         assert all(line.endswith("PASS") for line in lines)
         assert lines[-1].startswith("selftest")
 
     def test_selftest_impossible_tol_fails(self):
-        res = run_cli("selftest", "--samples", "5000", "--tol", "1e-30")
+        res = run_cli("selftest", "--tol", "1e-30")
         assert res.returncode == 1
         assert "FAIL" in res.stdout
 
@@ -232,17 +266,21 @@ class TestSelftestAndFlags:
         assert res.returncode == 2
 
     @pytest.mark.parametrize("argv", [
-        ["selftest", "--samples", "1"],
+        ["region", "in.json", "--grid", "1"],
         ["selftest", "--tol", "-1"],
     ])
     def test_out_of_range_values_exit_2(self, argv):
         assert cli.main(argv) == 2
 
+    def test_removed_samples_flag_exits_2(self):
+        # selftest has no Monte Carlo check left, so no sample count
+        assert cli.main(["selftest", "--samples", "5"]) == 2
+
     @pytest.mark.parametrize("command, flags", [
         ("region", {"--seed", "--tol", "--grid", "--bits", "--output"}),
         ("verify", {"--tol", "--output"}),
         ("walkthrough", {"--bits", "--output"}),
-        ("selftest", {"--samples", "--seed", "--tol"}),
+        ("selftest", {"--seed", "--tol"}),
     ])
     def test_each_command_takes_only_the_flags_it_reads(self, capsys, command, flags):
         assert cli.main([command, "--help"]) == 0

@@ -6,13 +6,9 @@ import pytest
 
 from mimobc.estimators import (
     entropy_conditional,
-    entropy_unconditional,
     fisher_conditional,
-    fisher_unconditional,
     mixture_entropy_quad,
     mixture_fisher_quad,
-    mixture_logpdf,
-    score,
 )
 from mimobc import estimators
 from mimobc.fixtures import (
@@ -27,6 +23,24 @@ from mimobc.model import LOG_2PI_E, MixtureSource, gaussian_entropy
 # frozen oracle: J(X+N) for p=(1/2,1/2), component variances (1,3), unit noise,
 # equal means — given the label the output is Gaussian, so J = E[1/(C_u+1)].
 FISHER_COND_SCALAR = 0.375
+
+
+def _residuals(dens, y):
+    """(m*n, N) whitened residuals of the points y (rows) under every
+    component of ``dens``."""
+    return dens.whiten @ np.atleast_2d(y).T - dens.shift[:, None]
+
+
+def mixture_logpdf(src, noise_cov, y):
+    """ln f(y) of Y = X + N at the points y (rows), by the whitened kernel."""
+    dens = estimators._MixtureDensity(src, noise_cov)
+    return dens.logpdf(_residuals(dens, np.asarray(y, dtype=float)))
+
+
+def score(src, noise_cov, y):
+    """Gradient of ln f at the single point y, by the whitened kernel."""
+    dens = estimators._MixtureDensity(src, noise_cov)
+    return dens.score(_residuals(dens, np.asarray(y, dtype=float)))[:, 0]
 
 
 class TestExactConditionals:
@@ -61,7 +75,7 @@ class TestDensityAndScore:
     def test_logpdf_single_gaussian(self):
         src = gaussian_source(np.array([[1.0]]))
         # Y ~ N(0, 2): ln f(0) = -0.5 ln(4 pi)
-        assert mixture_logpdf(src, np.eye(1), [0.0]) == pytest.approx(
+        assert mixture_logpdf(src, np.eye(1), [0.0])[0] == pytest.approx(
             -0.5 * math.log(4 * math.pi), abs=1e-12
         )
 
@@ -76,39 +90,14 @@ class TestDensityAndScore:
         h = 1e-6
         fd = (
             mixture_logpdf(src, np.eye(1), y + h) - mixture_logpdf(src, np.eye(1), y - h)
-        ) / (2 * h)
+        )[0] / (2 * h)
         assert score(src, np.eye(1), y)[0] == pytest.approx(fd, abs=1e-8)
 
     def test_logpdf_integrates_to_one(self):
         src = two_component_scalar_source()
         ys = np.linspace(-15, 15, 20001)
-        vals = np.array([math.exp(mixture_logpdf(src, np.eye(1), [y])) for y in ys])
+        vals = np.exp(mixture_logpdf(src, np.eye(1), ys[:, None]))
         assert np.trapezoid(vals, ys) == pytest.approx(1.0, abs=1e-9)
-
-
-class TestSampling:
-    """The draws behind the Monte Carlo estimators, seen through them."""
-
-    def test_deterministic(self):
-        src = two_component_scalar_source()
-        a = fisher_unconditional(src, np.eye(1), 1000, seed=42)
-        b = fisher_unconditional(src, np.eye(1), 1000, seed=42)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_seed_changes_draws(self):
-        src = two_component_scalar_source()
-        a = entropy_unconditional(src, np.eye(1), 1000, seed=42)
-        b = entropy_unconditional(src, np.eye(1), 1000, seed=43)
-        assert a != b
-
-    def test_moments(self):
-        # Y ~ N(0, v) with v = 2.0625 + 1 = 3.0625 has score -y / v, so the
-        # Fisher estimate is mean(y^2) / v^2: it checks the draws' second
-        # moment, mean(y^2) = v.
-        v = 3.0625
-        src = gaussian_source(np.array([[v - 1.0]]))
-        J, _ = fisher_unconditional(src, np.eye(1), 200000, seed=1)
-        assert float(J[0, 0]) * v * v == pytest.approx(v, rel=0.02)
 
 
 class TestQuadrature:
@@ -153,38 +142,6 @@ class TestQuadrature:
             bound = np.linalg.inv(aggregate_covariance(src) + np.eye(2))
             evals = np.linalg.eigvalsh((J - bound + (J - bound).T) / 2)
             assert evals.min() >= -1e-9
-
-
-class TestMonteCarlo:
-    def test_entropy_within_stderr_of_quadrature(self):
-        src = two_component_scalar_source()
-        ref = mixture_entropy_quad(src, np.eye(1))
-        val, se = entropy_unconditional(src, np.eye(1), 100000, seed=42)
-        assert abs(val - ref) <= 4 * se
-        assert 0 < se < 1e-2
-
-    def test_fisher_within_stderr_of_quadrature(self):
-        src = two_component_scalar_source()
-        ref = mixture_fisher_quad(src, np.eye(1))
-        J, se = fisher_unconditional(src, np.eye(1), 100000, seed=42)
-        assert abs(J[0, 0] - ref[0, 0]) <= 4 * se[0, 0]
-
-    def test_deterministic_given_seed(self):
-        src = two_component_scalar_source()
-        a = entropy_unconditional(src, np.eye(1), 5000, seed=9)
-        b = entropy_unconditional(src, np.eye(1), 5000, seed=9)
-        assert a == b
-
-    def test_gaussian_case_accuracy(self):
-        src = gaussian_source(np.array([[1.0]]))
-        truth = gaussian_entropy(np.array([[2.0]]))
-        val, se = entropy_unconditional(src, np.eye(1), 100000, seed=3)
-        assert abs(val - truth) <= 4 * se
-
-    def test_rejects_tiny_sample(self):
-        src = two_component_scalar_source()
-        with pytest.raises(ValueError):
-            entropy_unconditional(src, np.eye(1), 1, seed=0)
 
 
 def _full_grid(n, order):
@@ -274,11 +231,10 @@ class TestWhitenedKernel:
         noise = random_spd(rng, n, 0.5, 1.5)
         step = 1e-5
         for y in rng.normal(size=(4, n)):
-            fd = [
-                (mixture_logpdf(src, noise, y + step * e) - mixture_logpdf(src, noise, y - step * e))
-                / (2 * step)
-                for e in np.eye(n)
-            ]
+            fd = (
+                mixture_logpdf(src, noise, y + step * np.eye(n))
+                - mixture_logpdf(src, noise, y - step * np.eye(n))
+            ) / (2 * step)
             assert np.allclose(score(src, noise, y), fd, rtol=1e-6, atol=1e-8)
 
     def test_cached_grid_is_shared_and_read_only(self):

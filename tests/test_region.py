@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimobc.errors import DimensionMismatchError, LoewnerOrderError
+from mimobc import region
 from mimobc.fixtures import (
     admissible_mixture_for,
     random_channel,
@@ -198,7 +199,7 @@ class TestClosedFormGradientTracer:
             ) @ root
             lam, V = np.linalg.eigh(Q + grad)
             projected = (V * np.clip(lam, 0.0, 1.0)) @ V.T
-            assert np.linalg.norm(projected - Q) <= 10 * opt.grad_tol
+            assert np.linalg.norm(projected - Q) <= 10 * region._GRAD_TOL
 
     def test_gradient_matches_finite_differences(self):
         # the closed form df/dC = 1/2 [w_1 (C + S_1)^-1 - w_2 (C + S_2)^-1]
@@ -244,8 +245,8 @@ class TestClosedFormGradientTracer:
 # default order (160 nodes at n = 1, 56 x 56 at n = 2); against the doubled
 # order it moved by at most 9e-14 over 300 fixture mixtures of this kind
 # (and by 1.2e-9 at half the order). The traced point stops at a projected-
-# gradient residual below grad_tol = 1e-8 in whitened coordinates, which can
-# leave w.R below the maximum by about grad_tol times the diameter of
+# gradient residual below region._GRAD_TOL = 1e-8 in whitened coordinates,
+# which can leave w.R below the maximum by about that times the diameter of
 # {0 <= Q <= I}, sqrt(n) <= 1.5. Both together stay below 1e-7.
 THEOREM_SLACK = 1e-7
 
