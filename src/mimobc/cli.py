@@ -105,7 +105,7 @@ def _extract_channel(obj: dict, tol: float | None = None):
     ch = channel_from_dict(obj["channel"] if "channel" in obj else obj)
     report = validate_channel(ch, tol)
     if not report.passed:
-        bad = [r.label for r in report.residuals if r.value < -report.tolerance_used]
+        bad = [r.label for r in report.residuals if not r.holds(report.tolerance_used)]
         raise InputFormatError(f"channel validation failed: {', '.join(bad)}")
     return ch
 

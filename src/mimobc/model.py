@@ -211,13 +211,14 @@ class CoarseSource:
 
 
 def validate_channel(ch: BroadcastChannel, tol: float | None = None) -> VerificationReport:
-    """Check the degradedness order of the noise covariances and the strict
-    positivity of the first noise covariance and the input cap."""
+    """Check the degradedness order of the noise covariances (within tol)
+    and the strict positivity of the first noise covariance and the input
+    cap (smallest eigenvalue above tol)."""
     if tol is None:
         tol = max(mat.default_psd_tol(c) for c in ch.noise_covs)
     residuals = [
-        Residual("min_eig(noise_cov_1)", mat.min_eig(ch.noise_covs[0]) , "ineq"),
-        Residual("min_eig(input_cap)", mat.min_eig(ch.input_cap), "ineq"),
+        Residual("min_eig(noise_cov_1)", mat.min_eig(ch.noise_covs[0]), "pos"),
+        Residual("min_eig(input_cap)", mat.min_eig(ch.input_cap), "pos"),
     ]
     for k in range(ch.num_users - 1):
         d = ch.noise_covs[k + 1] - ch.noise_covs[k]

@@ -7,12 +7,19 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class Residual:
-    """One labeled residual. ``kind`` is "ineq" (must be >= -tol) or "eq"
-    (|value| must be <= tol)."""
+    """One labeled residual. ``kind`` is "ineq" (must be >= -tol), "eq"
+    (|value| must be <= tol) or "pos" (must be > tol)."""
 
     label: str
     value: float
     kind: str = "ineq"
+
+    def holds(self, tol: float) -> bool:
+        if self.kind == "ineq":
+            return self.value >= -tol
+        if self.kind == "eq":
+            return abs(self.value) <= tol
+        return self.value > tol
 
 
 @dataclass(frozen=True)
@@ -26,10 +33,7 @@ class VerificationReport:
     @classmethod
     def from_residuals(cls, name, residuals, tol, notes="") -> "VerificationReport":
         residuals = tuple(residuals)
-        ok = all(
-            (r.value >= -tol) if r.kind == "ineq" else (abs(r.value) <= tol)
-            for r in residuals
-        )
+        ok = all(r.holds(tol) for r in residuals)
         return cls(name=name, passed=ok, residuals=residuals,
                    tolerance_used=float(tol), notes=notes)
 

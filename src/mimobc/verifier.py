@@ -7,15 +7,23 @@ conditional on a coarser auxiliary (whose conditional laws are mixtures)
 use the deterministic Gauss-Hermite quadrature of ``estimators``: a pruned
 tensor grid whose dropped nodes carry under 1e-19 of the weight at the
 default orders. The error of the quadrature order itself is not estimated
-and does not enter any tolerance; on a badly conditioned mixture it reaches
-about 5e-4 in entropy and 3e-3 in Fisher information at the default order
-(see ``estimators.mixture_entropy_quad``), more than the 1e-6 to 1e-10 the
-walkthrough's identities are judged at, so a pass does not bound it.
+and does not enter any tolerance. On a badly conditioned mixture it is
+about 1e-9 in Fisher information but reaches about 5e-4 in entropy at the
+default order (see ``estimators.mixture_entropy_quad``), more than the
+1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass does
+not bound it.
+
+The matrix line integrals of the Fisher field use the adaptive
+Gauss-Kronrod G7/K15 rule of ``matrices.matrix_line_integral``, which
+bisects the path until its summed error estimate |K15 - G7| is within the
+report's tolerance. Half that estimate (the integral enters halved) is
+reported as a ``kronrod_error`` residual and judged at the tolerance, so a
+field the rule cannot resolve within its interval cap does not pass.
 
 Every evaluation is deterministic. The settings no caller varies are module
-constants: the fixed-point bisection tolerance, the walkthrough's sandwich
-tolerance and the Gauss-Legendre nodes of the matrix line integrals. The
-de Bruijn check takes its finite-difference step from its noise covariance.
+constants: the fixed-point bisection tolerance and the walkthrough's
+sandwich tolerance. The de Bruijn check takes its finite-difference step
+from its noise covariance.
 """
 
 from __future__ import annotations
@@ -64,8 +72,9 @@ __all__ = [
 _FIXED_POINT_TOL = 1e-10
 # tolerance of the walkthrough's per-stage sandwich and entropy-bound report
 _SANDWICH_TOL = 1e-8
-# Gauss-Legendre nodes of every matrix line integral of the Fisher field
-_LINE_NODES = 32
+# tolerance of the walkthrough's integral identity, and the error budget of
+# its line integral
+_INTEGRAL_TOL = 1e-6
 
 
 # --- conditional quantities for grouped (coarse) auxiliaries -----------------
@@ -238,15 +247,19 @@ def check_line_integral_entropy(
     Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J."""
     sigma_a = mat.symmetrize(sigma_a)
     sigma_b = mat.symmetrize(sigma_b)
-    integral = mat.matrix_line_integral(
-        lambda Sig: fisher_conditional(src, Sig), sigma_a, sigma_b, _LINE_NODES
+    # the rule's error budget is tol on the integral, so tol / 2 on the gap
+    integral, err = mat.matrix_line_integral(
+        lambda Sig: fisher_conditional(src, Sig), sigma_a, sigma_b, tol
     )
     exact = entropy_conditional(src, sigma_b) - entropy_conditional(src, sigma_a)
     return VerificationReport.from_residuals(
         "line_integral_entropy",
-        [Residual("integral_minus_entropy_gap", 0.5 * integral - exact, "eq")],
+        [
+            Residual("integral_minus_entropy_gap", 0.5 * integral - exact, "eq"),
+            Residual("kronrod_error", 0.5 * err, "eq"),
+        ],
         tol,
-        notes=f"{_LINE_NODES}-node Gauss-Legendre",
+        notes="adaptive Gauss-Kronrod G7/K15",
     )
 
 
@@ -423,8 +436,8 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
         sigma_prev = ch.noise_covs[k - 2]
         h_prev[k] = _entropy_given(groups, sigma_prev)
-        integral = mat.matrix_line_integral(
-            lambda Sig: _fisher_given(groups, Sig), sigma_prev, sigma, _LINE_NODES
+        integral, integral_err = mat.matrix_line_integral(
+            lambda Sig: _fisher_given(groups, Sig), sigma_prev, sigma, _INTEGRAL_TOL
         )
         integral_residual = (h_prev[k] - h) - (-0.5 * integral)
         entropy_bound_residual = (
@@ -458,8 +471,11 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         reports.append(
             VerificationReport.from_residuals(
                 f"stage_{k}_integral_identity",
-                [Residual("integral_identity_gap", integral_residual, "eq")],
-                1e-6,
+                [
+                    Residual("integral_identity_gap", integral_residual, "eq"),
+                    Residual("kronrod_error", 0.5 * integral_err, "eq"),
+                ],
+                _INTEGRAL_TOL,
             )
         )
 

@@ -65,6 +65,23 @@ TINY_NOISE_INPUT = {
     "source": MIXTURE_INPUT["source"],
 }
 
+# the mixture with no noise at the strongest receiver
+ZERO_NOISE_INPUT = {
+    "channel": {"noise_covs": [[[0.0]], [[2.0]]], "input_cap": [[2.5]]},
+    "source": MIXTURE_INPUT["source"],
+}
+
+# the mixture on a channel whose noise grows tenfold between receivers
+WIDE_NOISE_INPUT = {
+    "channel": {"noise_covs": [[[1.0]], [[10.0]]], "input_cap": [[2.5]]},
+    "source": MIXTURE_INPUT["source"],
+}
+
+# a channel whose input cap admits no power
+ZERO_CAP_CHANNEL = {
+    "channel": {"noise_covs": [[[1.0]], [[2.0]]], "input_cap": [[0.0]]}
+}
+
 BAD_ORDER_CHANNEL = {
     "channel": {
         # the second noise covariance is not an increment of the first
@@ -235,7 +252,15 @@ class TestInputValidation:
         ("walkthrough", DIMENSION_MISMATCH_INPUT, 2),
         ("walkthrough", DEPTH_MISMATCH_INPUT, 2),
         ("verify", TINY_NOISE_INPUT, 0),
-    ], ids=["dimension-verify", "dimension-walkthrough", "depth-walkthrough", "tiny-noise-verify"])
+        ("verify", ZERO_NOISE_INPUT, 2),
+        ("walkthrough", ZERO_NOISE_INPUT, 2),
+        ("region", ZERO_NOISE_INPUT, 2),
+        ("region", ZERO_CAP_CHANNEL, 2),
+        ("verify", WIDE_NOISE_INPUT, 0),
+        ("walkthrough", WIDE_NOISE_INPUT, 0),
+    ], ids=["dimension-verify", "dimension-walkthrough", "depth-walkthrough", "tiny-noise-verify",
+            "zero-noise-verify", "zero-noise-walkthrough", "zero-noise-region", "zero-cap-region",
+            "wide-noise-verify", "wide-noise-walkthrough"])
     def test_exit_code_contract(self, tmp_path, command, doc, code):
         path = write(tmp_path, "in.json", doc)
         res = run_cli(command, path)

@@ -80,46 +80,97 @@ def test_sqrt_psd_reconstructs(seed):
     assert mat.is_psd(R)
 
 
+def test_kronrod_rule_exact_on_monomials():
+    # K15 is exact through degree 22 on [0, 1] and G7 through degree 13
+    t, wk, wg = mat._kronrod_rule()
+    for degree in range(23):
+        exact = 1.0 / (degree + 1)
+        assert wk @ t**degree == pytest.approx(exact, abs=1e-15)
+        if degree <= 13:
+            assert wg @ t**degree == pytest.approx(exact, abs=1e-15)
+        else:
+            assert abs(wg @ t**degree - exact) > 1e-10
+
+
 def test_line_integral_constant_field():
-    val = mat.matrix_line_integral(
-        lambda K: np.eye(2), np.zeros((2, 2)), np.diag([1.0, 2.0]), 8
+    val, err = mat.matrix_line_integral(
+        lambda K: np.eye(2), np.zeros((2, 2)), np.diag([1.0, 2.0]), 1e-10
     )
     assert val == pytest.approx(3.0, abs=1e-12)
+    assert err <= 1e-14
 
 
 def test_line_integral_scalar_log():
-    val = mat.matrix_line_integral(
+    val, err = mat.matrix_line_integral(
         lambda K: 0.5 * np.linalg.inv(K + np.eye(1)),
         np.zeros((1, 1)),
         np.ones((1, 1)),
-        32,
+        1e-10,
     )
     assert val == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+    assert err <= 1e-10
 
 
 def test_line_integral_gradient_field_identity():
     # field 0.5 (K + Sigma)^{-1} integrates to half a log-det difference
-    rng = np.random.Generator(np.random.Philox(11))
     Sigma = _psd_from_seed([11, 1], n=2, lo=0.5)
     K1 = _psd_from_seed([11, 2], n=2, lo=0.1, hi=1.0)
     K2 = mat.symmetrize(K1 + _psd_from_seed([11, 3], n=2, lo=0.1))
-    val = mat.matrix_line_integral(
-        lambda K: 0.5 * np.linalg.inv(K + Sigma), K1, K2, 32
+    val, err = mat.matrix_line_integral(
+        lambda K: 0.5 * np.linalg.inv(K + Sigma), K1, K2, 1e-10
     )
     expect = 0.5 * (mat.logdet(K2 + Sigma) - mat.logdet(K1 + Sigma))
     assert val == pytest.approx(expect, abs=1e-8)
+    assert abs(val - expect) <= err
+
+
+def _sharp_field(K):
+    # the integrand 1 / (t + 1e-3) on [0, 1] varies on a scale far below
+    # the node spacing of a single G7/K15 interval
+    return np.linalg.inv(K + 1e-3 * np.eye(1))
+
+
+def test_line_integral_error_estimate_flags_a_sharp_field(monkeypatch):
+    monkeypatch.setattr(mat, "_MAX_INTERVALS", 1)
+    val, err = mat.matrix_line_integral(_sharp_field, np.zeros((1, 1)), np.ones((1, 1)), 1e-10)
+    assert abs(val - math.log(1001.0)) <= err
+    assert err > 0.1
+
+
+def test_line_integral_bisects_a_sharp_field_to_tolerance():
+    calls = []
+
+    def field(K):
+        calls.append(K)
+        return _sharp_field(K)
+
+    val, err = mat.matrix_line_integral(field, np.zeros((1, 1)), np.ones((1, 1)), 1e-10)
+    assert err <= 1e-10
+    assert val == pytest.approx(math.log(1001.0), abs=1e-10)
+    assert 15 < len(calls) <= 15 * (2 * mat._MAX_INTERVALS - 1)
+
+
+def test_line_integral_stops_at_the_interval_cap():
+    # cos(2000 t) has about 300 periods on [0, 1]; 50 intervals cannot resolve it
+    calls = []
+
+    def field(K):
+        calls.append(K)
+        return np.cos(2000.0 * K)
+
+    val, err = mat.matrix_line_integral(field, np.zeros((1, 1)), np.ones((1, 1)), 1e-10)
+    assert err > 1e-10
+    assert len(calls) == 15 * (2 * mat._MAX_INTERVALS - 1)
 
 
 def test_line_integral_psd_field_nonnegative():
     for seed in range(20):
         K1 = _psd_from_seed([21, seed], n=2, lo=0.0, hi=1.0)
         K2 = mat.symmetrize(K1 + _psd_from_seed([22, seed], n=2, lo=0.0))
-        val = mat.matrix_line_integral(
-            lambda K: np.linalg.inv(K + np.eye(2)), K1, K2, 16
-        )
+        val, _ = mat.matrix_line_integral(lambda K: np.linalg.inv(K + np.eye(2)), K1, K2, 1e-10)
         assert val >= -1e-9
 
 
 def test_line_integral_rejects_unordered():
     with pytest.raises(LoewnerOrderError):
-        mat.matrix_line_integral(lambda K: np.eye(2), np.eye(2), np.zeros((2, 2)), 8)
+        mat.matrix_line_integral(lambda K: np.eye(2), np.eye(2), np.zeros((2, 2)), 1e-10)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mimobc import cli, verifier
+from mimobc import cli, matrices, verifier
 from mimobc.errors import InadmissibleSourceError, LoewnerOrderError
 from mimobc.fixtures import (
     admissible_channel_for,
@@ -206,6 +206,24 @@ class TestLineIntegralEntropy:
             b = a + random_spd(rng, 2, 0.1, 1.0)
             rep = check_line_integral_entropy(src, a, b)
             assert rep.passed, rep.to_dict()
+
+    def test_bisects_a_sharp_field(self):
+        # Gaussian X with variance 0.1 on the noise path 0.1 -> 1: the field
+        # 0.5 / (0.1 + sigma) falls fivefold along the path, so on one
+        # interval G7 and K15 disagree by 3.5e-6, above the tolerance
+        g = gaussian_source(np.array([[0.1]]))
+        rep = check_line_integral_entropy(g, 0.1 * np.eye(1), np.eye(1))
+        assert rep.passed, rep.to_dict()
+        assert abs(rep.residual("integral_minus_entropy_gap")) <= 1e-12
+
+    def test_fails_on_kronrod_error_when_the_field_is_sharp(self, monkeypatch):
+        # the same field with bisection disabled
+        monkeypatch.setattr(matrices, "_MAX_INTERVALS", 1)
+        g = gaussian_source(np.array([[0.1]]))
+        rep = check_line_integral_entropy(g, 0.1 * np.eye(1), np.eye(1))
+        assert not rep.passed
+        assert abs(rep.residual("integral_minus_entropy_gap")) <= 1e-10
+        assert rep.residual("kronrod_error") > rep.tolerance_used
 
 
 class TestFEpsilon:
