@@ -17,7 +17,9 @@ the quadrature does not support (n > 3) or other than the channel's, and
 (a plain source has depth 2).
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
-input or configuration. Outputs are byte-identical for identical inputs,
+input or configuration, which includes every ``errors.DomainError`` an
+input leads to (a singular or indefinite matrix, a dimension mismatch, a
+broken Loewner order). Outputs are byte-identical for identical inputs,
 seeds and flags.
 """
 
@@ -31,7 +33,7 @@ import sys
 import numpy as np
 
 from . import fixtures, verifier
-from .errors import InadmissibleSourceError, InputFormatError, NumericalError
+from .errors import DomainError, InadmissibleSourceError, InputFormatError, NumericalError
 from .estimators import _quad_order, mixture_entropy_quad
 from .model import (
     MarkovHierarchy,
@@ -119,7 +121,8 @@ def _extract_source_or_hierarchy(obj: dict, ch=None, match_users: bool = False):
         thing = hierarchy_from_dict(obj["hierarchy"])
     elif "source" in obj:
         d = obj["source"]
-        thing = hierarchy_from_dict(d) if "transitions" in d else source_from_dict(d)
+        has_tables = isinstance(d, dict) and "transitions" in d
+        thing = hierarchy_from_dict(d) if has_tables else source_from_dict(d)
     else:
         raise InputFormatError("input must contain a 'source' or 'hierarchy' object")
     try:  # both commands that read a source need its quadrature
@@ -311,7 +314,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return cfg.fn(cfg)
-    except InputFormatError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,27 +1,31 @@
 """Exception types shared across the package."""
 
 
-class DimensionMismatchError(ValueError):
+class DomainError(ValueError):
+    """An input outside the domain of a computation; the CLI exits 2 on it."""
+
+
+class DimensionMismatchError(DomainError):
     """Operands have incompatible matrix/vector dimensions."""
 
 
-class NotPsdError(ValueError):
+class NotPsdError(DomainError):
     """A matrix required to be positive semidefinite is not."""
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(DomainError):
     """A matrix required to be positive definite is singular or indefinite."""
 
 
-class LoewnerOrderError(ValueError):
+class LoewnerOrderError(DomainError):
     """A required Loewner ordering between two matrices does not hold."""
 
 
-class InadmissibleSourceError(ValueError):
+class InadmissibleSourceError(DomainError):
     """Input distribution violates the covariance cap of the channel."""
 
 
-class InputFormatError(ValueError):
+class InputFormatError(DomainError):
     """Malformed JSON input or invalid field values."""
 
 

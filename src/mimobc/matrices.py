@@ -42,9 +42,10 @@ def symmetrize(M) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
         raise DimensionMismatchError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(A)):
+    S = (A + A.T) / 2.0
+    if not np.all(np.isfinite(S)):
         raise ValueError("matrix entries must be finite")
-    return (A + A.T) / 2.0
+    return S
 
 
 def min_eig(M) -> float:

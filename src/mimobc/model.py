@@ -1,6 +1,11 @@
 """Data model for the degraded broadcast channel and finite Gaussian-mixture
 input distributions, plus the Markov hierarchies of auxiliaries used by the
 multi-user converse machinery.
+
+The constructors validate their fields once, so downstream code takes them
+as given. ``coarsen`` gives the one representation of the law of X given an
+auxiliary U_k: a list of (p(U_k = g), law of X | U_k = g), each law itself a
+``MixtureSource`` over the base components.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ __all__ = [
     "BroadcastChannel",
     "MixtureSource",
     "MarkovHierarchy",
-    "CoarseSource",
     "validate_channel",
     "gaussian_entropy",
     "aggregate_covariance",
@@ -29,6 +33,15 @@ __all__ = [
     "source_from_dict",
     "hierarchy_from_dict",
 ]
+
+
+def _is_stochastic(P: np.ndarray) -> bool:
+    """True iff every column of P (a vector is one column) is a finite,
+    nonnegative vector summing to 1 within 1e-12."""
+    return bool(
+        np.all(np.isfinite(P)) and np.all(P >= 0)
+        and np.all(np.abs(P.sum(axis=0) - 1.0) <= 1e-12)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +103,17 @@ class MixtureSource:
         if C.ndim == 2:
             C = C[None, :, :]
         m = w.shape[0]
-        if mu.shape[0] != m or C.shape[0] != m:
+        if w.ndim != 1 or mu.ndim != 2 or mu.shape[0] != m or C.shape[0] != m:
             raise DimensionMismatchError(
-                "weights, means and comp_covs must agree on the number of symbols"
+                "weights (m,), means (m, n) and comp_covs must agree on the number of symbols"
             )
         n = mu.shape[1]
         if C.shape[1:] != (n, n):
             raise DimensionMismatchError("component covariances must be (m, n, n)")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise InputFormatError("weights must be nonnegative and sum to 1")
+        if not _is_stochastic(w):
+            raise InputFormatError("weights must be finite, nonnegative and sum to 1")
+        if not np.all(np.isfinite(mu)):
+            raise InputFormatError("means must be finite")
         C = np.stack([mat.symmetrize(c) for c in C])
         for k, c in enumerate(C):
             if mat.min_eig(c) <= 0.0:
@@ -106,6 +121,10 @@ class MixtureSource:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "comp_covs", C)
+        try:
+            aggregate_covariance(self)
+        except ValueError:
+            raise InputFormatError("the covariance of the mixture overflows") from None
 
     @property
     def dim(self) -> int:
@@ -140,15 +159,14 @@ class MarkovHierarchy:
             top = self.base.weights.copy()
         else:
             top = np.atleast_1d(np.asarray(self.top_weights, dtype=float))
-        if np.any(top < 0) or abs(float(top.sum()) - 1.0) > 1e-12:
+        if top.ndim != 1 or not _is_stochastic(top):
             raise InputFormatError("top_weights must be a probability vector")
         # shape chain: tables[i] maps U_{k+1} -> U_k distributions, k = 2 + i
         size = top.shape[0]
         for T in reversed(tables):
             if T.ndim != 2 or T.shape[1] != size:
                 raise DimensionMismatchError("transition table shapes do not chain")
-            col_sums = T.sum(axis=0)
-            if np.any(T < 0) or np.any(np.abs(col_sums - 1.0) > 1e-12):
+            if not _is_stochastic(T):
                 raise InputFormatError("table columns must be probability vectors")
             size = T.shape[0]
         if size != self.base.num_components:
@@ -183,31 +201,6 @@ class MarkovHierarchy:
         for i in range(len(self.tables) - 1, level - 3, -1):
             p = self.tables[i] @ p
         return p
-
-
-@dataclass(frozen=True, eq=False)
-class CoarseSource:
-    """Mixture view of (U_k, X): a refined MixtureSource plus the map from
-    refined symbols back to the symbols of U_k."""
-
-    groups: np.ndarray  # group label of each refined symbol
-    source: MixtureSource
-
-    def group_mixtures(self) -> list[tuple[float, MixtureSource]]:
-        """Per-symbol conditional mixtures: (p(u_k = g), law of X | U_k = g)."""
-        out = []
-        for g in range(int(self.groups.max()) + 1):
-            idx = np.flatnonzero(self.groups == g)
-            pg = float(self.source.weights[idx].sum())
-            if pg <= 0.0:
-                continue
-            sub = MixtureSource(
-                weights=self.source.weights[idx] / pg,
-                means=self.source.means[idx],
-                comp_covs=self.source.comp_covs[idx],
-            )
-            out.append((pg, sub))
-        return out
 
 
 def validate_channel(ch: BroadcastChannel, tol: float | None = None) -> VerificationReport:
@@ -247,40 +240,35 @@ def aggregate_covariance(src: MixtureSource) -> np.ndarray:
     return mat.symmetrize(within + spread)
 
 
-def coarsen(h: MarkovHierarchy, level: int) -> CoarseSource:
-    """Mixture representation of (U_level, X).
+def coarsen(h: MarkovHierarchy, level: int) -> list[tuple[float, MixtureSource]]:
+    """Conditional laws of X given U_level: one pair (p(U_level = g), law
+    of X | U_level = g) per symbol g of positive probability.
 
-    The refined alphabet is the support of the joint (U_level, U_2); the
-    returned ``groups`` array maps each refined symbol to its U_level symbol
-    so conditional quantities given U_level remain computable.
+    Each law mixes the base components with weights p(u_2 | g). Level 2
+    gives the base components, one per symbol, with the base weights.
     """
     K = h.num_users
     if not 2 <= level <= K:
         raise ValueError(f"level must be in [2, {K}]")
-    if level == 2:
-        m = h.base.num_components
-        return CoarseSource(groups=np.arange(m), source=h.base)
-    # p(u_2 | u_level): compose tables from level-1 down to 2
-    M = h.tables[0]
-    for i in range(1, level - 2):
-        M = M @ h.tables[i]
-    p_level = h.marginal(level)
-    joint = M * p_level[None, :]  # joint[u2, g] = p(u_2, u_level)
-    m2, mg = joint.shape
-    groups, weights, means, covs = [], [], [], []
-    for g in range(mg):
-        for u2 in range(m2):
-            w = joint[u2, g]
-            if w <= 0.0:
-                continue
-            groups.append(g)
-            weights.append(w)
-            means.append(h.base.means[u2])
-            covs.append(h.base.comp_covs[u2])
-    src = MixtureSource(
-        weights=np.array(weights), means=np.array(means), comp_covs=np.array(covs)
-    )
-    return CoarseSource(groups=np.array(groups), source=src)
+    base = h.base
+    # joint[u2, g] = p(u_2, u_level), with p(u_2 | u_level) composed from the tables
+    if level == 2:  # the chain marginal of U_2 matches these only within 1e-10
+        joint = np.diag(base.weights)
+    else:
+        M = h.tables[0]
+        for T in h.tables[1:level - 2]:
+            M = M @ T
+        joint = M * h.marginal(level)[None, :]
+    out = []
+    for col in joint.T:
+        idx = np.flatnonzero(col > 0.0)
+        if idx.size == 0:
+            continue
+        pg = float(col[idx].sum())
+        out.append((pg, MixtureSource(
+            weights=col[idx] / pg, means=base.means[idx], comp_covs=base.comp_covs[idx]
+        )))
+    return out
 
 
 # --- JSON schema adapters -------------------------------------------------
@@ -322,13 +310,12 @@ def source_from_dict(d: dict) -> MixtureSource:
 
 def hierarchy_from_dict(d: dict) -> MarkovHierarchy:
     base = source_from_dict(d)
-    tables = [np.asarray(T, dtype=float) for T in d.get("transitions", [])]
     top = d.get("top_weights")
     try:
         return MarkovHierarchy(
             base=base,
-            tables=tuple(tables),
+            tables=tuple(np.asarray(T, dtype=float) for T in d.get("transitions", [])),
             top_weights=None if top is None else np.asarray(top, dtype=float),
         )
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"hierarchy JSON invalid: {exc}") from exc

@@ -2,16 +2,19 @@
 on, the intermediate-value fixed-point construction, and the full converse
 walkthrough that replays the proof chain on a concrete input distribution.
 
-Quantities conditional on the finest auxiliary are closed-form. Quantities
-conditional on a coarser auxiliary (whose conditional laws are mixtures)
-use the deterministic Gauss-Hermite quadrature of ``estimators``: a pruned
-tensor grid whose dropped nodes carry under 1e-19 of the weight at the
-default orders. The error of the quadrature order itself is not estimated
-and does not enter any tolerance. On a badly conditioned mixture it is
-about 1e-9 in Fisher information but reaches about 5e-4 in entropy at the
-default order (see ``estimators.mixture_entropy_quad``), more than the
-1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass does
-not bound it.
+The law of X given one symbol of an auxiliary U_k is a Gaussian mixture.
+``model.coarsen`` lists these laws, and every information quantity of one
+comes from ``estimators``. A law with one component (every law given the
+finest auxiliary, the mixture label) has the closed forms
+``fisher_conditional`` and ``entropy_conditional``. A law with several
+components (given a coarser auxiliary) uses the deterministic Gauss-Hermite
+quadrature: a pruned tensor grid whose dropped nodes carry under 1e-19 of
+the weight at the default orders. The error of the quadrature order itself
+is not estimated and does not enter any tolerance. On a badly conditioned
+mixture it is about 1e-9 in Fisher information but reaches about 5e-4 in
+entropy at the default order (see ``estimators.mixture_entropy_quad``),
+more than the 1e-6 to 1e-10 the walkthrough's identities are judged at, so
+a pass does not bound it.
 
 The matrix line integrals of the Fisher field use the adaptive
 Gauss-Kronrod G7/K15 rule of ``matrices.matrix_line_integral``, which
@@ -28,7 +31,6 @@ from its noise covariance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,28 +82,24 @@ _INTEGRAL_TOL = 1e-6
 # --- conditional quantities for grouped (coarse) auxiliaries -----------------
 
 def _fisher_given(groups, noise_cov) -> np.ndarray:
-    """J(X+N | U_level) for a coarsened source: per-group conditional laws
-    are Gaussian mixtures; single-component groups are exact. Callers pass
-    a symmetric ``noise_cov`` (a channel's, or a point on a line between
-    two of them)."""
+    """J(X+N | U_level) from the conditional laws ``coarsen`` returns: each
+    law is a Gaussian mixture, and a single-component one has the closed
+    form. Callers pass a symmetric ``noise_cov`` (a channel's, or a point on
+    a line between two of them)."""
     J = np.zeros_like(noise_cov)
     for pg, sub in groups:
-        if sub.num_components == 1:
-            J = J + pg * mat.inv_pd(sub.comp_covs[0] + noise_cov)
-        else:
-            J = J + pg * mixture_fisher_quad(sub, noise_cov)
+        fisher = fisher_conditional if sub.num_components == 1 else mixture_fisher_quad
+        J = J + pg * fisher(sub, noise_cov)
     return mat.symmetrize(J)
 
 
 def _entropy_given(groups, noise_cov) -> float:
-    """h(X+N | U_level) for a coarsened source; ``noise_cov`` as in
-    ``_fisher_given``."""
+    """h(X+N | U_level) from the conditional laws ``coarsen`` returns;
+    ``noise_cov`` as in ``_fisher_given``."""
     h = 0.0
     for pg, sub in groups:
-        if sub.num_components == 1:
-            h += pg * gaussian_entropy(sub.comp_covs[0] + noise_cov)
-        else:
-            h += pg * mixture_entropy_quad(sub, noise_cov)
+        entropy = entropy_conditional if sub.num_components == 1 else mixture_entropy_quad
+        h += pg * entropy(sub, noise_cov)
     return h
 
 
@@ -211,8 +209,8 @@ def check_fisher_dpi(
     if not 2 <= level_fine <= level_coarse <= h.num_users:
         raise ValueError("need 2 <= level_fine <= level_coarse <= K")
     noise_cov = mat.symmetrize(noise_cov)
-    J_fine = _fisher_given(coarsen(h, level_fine).group_mixtures(), noise_cov)
-    J_coarse = _fisher_given(coarsen(h, level_coarse).group_mixtures(), noise_cov)
+    J_fine = _fisher_given(coarsen(h, level_fine), noise_cov)
+    J_coarse = _fisher_given(coarsen(h, level_coarse), noise_cov)
     return VerificationReport.from_residuals(
         "fisher_dpi",
         [Residual("min_eig(J_fine - J_coarse)", mat.min_eig(J_fine - J_coarse), "ineq")],
@@ -281,19 +279,13 @@ def check_f_epsilon(
     eps = [float(e) for e in eps_grid]
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_grid must be strictly increasing and positive")
-    n = src.dim
-    J0 = np.einsum("u,uij->ij", src.weights, np.stack([mat.inv_pd(C) for C in src.comp_covs]))
-    J0inv = mat.inv_pd(mat.symmetrize(J0))
+    J0inv = mat.inv_pd(fisher_conditional(src, 0.0 * sigma))
     root_inv = mat.inv_pd(mat.sqrt_psd(sigma))
     lam = np.linalg.eigvalsh(root_inv @ J0inv @ root_inv)
     lam_t = np.linalg.eigvalsh(root_inv @ aggregate_covariance(src) @ root_inv)
 
     def f(e: float) -> float:
-        h = float(
-            src.weights
-            @ np.array([gaussian_entropy(C + e * sigma) for C in src.comp_covs])
-        )
-        return h - 0.5 * (n * LOG_2PI_E + mat.logdet(J0inv + e * sigma))
+        return entropy_conditional(src, e * sigma) - gaussian_entropy(J0inv + e * sigma)
 
     def env_lo(e: float) -> float:
         return 0.5 * float(np.sum(np.log(e / (lam + e))))
@@ -419,7 +411,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
     n = ch.dim
     S = ch.input_cap
 
-    grouped = {k: coarsen(hierarchy, k).group_mixtures() for k in range(2, K + 1)}
+    grouped = {k: coarsen(hierarchy, k) for k in range(2, K + 1)}
     stages: list[WalkthroughStage] = []
     reports: list[VerificationReport] = []
     A = {K + 1: S.copy()}
@@ -481,9 +473,8 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
 
     # achieved rates, finest to coarsest: R_k = h(Y_k|U_{k+1}) - h(Y_k|U_k),
     # with U_1 = X (so h(Y_1|X) = h(N_1)) and U_{K+1} constant
-    full = coarsen(hierarchy, 2).source
     h_cond[1] = gaussian_entropy(ch.noise_covs[0])
-    h_prev[K + 1] = mixture_entropy_quad(full, ch.noise_covs[K - 1])
+    h_prev[K + 1] = mixture_entropy_quad(hierarchy.base, ch.noise_covs[K - 1])
     achieved = [h_prev[k + 1] - h_cond[k] for k in range(1, K + 1)]
 
     # recovered split and its superposition rates

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mimobc import cli
 
@@ -88,6 +90,18 @@ BAD_ORDER_CHANNEL = {
         "noise_covs": [[[1.0, 0.0], [0.0, 3.0]], [[2.0, 0.0], [0.0, 2.0]]],
         "input_cap": [[1.0, 0.0], [0.0, 1.0]],
     }
+}
+
+
+# the mixture as the base of a three-user hierarchy whose U_3 is a noisy
+# copy of U_2
+HIERARCHY_INPUT = {
+    "channel": {"noise_covs": [[[1.0]], [[2.0]], [[3.0]]], "input_cap": [[2.5]]},
+    "source": {
+        **MIXTURE_INPUT["source"],
+        "transitions": [[[0.6, 0.4], [0.4, 0.6]]],
+        "top_weights": [0.5, 0.5],
+    },
 }
 
 
@@ -216,6 +230,14 @@ class TestWalkthrough:
         res = run_cli("walkthrough", path)
         assert res.returncode == 2
 
+    def test_tiny_component_passes(self, tmp_path):
+        # a positive component variance far below the noise is valid input
+        path = write(tmp_path, "in.json", {**MIXTURE_INPUT, "source": {
+            **MIXTURE_INPUT["source"], "comp_covs": [[[1e-15]], [[3.0]]]}})
+        res = run_cli("walkthrough", path)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["passed"]
+
     def test_seed_determinism(self, tmp_path):
         # the walkthrough is deterministic quadrature: it takes no seed, and
         # two runs on one input give the same bytes
@@ -311,3 +333,138 @@ class TestSelftestAndFlags:
         assert cli.main([command, "--help"]) == 0
         listed = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
         assert listed == flags | {"--help"}
+
+
+# numbers that keep a document well formed, some of them at the edges of
+# the float range, and leaves and small trees of arbitrary JSON; the json
+# module writes and reads NaN and +-Infinity
+_NUMBERS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -1.0, 1e-300, 1e-12, 1e200, -1e200, 1e308]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3), st.floats(), _NUMBERS),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root included, as a key path."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# the valid inputs the fuzz edits: a scalar mixture, a two-antenna mixture,
+# and the three-user hierarchy under "source" and under "hierarchy"
+_FUZZ_SEEDS = [
+    MIXTURE_INPUT,
+    {
+        "channel": {
+            "noise_covs": [np.eye(2).tolist(), (2.0 * np.eye(2)).tolist()],
+            "input_cap": (2.5 * np.eye(2)).tolist(),
+        },
+        "source": {
+            "weights": [0.5, 0.5],
+            "means": [[0.0, 0.0], [0.5, -0.5]],
+            "comp_covs": [np.eye(2).tolist(), [[2.0, 0.5], [0.5, 1.0]]],
+        },
+    },
+    HIERARCHY_INPUT,
+    {"channel": HIERARCHY_INPUT["channel"], "hierarchy": HIERARCHY_INPUT["source"]},
+]
+
+
+@st.composite
+def _malformed_inputs(draw):
+    """(command, document): one of the valid inputs with up to two edits.
+    An edit sets a number to another number, or it replaces or deletes any
+    subtree, the root included, with arbitrary JSON."""
+    command = draw(st.sampled_from(["verify", "walkthrough", "region"]))
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_SEEDS))))
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_paths(doc))
+        if draw(st.booleans()):
+            numbers = [p for p in paths if p and isinstance(_at(doc, p), float)]
+            if numbers:
+                path = draw(st.sampled_from(numbers))
+                _at(doc, path[:-1])[path[-1]] = draw(_NUMBERS)
+                continue
+        path = draw(st.sampled_from(paths))
+        if not path:
+            doc = draw(_JSON_VALUES)
+        elif isinstance(_at(doc, path[:-1]), dict) and draw(st.booleans()):
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            _at(doc, path[:-1])[path[-1]] = draw(_JSON_VALUES)
+    return command, doc
+
+
+def _with_source(**fields):
+    return {**MIXTURE_INPUT, "source": {**MIXTURE_INPUT["source"], **fields}}
+
+
+# inputs that once ended in a traceback; each must exit 2 with an error line
+MALFORMED_INPUTS = {
+    "nan-weight-verify": ("verify", _with_source(weights=[math.nan, 1.0])),
+    "nan-weight-walkthrough": ("walkthrough", _with_source(weights=[math.nan, 1.0])),
+    "nan-top-weights": ("verify", _with_source(transitions=[[[0.5], [0.5]]], top_weights=[math.nan])),
+    "nan-table": ("verify", _with_source(transitions=[[[math.nan], [math.nan]]], top_weights=[1.0])),
+    "nan-table-walkthrough": ("walkthrough", {**HIERARCHY_INPUT, "source": {
+        **HIERARCHY_INPUT["source"], "transitions": [[[math.nan, 0.4], [0.4, math.nan]]]}}),
+    "string-table": ("verify", _with_source(transitions=[[["x"]]])),
+    "number-transitions": ("verify", _with_source(transitions=5)),
+    "number-source-verify": ("verify", {**MIXTURE_INPUT, "source": 3}),
+    "number-source-walkthrough": ("walkthrough", {**MIXTURE_INPUT, "source": 3}),
+    "overflowing-means-verify": ("verify", _with_source(means=[[0.0], [1e200]])),
+    "overflowing-means-walkthrough": ("walkthrough", _with_source(means=[[0.0], [1e200]])),
+    # positive, but below what check_f_epsilon can invert
+    "tiny-component": ("verify", _with_source(comp_covs=[[[1e-264]], [[3.0]]])),
+    # J(X+N|U) = 1e-30 is singular at the estimators' precision
+    "singular-fisher": ("verify", {
+        "channel": {"noise_covs": [[[1e-6]], [[1e-6]]], "input_cap": [[1e-6]]},
+        "source": {"weights": [1.0], "means": [[0.0]], "comp_covs": [[[1e30]]]},
+    }),
+    # finite entries whose symmetrization overflows
+    "overflowing-noise": ("region", {"channel": {"noise_covs": [[[1e308]], [[1e308]]], "input_cap": [[1.0]]}}),
+}
+
+
+def _run_in_process(tmp_path, command, doc) -> int:
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path), "--output", str(tmp_path / "out")]
+    if command == "region":
+        argv += ["--grid", "3"]
+    return cli.main(argv)
+
+
+def _pinned(test):
+    """The test with every input of MALFORMED_INPUTS as an explicit example."""
+    for case in MALFORMED_INPUTS.values():
+        test = example(case=case)(test)
+    return test
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command, doc", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, doc):
+        assert _run_in_process(tmp_path, command, doc) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @_pinned
+    @given(case=_malformed_inputs())
+    def test_malformed_input_never_raises(self, tmp_path, case):
+        """Every input ends in an exit code of the contract, never in an
+        exception."""
+        assert _run_in_process(tmp_path, *case) in (0, 1, 2)

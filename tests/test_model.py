@@ -106,6 +106,23 @@ class TestMixtureSourceValidation:
         with pytest.raises(DimensionMismatchError):
             MixtureSource(np.array([1.0]), np.zeros((2, 1)), np.ones((1, 1, 1)))
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.nan, math.nan]])
+    def test_non_finite_weights(self, weights):
+        with pytest.raises(InputFormatError):
+            MixtureSource(np.array(weights), np.zeros((2, 1)), np.ones((2, 1, 1)))
+
+    def test_overflowing_means(self):
+        # finite means whose spread overflows the covariance of X
+        with pytest.raises(InputFormatError):
+            MixtureSource(np.array([0.5, 0.5]), np.array([[0.0], [1e200]]), np.ones((2, 1, 1)))
+
+    @pytest.mark.parametrize("cov", [[[1e-15]], [[1.0, 0.0], [0.0, 1e-15]], [[1e-264]]])
+    def test_tiny_positive_component_accepted(self, cov):
+        # positivity is the only requirement, whatever the scale
+        c = np.array(cov)
+        src = MixtureSource(np.array([1.0]), np.zeros((1, c.shape[0])), c[None])
+        assert src.comp_covs[0].tolist() == cov
+
 
 class TestHierarchy:
     def test_marginal_consistency_enforced(self):
@@ -118,9 +135,14 @@ class TestHierarchy:
 
     def test_coarsen_identity_at_base(self):
         h = random_hierarchy(rng_for(12), 2, (3, 2))
-        c = coarsen(h, 2)
-        assert np.array_equal(c.groups, np.arange(3))
-        assert c.source is h.base
+        groups = coarsen(h, 2)
+        assert len(groups) == 3
+        for u, (pg, sub) in enumerate(groups):
+            # the base weights themselves, not the chain marginal of U_2
+            assert pg == h.base.weights[u]
+            assert np.array_equal(sub.weights, [1.0])
+            assert np.array_equal(sub.means, h.base.means[u:u + 1])
+            assert np.array_equal(sub.comp_covs, h.base.comp_covs[u:u + 1])
 
     def test_deterministic_merge_adds_weights(self):
         base = MixtureSource(
@@ -131,10 +153,21 @@ class TestHierarchy:
         # U_3 merges symbols {0,1} and keeps {2}
         T = np.array([[0.4, 0.0], [0.6, 0.0], [0.0, 1.0]])
         h = MarkovHierarchy(base=base, tables=(T,), top_weights=np.array([0.5, 0.5]))
-        c = coarsen(h, 3)
-        groups = c.group_mixtures()
+        groups = coarsen(h, 3)
         assert groups[0][0] == pytest.approx(0.5)
         assert groups[1][0] == pytest.approx(0.5)
+        assert np.allclose(groups[0][1].weights, [0.4, 0.6])
+        assert np.array_equal(groups[1][1].weights, [1.0])
+
+    @pytest.mark.parametrize("table, top", [
+        ([[0.5], [0.5]], [math.nan]),
+        ([[math.nan], [math.nan]], [1.0]),
+        ([[math.nan, 0.4], [0.4, math.nan]], [0.5, 0.5]),
+    ])
+    def test_non_finite_probabilities(self, table, top):
+        base = MixtureSource(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1, 1)))
+        with pytest.raises(InputFormatError):
+            MarkovHierarchy(base=base, tables=(np.array(table),), top_weights=np.array(top))
 
     def test_uniform_transition_marginal(self):
         base_w = np.array([0.5, 0.5])
@@ -146,10 +179,30 @@ class TestHierarchy:
 
     def test_coarse_source_preserves_law_of_x(self):
         h = random_hierarchy(rng_for(13), 1, (3, 2))
-        c = coarsen(h, 3)
-        assert np.allclose(
-            aggregate_covariance(c.source), aggregate_covariance(h.base), atol=1e-12
+        groups = coarsen(h, 3)
+        # the law of X as the mixture over U_3 of its conditional laws
+        law = MixtureSource(
+            weights=np.concatenate([pg * sub.weights for pg, sub in groups]),
+            means=np.concatenate([sub.means for _, sub in groups]),
+            comp_covs=np.concatenate([sub.comp_covs for _, sub in groups]),
         )
+        assert np.allclose(aggregate_covariance(law), aggregate_covariance(h.base), atol=1e-12)
+
+    @pytest.mark.parametrize("seed, n, sizes", [
+        (21, 1, (3, 2)), (22, 2, (3, 3, 2)), (23, 3, (4, 3, 2, 2)), (24, 1, (2, 1)),
+    ])
+    def test_conditional_laws_reproduce_base_weights(self, seed, n, sizes):
+        h = random_hierarchy(rng_for(seed), n, sizes)
+        for level in range(2, h.num_users + 1):
+            groups = coarsen(h, level)
+            assert len(groups) == sizes[level - 2]
+            total = np.zeros(h.base.num_components)
+            for pg, sub in groups:
+                # the random means tell the base components apart
+                for w, mu in zip(sub.weights, sub.means):
+                    (u,) = np.flatnonzero(np.all(h.base.means == mu, axis=1))
+                    total[u] += pg * w
+            assert np.allclose(total, h.base.weights, atol=1e-14), level
 
     def test_level_out_of_range(self):
         h = random_hierarchy(rng_for(14), 1, (2, 2))
@@ -196,3 +249,15 @@ class TestJsonAdapters:
         }
         h = hierarchy_from_dict(d)
         assert h.num_users == 3
+
+    @pytest.mark.parametrize("transitions", [[[["x"]]], 5])
+    def test_hierarchy_malformed_transitions(self, transitions):
+        d = {
+            "weights": [0.5, 0.5],
+            "means": [[0.0], [1.0]],
+            "comp_covs": [[[1.0]], [[2.0]]],
+            "transitions": transitions,
+            "top_weights": [1.0],
+        }
+        with pytest.raises(InputFormatError):
+            hierarchy_from_dict(d)

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from mimobc.fixtures import (
     scalar_channel,
     two_component_scalar_source,
 )
-from mimobc.model import aggregate_covariance, gaussian_entropy
+from mimobc.estimators import entropy_conditional, fisher_conditional
+from mimobc.model import aggregate_covariance, coarsen
 from mimobc.verifier import (
     check_cramer_rao,
     check_debruijn,
@@ -154,6 +154,17 @@ class TestFisherDpi:
         h = random_hierarchy(rng_for(308), 2, (3, 2))
         rep = check_fisher_dpi(h, 2, 3, np.eye(2))
         assert rep.passed, rep.to_dict()
+
+    @pytest.mark.parametrize("seed, n", [(309, 1), (310, 2), (311, 3)])
+    def test_finest_level_is_the_closed_form(self, seed, n):
+        # given U_2 every conditional law is one Gaussian component
+        h = random_hierarchy(rng_for(seed), n, (3, 2))
+        noise = 0.5 * np.eye(n)
+        groups = coarsen(h, 2)
+        J = verifier._fisher_given(groups, noise)
+        assert np.max(np.abs(J - fisher_conditional(h.base, noise))) <= 1e-13
+        h2 = verifier._entropy_given(groups, noise)
+        assert abs(h2 - entropy_conditional(h.base, noise)) <= 1e-13
 
 
 class TestFisherConvolution:
