@@ -2,23 +2,35 @@
 additive Gaussian noise: Fisher information matrices and differential
 entropies.
 
-Quantities conditional on the mixture label are exact closed forms. The
-unconditional ones come from deterministic Gauss-Hermite quadrature for the
-small dimensions (n <= 3) this package targets, evaluating the mixture
-through the Cholesky factors of its observed components, in whitened
-coordinates (see ``_MixtureDensity``).
+Quantities conditional on the mixture label are exact closed forms, at one
+noise covariance (``fisher_conditional``, ``entropy_conditional``).
 
-The quadrature integrates over components on a tensor Gauss-Hermite grid,
-pruned of the nodes whose weight is at most ``_PRUNE_REL`` times the
-largest (at the default orders the dropped nodes carry under 1e-19 of the
-weight) and walked in blocks of at most ``_BLOCK`` nodes. The entropy
-integrates -ln f over every component's grid. The Fisher matrix is the
-closed form J(X+N|U) minus a posterior correction that is integrated on
-the narrower component of each pair only (see ``mixture_fisher_quad``).
-The error of the order itself is not estimated: it is negligible on mildly
-separated mixtures, but on a badly conditioned one (see
-``mixture_entropy_quad``) it reaches about 5e-4 in entropy at the default
-order, against about 1e-9 in Fisher information.
+The quadrature kernels ``mixture_fisher_quad`` and ``mixture_entropy_quad``
+cover a whole auxiliary level at a whole stack of noise covariances in one
+pass. Given a joint table P(u_2 = u, U_k = g) over the source's components
+(``model.coarsen``), they return J(Y | U_k) and h(Y | U_k); with no table,
+the unconditional J(Y) and h(Y). Every symbol's law mixes the same base
+components, so one walk of a component's grid serves every symbol and every
+noise covariance: only the posterior differs between symbols.
+
+The grids are tensor Gauss-Hermite grids for the small dimensions (n <= 3)
+this package targets, pruned of the nodes whose weight is at most
+``_PRUNE_REL`` times the largest (at the default orders the dropped nodes
+carry under 1e-19 of the weight) and walked in blocks of at most ``_BLOCK``
+nodes. On component u's grid, y = mu_u + L_u z, every component's
+log-density is a quadratic in the standard node z, so the log-densities of
+all components at all noise covariances are one matmul of their
+coefficients with the per-node features [1, z, z_i z_j] (see
+``_ObservedLevel``).
+
+The entropy of a symbol with one component is its exact Gaussian entropy;
+for the others -ln f is integrated over every component's grid. The Fisher
+matrix is the closed form J(Y | U_2) minus a posterior correction that is
+integrated on the narrower component of each pair some symbol mixes (see
+``mixture_fisher_quad``). The error of the order itself is not estimated:
+it is negligible on mildly separated mixtures, but on a badly conditioned
+one (see ``mixture_entropy_quad``) it reaches about 5e-4 in entropy at the
+default order, against about 1e-9 in Fisher information.
 """
 
 from __future__ import annotations
@@ -40,6 +52,8 @@ __all__ = [
     "mixture_fisher_quad",
 ]
 
+_LOG_2PI = math.log(2.0 * math.pi)
+
 
 # --- observed-mixture plumbing ---------------------------------------------
 
@@ -55,69 +69,106 @@ def _observed(src: MixtureSource, noise_cov) -> tuple[np.ndarray, np.ndarray]:
     return src.means, src.comp_covs + S[None]
 
 
-class _MixtureDensity:
-    """Density and posterior of one observed mixture, in whitened
-    coordinates.
+def _joint_table(src: MixtureSource, joint) -> np.ndarray:
+    """The (m, G) table P(u_2 = u, U_k = g); with none, the source's weights
+    as the one symbol of a constant auxiliary."""
+    if joint is None:
+        return src.weights[:, None]
+    P = np.asarray(joint, dtype=float)
+    if P.ndim != 2 or P.shape[0] != src.num_components:
+        raise DimensionMismatchError("the joint table must be (components, symbols)")
+    return P
 
-    With C_v = L_v L_v^T, component v sees y through its whitened residual
-    r_v = L_v^{-1} (y - mu_v), so ln p_v N(y; mu_v, C_v) = c_v - |r_v|^2 / 2.
-    Points are columns: the residuals of N points under all m components
-    form one (m*n, N) array, made by one matmul with the stacked factors
-    ``whiten`` = [L_1^{-1}; ...; L_m^{-1}]. Reductions over components then
-    run over rows.
+
+def _features(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(1 + n + n(n+1)/2, N) features [1; z; z_i z_j for (i, j) in
+    ``np.triu_indices(n)``] of the nodes z (N, n), one column per node."""
+    N, n = z.shape
+    F = np.empty((1 + n + i.size, N))
+    F[0] = 1.0
+    F[1:1 + n] = z.T
+    np.multiply(F[1 + i], F[1 + j], out=F[1 + n:])
+    return F
+
+
+class _ObservedLevel:
+    """The components of a source observed through a stack of T noise
+    covariances S_t: C_tw = Cov(X | w) + S_t = L_tw L_tw^T.
+
+    On component u's grid at noise t, the point y = mu_u + L_tu z has
+    ln N(y; mu_w, C_tw) = -(n ln 2 pi)/2 - ln|L_tw| - |A z + o|^2 / 2, with
+    A = L_tw^{-1} L_tu and o = L_tw^{-1} (mu_u - mu_w): a quadratic in z,
+    whose coefficients ``coefs`` gives against ``_features``.
     """
 
     def __init__(self, src: MixtureSource, noise_cov):
-        self.weights = src.weights
-        self.means, covs = _observed(src, noise_cov)
-        self.m, self.n = self.means.shape
-        self.chols = np.linalg.cholesky(covs)
+        S = np.asarray(noise_cov, dtype=float)
+        self.stacked = S.ndim == 3
+        if not self.stacked:
+            S = S[None]
+        if S.ndim != 3 or S.shape[1:] != (src.dim, src.dim):
+            raise DimensionMismatchError("noise covariance dimension mismatch")
+        S = (S + np.swapaxes(S, 1, 2)) / 2.0
+        if not np.all(np.isfinite(S)):
+            raise ValueError("matrix entries must be finite")
+        self.means = src.means
+        self.T = S.shape[0]
+        self.m, self.n = src.means.shape
+        self.chols = np.linalg.cholesky(src.comp_covs[None] + S[:, None])
         self.inv_chols = np.linalg.inv(self.chols)
-        self.whiten = self.inv_chols.reshape(self.m * self.n, self.n)
-        self.shift = (self.inv_chols @ self.means[:, :, None]).ravel()
-        # ln |C_v| / 2
-        self.half_logdet = np.log(np.diagonal(self.chols, axis1=1, axis2=2)).sum(axis=1)
-        self.log_c = (
-            np.log(np.clip(self.weights, 1e-300, None))
-            - 0.5 * self.n * math.log(2.0 * math.pi)
-            - self.half_logdet
-        )[:, None]
+        # ln |C_tw| / 2, (T, m)
+        self.half_logdet = np.log(np.diagonal(self.chols, axis1=2, axis2=3)).sum(axis=2)
 
-    def grid_blocks(self, u: int, order: int):
-        """Walk component u's pruned grid (``_gh_grid``) in blocks of at
-        most ``_BLOCK`` nodes, yielding (nodes z, weights, residuals) with
-        the residuals taken at y = mu_u + L_u z from z directly:
-        r_v = (L_v^{-1} L_u) z + L_v^{-1} (mu_u - mu_v)."""
-        A = self.whiten @ self.chols[u]
-        offset = (self.whiten @ self.means[u] - self.shift)[:, None]
+    def coefs(self, grids: np.ndarray) -> np.ndarray:
+        """(U*T*m, F) coefficients: row (u, t, w) times ``_features(z)`` is
+        ln N(mu_u + L_tu z; mu_w, C_tw), for the components u of ``grids``."""
+        n = self.n
+        A = self.inv_chols[None] @ np.swapaxes(self.chols[:, grids], 0, 1)[:, :, None]
+        gaps = self.means[grids, None] - self.means[None]
+        o = (self.inv_chols[None] @ gaps[:, None, :, :, None])[..., 0]
+        i, j = np.triu_indices(n)
+        coef = np.empty(A.shape[:3] + (1 + n + i.size,))
+        coef[..., 0] = -0.5 * n * _LOG_2PI - self.half_logdet - 0.5 * np.square(o).sum(axis=-1)
+        coef[..., 1:1 + n] = -np.einsum("utwji,utwj->utwi", A, o)
+        Q = np.swapaxes(A, 3, 4) @ A
+        coef[..., 1 + n:] = np.where(i == j, -0.5, -1.0) * Q[..., i, j]
+        return coef.reshape(-1, coef.shape[-1])
+
+    def blocks(self, grids: np.ndarray, order: int):
+        """Walk the pruned grid (``_gh_grid``) in blocks of at most
+        ``_BLOCK`` nodes for the components ``grids`` at once, yielding
+        (features (F, B), weights (B,), log-densities (U, T, m, B)), where
+        entry (u, t, w) is ln N(y; mu_w, C_tw) at y = mu_u + L_tu z."""
+        coef = self.coefs(grids)
         z, wt = _gh_grid(self.n, order)
+        i, j = np.triu_indices(self.n)
+        shape = (len(grids), self.T, self.m, -1)
         for start in range(0, len(wt), _BLOCK):
-            zb = z[start:start + _BLOCK]
-            R = A @ zb.T
-            R += offset
-            yield zb, wt[start:start + _BLOCK], R
+            F = _features(z[start:start + _BLOCK], i, j)
+            yield F, wt[start:start + _BLOCK], (coef @ F).reshape(shape)
 
-    def _log_joint(self, R: np.ndarray) -> np.ndarray:
-        """(m, N) array of ln p_v + ln N(y; mu_v, C_v)."""
-        lp = np.square(R).reshape(self.m, self.n, -1).sum(axis=1)
-        lp *= -0.5
-        lp += self.log_c
-        return lp
 
-    def logpdf(self, R: np.ndarray) -> np.ndarray:
-        lp = self._log_joint(R)
-        top = lp.max(axis=0)
-        lp -= top
-        return top + np.log(np.exp(lp, out=lp).sum(axis=0))
+def _log_table(P: np.ndarray) -> np.ndarray:
+    """ln P entrywise, -inf where P is zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(P)
 
-    def posterior(self, R: np.ndarray) -> np.ndarray:
-        """(m, N) posterior probabilities of the components, one column per
-        point."""
-        lp = self._log_joint(R)
-        lp -= lp.max(axis=0)
-        post = np.exp(lp, out=lp)
-        post /= post.sum(axis=0)
-        return post
+
+def _pair_weights(logf: np.ndarray, log_joint: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(U, T, m, B) node weights sum_g P[u, g] pi^g_v(y) on the grids of
+    ``_ObservedLevel.blocks``, from its log-densities ``logf`` and the
+    symbols' log-joint table (1, 1, G, m, 1). A function of its own, so
+    that the (U, T, G, m, B) posterior is freed before the next block."""
+    lp = logf[:, :, None] + log_joint
+    lp -= lp.max(axis=3, keepdims=True)
+    np.exp(lp, out=lp)
+    lp /= lp.sum(axis=3, keepdims=True)
+    return np.einsum("ug,utgvb->utvb", P, lp)
+
+
+def _logsumexp(lp: np.ndarray, axis: int) -> np.ndarray:
+    top = lp.max(axis=axis, keepdims=True)
+    return (top + np.log(np.exp(lp - top).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 # --- exact conditional quantities -------------------------------------------
@@ -151,8 +202,10 @@ _DEFAULT_QUAD_ORDER = {1: 160, 2: 56, 3: 28}
 _PRUNE_REL = 1e-20
 
 # Grids are walked in blocks of at most this many nodes, which caps the
-# per-node arrays of a quadrature call (about 0.15 MB at m = 3, n = 3).
-_BLOCK = 2048
+# per-node arrays of a quadrature call: each holds one value per grid,
+# noise covariance, symbol and component of a node (about 0.25 MB at 15
+# noise covariances, two symbols and two components).
+_BLOCK = 512
 
 
 @functools.lru_cache(maxsize=16)
@@ -163,12 +216,16 @@ def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = hermgauss(order)
     z1 = math.sqrt(2.0) * x
     w1 = w / math.sqrt(math.pi)
-    grids = np.meshgrid(*([z1] * n), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=1)
-    wts = np.meshgrid(*([w1] * n), indexing="ij")
-    wt = np.prod(np.stack([g.ravel() for g in wts], axis=1), axis=1)
-    keep = wt > _PRUNE_REL * wt.max()
-    z, wt = np.ascontiguousarray(z[keep]), wt[keep]
+    # the tensor weights first, then only the kept nodes, so the full
+    # tensor of nodes is never built
+    wt = w1
+    for _ in range(n - 1):
+        wt = np.multiply.outer(wt, w1)
+    keep = np.nonzero(wt > _PRUNE_REL * wt.max())
+    wt = wt[keep]
+    z = np.empty((wt.size, n))
+    for d, idx in enumerate(keep):
+        z[:, d] = z1[idx]
     z.flags.writeable = False
     wt.flags.writeable = False
     return z, wt
@@ -182,56 +239,115 @@ def _quad_order(n: int, order: int | None) -> int:
     return _DEFAULT_QUAD_ORDER[n]
 
 
-def mixture_entropy_quad(src: MixtureSource, noise_cov, order: int | None = None) -> float:
-    """h(X+N) by per-component Gauss-Hermite quadrature (n <= 3).
+def mixture_entropy_quad(
+    src: MixtureSource, noise_cov, order: int | None = None, joint=None
+) -> float | np.ndarray:
+    """h(Y | U_k) for Y = X + N by per-component Gauss-Hermite quadrature
+    (n <= 3).
 
-    Each component's expectation of -ln f is taken on the pruned tensor grid
-    of ``_gh_grid``, whose dropped nodes carry under 1e-19 of the weight at
-    the default orders. The error of the order itself is not estimated: it
-    is negligible on well separated mixtures but reaches about 5e-4 at the
-    default order on a badly conditioned one (weights (0.3, 0.7),
-    covariances 0.05 I and [[2, .9], [.9, 1]], noise 0.05 I), where a broad
-    component's grid sees the narrow one as a sharp feature.
+    ``joint`` is the (m, G) table P(u_2 = u, U_k = g) over the components
+    of ``src``, whose weights it then replaces; with none, U_k is constant
+    and this is h(Y). ``noise_cov`` is one (n, n) covariance, giving a
+    float, or a (T, n, n) stack, giving T values.
+
+    A symbol with one component has its exact Gaussian entropy. For the
+    others, h(Y | U_k = g) = -sum_u p(u | g) E_u[ln f_g] with
+    f_g = sum_w p(w | g) N_w, and each component's grid serves every
+    symbol that mixes it. The grids are pruned (``_gh_grid``); their
+    dropped nodes carry under 1e-19 of the weight at the default orders.
+    The error of the order itself is not estimated: it is negligible on
+    well separated mixtures but reaches about 5e-4 at the default order on
+    a badly conditioned one (weights (0.3, 0.7), covariances 0.05 I and
+    [[2, .9], [.9, 1]], noise 0.05 I), where a broad component's grid sees
+    the narrow one as a sharp feature.
     """
-    dens = _MixtureDensity(src, noise_cov)
+    P = _joint_table(src, joint)
+    obs = _ObservedLevel(src, noise_cov)
     order = _quad_order(src.dim, order)
-    total = 0.0
-    for u, pu in enumerate(src.weights):
-        for _, wt, R in dens.grid_blocks(u, order):
-            total += pu * float(wt @ dens.logpdf(R))
-    return -total
+    size = np.count_nonzero(P > 0.0, axis=0)
+    h = np.zeros(obs.T)
+    for g in np.flatnonzero(size == 1):
+        (u,) = np.flatnonzero(P[:, g] > 0.0)
+        h += P[u, g] * (0.5 * obs.n * LOG_2PI_E + obs.half_logdet[:, u])
+    mixed = np.flatnonzero(size > 1)
+    if mixed.size:
+        Pm = P[:, mixed]
+        log_cond = _log_table(Pm / Pm.sum(axis=0)).T[None, None, :, :, None]
+        grids = np.flatnonzero(np.any(Pm > 0.0, axis=1))
+        # acc[u, t, g] = E_u[ln f_g] at noise t
+        acc = np.zeros((len(grids), obs.T, mixed.size))
+        for _, wt, logf in obs.blocks(grids, order):
+            acc += _logsumexp(logf[:, :, None] + log_cond, axis=3) @ wt
+        h -= np.einsum("ug,utg->t", Pm[grids], acc)
+    return h if obs.stacked else float(h[0])
 
 
-def mixture_fisher_quad(src: MixtureSource, noise_cov, order: int | None = None) -> np.ndarray:
-    """J(X+N) as the closed form J(X+N|U) minus the expected posterior
-    covariance of the component scores (n <= 3).
+def mixture_fisher_quad(
+    src: MixtureSource, noise_cov, order: int | None = None, joint=None
+) -> np.ndarray:
+    """J(Y | U_k) for Y = X + N as the closed form J(Y | U_2) minus the
+    expected posterior covariance of the component scores (n <= 3).
+
+    ``joint`` and ``noise_cov`` are as in ``mixture_entropy_quad``; the
+    result is (n, n), or (T, n, n) for a stack.
 
     With g_v(y) = -C_v^{-1} (y - mu_v) the score of component v and
-    d_uv = g_u - g_v, the correction is sum_{u<v} E[pi_u pi_v d_uv d_uv^T]
-    over the posterior pi. Since f pi_u = p_u f_u, each pair term is
-    p_n E_n[pi_b d_nb d_nb^T], one Gaussian expectation on the grid of the
-    pair's narrower member n (smaller |C|), where d is affine in the nodes.
-    The integrand vanishes wherever the posterior is certain, so the broad
+    d_uv = g_u - g_v, the correction of symbol g is
+    sum_{u<v} E_g[pi^g_u pi^g_v d_uv d_uv^T] over its posterior pi^g.
+    Since f_g pi^g_u = p(u | g) N_u, the pair's term summed over the
+    symbols is E_u[w_uv d_uv d_uv^T] with the node weight
+    w_uv = sum_g P(u, g) pi^g_v: one Gaussian expectation on the grid of
+    the pair's narrower member u (smaller |C|, at each noise covariance),
+    where d is affine in the nodes, so it is assembled from the weighted
+    moments sum w [1, z, z z^T]. Pairs no symbol mixes are skipped, so a
+    diagonal table (given U_2) is the closed form and walks no grid. The
+    integrand vanishes wherever the posterior is certain, so the broad
     member's grid never has to resolve the narrow one: on the badly
     conditioned mixture of ``mixture_entropy_quad`` the default order is
-    about 1e-9 off, and an m-component mixture walks at most m - 1 grids.
+    about 1e-9 off.
     """
-    dens = _MixtureDensity(src, noise_cov)
-    n = src.dim
+    P = _joint_table(src, joint)
+    obs = _ObservedLevel(src, noise_cov)
+    n, m = obs.n, obs.m
     order = _quad_order(n, order)
-    L_inv = dens.inv_chols
-    precs = np.swapaxes(L_inv, 1, 2) @ L_inv
-    J = np.einsum("v,vij->ij", src.weights, precs)
-    rank = np.argsort(dens.half_logdet, kind="stable")
-    for i, u in enumerate(rank[:-1]):
-        wider = rank[i + 1:]
-        # d_ub at y = mu_u + L_u z is M_b z + c_b
-        M = precs[wider] @ dens.chols[u] - L_inv[u].T
-        c = precs[wider] @ (dens.means[u] - dens.means[wider])[:, :, None]
-        corr = np.zeros((len(wider), n, n))
-        for z, wt, R in dens.grid_blocks(u, order):
-            w = dens.posterior(R)[wider] * wt
-            d = M @ z.T + c
-            corr += (d * w[:, None, :]) @ np.swapaxes(d, 1, 2)
-        J -= src.weights[u] * corr.sum(axis=0)
-    return mat.symmetrize(J)
+    precs = np.swapaxes(obs.inv_chols, 2, 3) @ obs.inv_chols  # C_tw^{-1}
+    J = np.einsum("u,tuij->tij", P.sum(axis=1), precs)
+    mixed = np.flatnonzero(np.count_nonzero(P > 0.0, axis=0) > 1)
+    Pm = P[:, mixed]
+    support = (Pm > 0.0).astype(float)
+    paired = support @ support.T > 0.0
+    np.fill_diagonal(paired, False)
+    # narrow[t, u, v]: u is the pair's grid at noise t (ties to the lower index)
+    hl = obs.half_logdet
+    lower = np.arange(m)[:, None] < np.arange(m)[None, :]
+    narrow = (hl[:, :, None] < hl[:, None, :]) | ((hl[:, :, None] == hl[:, None, :]) & lower)
+    use = narrow & paired[None]
+    grids = np.flatnonzero(use.any(axis=(0, 2)))
+    if grids.size:
+        log_joint = _log_table(Pm).T[None, None, :, :, None]
+        P_grids = Pm[grids]
+        # moments[u, t, v] = sum_nodes w_uv [1, z, z_i z_j] on u's grid at noise t
+        moments = 0.0
+        for F, wt, logf in obs.blocks(grids, order):
+            moments = moments + (_pair_weights(logf, log_joint, P_grids) * wt) @ F.T
+        moments *= np.swapaxes(use[:, grids], 0, 1)[..., None]
+        # d_uv at y = mu_u + L_tu z is M z + c
+        L = np.swapaxes(obs.chols[:, grids], 0, 1)[:, :, None]
+        L_inv_T = np.swapaxes(np.swapaxes(obs.inv_chols[:, grids], 0, 1), 2, 3)[:, :, None]
+        M = precs[None] @ L - L_inv_T
+        gaps = obs.means[grids, None] - obs.means[None]
+        c = (precs[None] @ gaps[:, None, :, :, None])[..., 0]
+        i, j = np.triu_indices(n)
+        S2 = np.empty(moments.shape[:3] + (n, n))
+        S2[..., i, j] = moments[..., 1 + n:]
+        S2[..., j, i] = moments[..., 1 + n:]
+        Ms1 = (M @ moments[..., 1:1 + n, None])[..., 0]
+        corr = (
+            M @ S2 @ np.swapaxes(M, 3, 4)
+            + Ms1[..., :, None] * c[..., None, :]
+            + c[..., :, None] * Ms1[..., None, :]
+            + moments[..., 0, None, None] * c[..., :, None] * c[..., None, :]
+        )
+        J -= corr.sum(axis=(0, 2))
+    J = (J + np.swapaxes(J, 1, 2)) / 2.0
+    return J if obs.stacked else J[0]

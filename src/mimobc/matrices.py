@@ -183,8 +183,10 @@ def matrix_line_integral(
     """Straight-line matrix integral int_0^1 tr(field(K(t)) (K2-K1)) dt.
 
     K(t) = K1 + t (K2 - K1), evaluated with the adaptive Gauss-Kronrod G7/K15
-    rule: each interval costs 15 field evaluations, of which the 7 Gauss
-    nodes are a subset, and |K15 - G7| is its error estimate. Starting from
+    rule: each interval costs one call of ``field`` on the (15, n, n) stack
+    of K at its 15 nodes, of which the 7 Gauss nodes are a subset, and the
+    field returns the (15, n, n) stack of its values; |K15 - G7| is the
+    interval's error estimate. Starting from
     [0, 1], the interval with the largest estimate is bisected until the
     summed estimate is at most ``tol`` or ``_MAX_INTERVALS`` intervals are in
     use. Returns (sum of the K15 values, summed estimate); the estimate
@@ -203,9 +205,10 @@ def matrix_line_integral(
     t, wk, wg = _kronrod_rule()
 
     def rule(a: float, b: float) -> tuple[float, float, float, float]:
-        vals = np.array([
-            float(np.trace(symmetrize(field(K1 + (a + (b - a) * ti) * D)) @ D)) for ti in t
-        ])
+        # tr(F D) of every node's field value F; D is symmetric
+        vals = np.einsum("tij,ij->t", field(K1 + (a + (b - a) * t)[:, None, None] * D), D)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
         kronrod = (b - a) * float(wk @ vals)
         return -abs(kronrod - (b - a) * float(wg @ vals)), a, b, kronrod
 

@@ -4,8 +4,9 @@ multi-user converse machinery.
 
 The constructors validate their fields once, so downstream code takes them
 as given. ``coarsen`` gives the one representation of the law of X given an
-auxiliary U_k: a list of (p(U_k = g), law of X | U_k = g), each law itself a
-``MixtureSource`` over the base components.
+auxiliary U_k: the joint table P(u_2 = u, U_k = g) over the base components.
+Column g, divided by its sum p(U_k = g), is the weights of the law of
+X | U_k = g, a Gaussian mixture of the base components.
 """
 
 from __future__ import annotations
@@ -240,35 +241,26 @@ def aggregate_covariance(src: MixtureSource) -> np.ndarray:
     return mat.symmetrize(within + spread)
 
 
-def coarsen(h: MarkovHierarchy, level: int) -> list[tuple[float, MixtureSource]]:
-    """Conditional laws of X given U_level: one pair (p(U_level = g), law
-    of X | U_level = g) per symbol g of positive probability.
+def coarsen(h: MarkovHierarchy, level: int) -> np.ndarray:
+    """Joint table P(u_2 = u, U_level = g), one row per base component and
+    one column per symbol g of positive probability.
 
-    Each law mixes the base components with weights p(u_2 | g). Level 2
-    gives the base components, one per symbol, with the base weights.
+    Column g sums to p(U_level = g), and divided by that sum it is the
+    weights p(u_2 | g) of the law of X | U_level = g over the base
+    components. Level 2 gives diag(base weights): one component per symbol.
     """
     K = h.num_users
     if not 2 <= level <= K:
         raise ValueError(f"level must be in [2, {K}]")
-    base = h.base
-    # joint[u2, g] = p(u_2, u_level), with p(u_2 | u_level) composed from the tables
     if level == 2:  # the chain marginal of U_2 matches these only within 1e-10
-        joint = np.diag(base.weights)
+        joint = np.diag(h.base.weights)
     else:
+        # p(u_2 | u_level) composed from the tables, times the marginal of U_level
         M = h.tables[0]
         for T in h.tables[1:level - 2]:
             M = M @ T
         joint = M * h.marginal(level)[None, :]
-    out = []
-    for col in joint.T:
-        idx = np.flatnonzero(col > 0.0)
-        if idx.size == 0:
-            continue
-        pg = float(col[idx].sum())
-        out.append((pg, MixtureSource(
-            weights=col[idx] / pg, means=base.means[idx], comp_covs=base.comp_covs[idx]
-        )))
-    return out
+    return joint[:, joint.sum(axis=0) > 0.0]
 
 
 # --- JSON schema adapters -------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Residual:
     """One labeled residual. ``kind`` is "ineq" (must be >= -tol), "eq"
     (|value| must be <= tol) or "pos" (must be > tol)."""
@@ -22,7 +22,7 @@ class Residual:
         return self.value > tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     name: str
     passed: bool
@@ -53,7 +53,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalkthroughStage:
     """One stage of the converse recursion: the interpolation parameter, the
     anchored covariance, and the residuals established at that stage."""
@@ -78,7 +78,7 @@ class WalkthroughStage:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalkthroughReport:
     stages: tuple[WalkthroughStage, ...]
     achieved_rates: tuple[float, ...]

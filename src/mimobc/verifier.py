@@ -2,19 +2,21 @@
 on, the intermediate-value fixed-point construction, and the full converse
 walkthrough that replays the proof chain on a concrete input distribution.
 
-The law of X given one symbol of an auxiliary U_k is a Gaussian mixture.
-``model.coarsen`` lists these laws, and every information quantity of one
-comes from ``estimators``. A law with one component (every law given the
-finest auxiliary, the mixture label) has the closed forms
-``fisher_conditional`` and ``entropy_conditional``. A law with several
-components (given a coarser auxiliary) uses the deterministic Gauss-Hermite
-quadrature: a pruned tensor grid whose dropped nodes carry under 1e-19 of
-the weight at the default orders. The error of the quadrature order itself
-is not estimated and does not enter any tolerance. On a badly conditioned
-mixture it is about 1e-9 in Fisher information but reaches about 5e-4 in
-entropy at the default order (see ``estimators.mixture_entropy_quad``),
-more than the 1e-6 to 1e-10 the walkthrough's identities are judged at, so
-a pass does not bound it.
+The law of X given one symbol of an auxiliary U_k is a Gaussian mixture of
+the base components. ``model.coarsen`` gives a whole level as one joint
+table P(u_2 = u, U_k = g), and ``estimators.mixture_fisher_quad`` and
+``mixture_entropy_quad`` turn it into J(Y | U_k) and h(Y | U_k) in one call,
+at one noise covariance or a stack of them. Given the finest auxiliary (the
+mixture label, a diagonal table) every symbol has one component and both are
+the closed forms, as in ``fisher_conditional`` and ``entropy_conditional``.
+Given a coarser one they use the deterministic Gauss-Hermite quadrature: a
+pruned tensor grid whose dropped nodes carry under 1e-19 of the weight at
+the default orders. The error of the quadrature order itself is not
+estimated and does not enter any tolerance. On a badly conditioned mixture
+it is about 1e-9 in Fisher information but reaches about 5e-4 in entropy at
+the default order (see ``estimators.mixture_entropy_quad``), more than the
+1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass does not
+bound it.
 
 The matrix line integrals of the Fisher field use the adaptive
 Gauss-Kronrod G7/K15 rule of ``matrices.matrix_line_integral``, which
@@ -31,6 +33,7 @@ from its noise covariance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,30 +80,6 @@ _SANDWICH_TOL = 1e-8
 # tolerance of the walkthrough's integral identity, and the error budget of
 # its line integral
 _INTEGRAL_TOL = 1e-6
-
-
-# --- conditional quantities for grouped (coarse) auxiliaries -----------------
-
-def _fisher_given(groups, noise_cov) -> np.ndarray:
-    """J(X+N | U_level) from the conditional laws ``coarsen`` returns: each
-    law is a Gaussian mixture, and a single-component one has the closed
-    form. Callers pass a symmetric ``noise_cov`` (a channel's, or a point on
-    a line between two of them)."""
-    J = np.zeros_like(noise_cov)
-    for pg, sub in groups:
-        fisher = fisher_conditional if sub.num_components == 1 else mixture_fisher_quad
-        J = J + pg * fisher(sub, noise_cov)
-    return mat.symmetrize(J)
-
-
-def _entropy_given(groups, noise_cov) -> float:
-    """h(X+N | U_level) from the conditional laws ``coarsen`` returns;
-    ``noise_cov`` as in ``_fisher_given``."""
-    h = 0.0
-    for pg, sub in groups:
-        entropy = entropy_conditional if sub.num_components == 1 else mixture_entropy_quad
-        h += pg * entropy(sub, noise_cov)
-    return h
 
 
 # --- inequality checks -------------------------------------------------------------
@@ -209,8 +188,8 @@ def check_fisher_dpi(
     if not 2 <= level_fine <= level_coarse <= h.num_users:
         raise ValueError("need 2 <= level_fine <= level_coarse <= K")
     noise_cov = mat.symmetrize(noise_cov)
-    J_fine = _fisher_given(coarsen(h, level_fine), noise_cov)
-    J_coarse = _fisher_given(coarsen(h, level_coarse), noise_cov)
+    J_fine = mixture_fisher_quad(h.base, noise_cov, joint=coarsen(h, level_fine))
+    J_coarse = mixture_fisher_quad(h.base, noise_cov, joint=coarsen(h, level_coarse))
     return VerificationReport.from_residuals(
         "fisher_dpi",
         [Residual("min_eig(J_fine - J_coarse)", mat.min_eig(J_fine - J_coarse), "ineq")],
@@ -245,10 +224,15 @@ def check_line_integral_entropy(
     Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J."""
     sigma_a = mat.symmetrize(sigma_a)
     sigma_b = mat.symmetrize(sigma_b)
+    # given the label every symbol is one component: the closed form,
+    # evaluated at all of an interval's nodes in one call
+    given_label = np.diag(src.weights)
+
+    def field(sigmas):
+        return mixture_fisher_quad(src, sigmas, joint=given_label)
+
     # the rule's error budget is tol on the integral, so tol / 2 on the gap
-    integral, err = mat.matrix_line_integral(
-        lambda Sig: fisher_conditional(src, Sig), sigma_a, sigma_b, tol
-    )
+    integral, err = mat.matrix_line_integral(field, sigma_a, sigma_b, tol)
     exact = entropy_conditional(src, sigma_b) - entropy_conditional(src, sigma_a)
     return VerificationReport.from_residuals(
         "line_integral_entropy",
@@ -411,7 +395,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
     n = ch.dim
     S = ch.input_cap
 
-    grouped = {k: coarsen(hierarchy, k) for k in range(2, K + 1)}
+    base = hierarchy.base
     stages: list[WalkthroughStage] = []
     reports: list[VerificationReport] = []
     A = {K + 1: S.copy()}
@@ -419,18 +403,22 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
     h_prev = {}  # h(Y_{k-1} | U_k)
     for k in range(K, 1, -1):
         sigma = ch.noise_covs[k - 1]
-        groups = grouped[k]
-        J = _fisher_given(groups, sigma)
-        h = _entropy_given(groups, sigma)
+        sigma_prev = ch.noise_covs[k - 2]
+        joint = coarsen(hierarchy, k)
+        J = mixture_fisher_quad(base, sigma, joint=joint)
+        # h(Y_k | U_k) and h(Y_{k-1} | U_k) from one call
+        h, h_prev[k] = mixture_entropy_quad(
+            base, np.stack([sigma, sigma_prev]), joint=joint
+        ).tolist()
         h_cond[k] = h
         fp = _solve_fixed_point_core(J, h, sigma, A[k + 1])
         A[k] = fp.A
+
+        def field(sigmas):
+            return mixture_fisher_quad(base, sigmas, joint=joint)
+
         # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
-        sigma_prev = ch.noise_covs[k - 2]
-        h_prev[k] = _entropy_given(groups, sigma_prev)
-        integral, integral_err = mat.matrix_line_integral(
-            lambda Sig: _fisher_given(groups, Sig), sigma_prev, sigma, _INTEGRAL_TOL
-        )
+        integral, integral_err = mat.matrix_line_integral(field, sigma_prev, sigma, _INTEGRAL_TOL)
         integral_residual = (h_prev[k] - h) - (-0.5 * integral)
         entropy_bound_residual = (
             0.5 * (n * LOG_2PI_E + mat.logdet(fp.A + sigma_prev)) - h_prev[k]
@@ -446,9 +434,11 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
                 integral_entropy_residual=integral_residual,
             )
         )
+        # the report names and labels recur in every walkthrough: interned,
+        # all the reports a caller keeps share one copy of each
         reports.append(
             VerificationReport.from_residuals(
-                f"stage_{k}",
+                sys.intern(f"stage_{k}"),
                 [
                     Residual("entropy_match", fp.entropy_match_residual, "eq"),
                     Residual("sandwich_lower", fp.sandwich_lower_residual, "ineq"),
@@ -462,7 +452,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         )
         reports.append(
             VerificationReport.from_residuals(
-                f"stage_{k}_integral_identity",
+                sys.intern(f"stage_{k}_integral_identity"),
                 [
                     Residual("integral_identity_gap", integral_residual, "eq"),
                     Residual("kronrod_error", 0.5 * integral_err, "eq"),
@@ -474,7 +464,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
     # achieved rates, finest to coarsest: R_k = h(Y_k|U_{k+1}) - h(Y_k|U_k),
     # with U_1 = X (so h(Y_1|X) = h(N_1)) and U_{K+1} constant
     h_cond[1] = gaussian_entropy(ch.noise_covs[0])
-    h_prev[K + 1] = mixture_entropy_quad(hierarchy.base, ch.noise_covs[K - 1])
+    h_prev[K + 1] = mixture_entropy_quad(base, ch.noise_covs[K - 1])
     achieved = [h_prev[k + 1] - h_cond[k] for k in range(1, K + 1)]
 
     # recovered split and its superposition rates
@@ -491,7 +481,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         VerificationReport.from_residuals(
             "domination",
             [
-                Residual(f"rate_{k + 1}_gap", r + 1e-6 - a, "ineq")
+                Residual(sys.intern(f"rate_{k + 1}_gap"), r + 1e-6 - a, "ineq")
                 for k, (a, r) in enumerate(zip(achieved, region_rates))
             ],
             0.0,

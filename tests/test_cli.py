@@ -460,6 +460,16 @@ class TestFuzz:
         assert _run_in_process(tmp_path, command, doc) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_ill_conditioned_cap_exits_0(self, tmp_path, capsys):
+        # a valid cap (eigenvalues 7.5e-7 and 10) over noises 1e-6 I: the
+        # tracer once returned a part below the PSD tolerance here
+        doc = {
+            "noise_covs": [[[1e-6, 0.0], [0.0, 1e-6]]] * 2,
+            "input_cap": [[10.0, 0.0015811388300841897], [0.0015811388300841897, 1e-6]],
+        }
+        assert _run_in_process(tmp_path, "region", doc) == 0
+        assert capsys.readouterr().err == ""
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @_pinned

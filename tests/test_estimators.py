@@ -13,29 +13,36 @@ from mimobc.estimators import (
 )
 from mimobc import estimators
 from mimobc.fixtures import (
+    admissible_channel_for,
     gaussian_source,
+    random_hierarchy,
     random_mixture,
     random_spd,
     rng_for,
     two_component_scalar_source,
 )
-from mimobc.model import LOG_2PI_E, MixtureSource, gaussian_entropy
+from mimobc.model import LOG_2PI_E, MixtureSource, aggregate_covariance, coarsen, gaussian_entropy
 
 # frozen oracle: J(X+N) for p=(1/2,1/2), component variances (1,3), unit noise,
 # equal means — given the label the output is Gaussian, so J = E[1/(C_u+1)].
 FISHER_COND_SCALAR = 0.375
 
 
-def _residuals(dens, y):
-    """(m*n, N) whitened residuals of the points y (rows) under every
-    component of ``dens``."""
-    return dens.whiten @ np.atleast_2d(y).T - dens.shift[:, None]
+def _kernel_log_densities(src, noise_cov, y):
+    """(m, N) ln N(y; mu_w, C_w) of Y = X + N at the points y (rows), by the
+    kernel's quadratic form on component 0's grid: y = mu_0 + L_0 z."""
+    obs = estimators._ObservedLevel(src, noise_cov)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    z = np.linalg.solve(obs.chols[0, 0], (y - src.means[0]).T).T
+    F = estimators._features(z, *np.triu_indices(src.dim))
+    return (obs.coefs(np.array([0])) @ F).reshape(src.num_components, -1)
 
 
 def mixture_logpdf(src, noise_cov, y):
-    """ln f(y) of Y = X + N at the points y (rows), by the whitened kernel."""
-    dens = estimators._MixtureDensity(src, noise_cov)
-    return dens.logpdf(_residuals(dens, np.asarray(y, dtype=float)))
+    """ln f(y) of Y = X + N at the points y (rows), by the kernel."""
+    logs = _kernel_log_densities(src, noise_cov, y) + np.log(src.weights)[:, None]
+    top = logs.max(axis=0)
+    return top + np.log(np.exp(logs - top).sum(axis=0))
 
 
 class TestExactConditionals:
@@ -79,6 +86,28 @@ class TestDensityAndScore:
         ys = np.linspace(-15, 15, 20001)
         vals = np.exp(mixture_logpdf(src, np.eye(1), ys[:, None]))
         assert np.trapezoid(vals, ys) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_quadratic_log_densities_match_direct_density(self, n):
+        # every component, on every component's grid, at a stack of noises
+        rng = rng_for(304, n)
+        src = random_mixture(rng, n, 3)
+        noises = np.stack([random_spd(rng, n, 0.5, 1.5) for _ in range(2)])
+        obs = estimators._ObservedLevel(src, noises)
+        z = rng.standard_normal((7, n))
+        F = estimators._features(z, *np.triu_indices(n))
+        logs = (obs.coefs(np.arange(3)) @ F).reshape(3, 2, 3, -1)
+        for u in range(3):
+            for t, S in enumerate(noises):
+                y = src.means[u] + z @ np.linalg.cholesky(src.comp_covs[u] + S).T
+                for w in range(3):
+                    C = src.comp_covs[w] + S
+                    r = y - src.means[w]
+                    direct = -0.5 * (
+                        n * math.log(2 * math.pi) + np.linalg.slogdet(C)[1]
+                        + np.einsum("Ni,ij,Nj->N", r, np.linalg.inv(C), r)
+                    )
+                    assert np.allclose(logs[u, t, w], direct, rtol=0.0, atol=1e-12)
 
 
 class TestQuadrature:
@@ -135,18 +164,27 @@ def _full_grid(n, order):
     return z, wt
 
 
-def _plain_logpdf_and_score(src, noise, y):
-    """(ln f, score) of X + N at the points y (rows), with the plain
-    precision-matrix density of every component."""
+def _plain_log_joint(src, noise, y):
+    """(N, m) ln p_v + ln N(y; mu_v, C_v + noise) at the points y (rows),
+    with the plain precision-matrix density of every component."""
     n = src.dim
     covs = [C + noise for C in src.comp_covs]
     precs = [np.linalg.inv(C) for C in covs]
     log_norms = [-0.5 * (n * math.log(2 * math.pi) + np.linalg.slogdet(C)[1]) for C in covs]
     diffs = [y - mv for mv in src.means]
-    logs = np.stack([
+    return np.stack([
         math.log(pv) + c - 0.5 * np.einsum("Ni,ij,Nj->N", d, P, d)
         for pv, c, d, P in zip(src.weights, log_norms, diffs, precs)
     ], axis=1)
+
+
+def _plain_logpdf_and_score(src, noise, y):
+    """(ln f, score) of X + N at the points y (rows), with the plain
+    precision-matrix density of every component."""
+    covs = [C + noise for C in src.comp_covs]
+    precs = [np.linalg.inv(C) for C in covs]
+    diffs = [y - mv for mv in src.means]
+    logs = _plain_log_joint(src, noise, y)
     top = logs.max(axis=1, keepdims=True)
     post = np.exp(logs - top)
     total = post.sum(axis=1, keepdims=True)
@@ -275,3 +313,112 @@ class TestWhitenedKernel:
             z[0, 0] = 0.0
         with pytest.raises(ValueError):
             wt[0] = 0.0
+
+
+def _per_symbol_reference(src, joint, noise, order):
+    """(J, h) of Y = X + N given U_k, one symbol at a time: each column of
+    ``joint`` as its own mixture, a one-component law by its closed forms,
+    and otherwise -ln f on every component's pruned grid and the Fisher
+    correction p_u E_u[pi_v d_uv d_uv^T] on the narrower member u of every
+    pair, with the plain precision-matrix densities."""
+    n = src.dim
+    z, wt = estimators._gh_grid(n, order)
+    J, h = np.zeros((n, n)), 0.0
+    for col in np.asarray(joint).T:
+        idx = np.flatnonzero(col > 0.0)
+        pg = col[idx].sum()
+        sub = MixtureSource(col[idx] / pg, src.means[idx], src.comp_covs[idx])
+        covs = sub.comp_covs + noise
+        precs = np.linalg.inv(covs)
+        Jg = np.einsum("u,uij->ij", sub.weights, precs)
+        if idx.size == 1:
+            J += pg * Jg
+            h += pg * gaussian_entropy(covs[0])
+            continue
+        hg = 0.0
+        rank = np.argsort([np.linalg.slogdet(C)[1] for C in covs], kind="stable")
+        for i, u in enumerate(rank):
+            y = sub.means[u] + z @ np.linalg.cholesky(covs[u]).T
+            logs = _plain_log_joint(sub, noise, y)
+            top = logs.max(axis=1, keepdims=True)
+            post = np.exp(logs - top)
+            hg -= sub.weights[u] * float(wt @ (top[:, 0] + np.log(post.sum(axis=1))))
+            post /= post.sum(axis=1, keepdims=True)
+            g_u = -(y - sub.means[u]) @ precs[u]
+            for v in rank[i + 1:]:
+                d = g_u + (y - sub.means[v]) @ precs[v]
+                Jg -= sub.weights[u] * np.einsum("N,Ni,Nj->ij", wt * post[:, v], d, d)
+        J += pg * Jg
+        h += pg * hg
+    return J, h
+
+
+def _converse_levels(seed, c):
+    """The base, joint tables of levels 2 and 3, and noise covariances of
+    the c-th ``converse`` benchmark instance of ``seed``."""
+    rng = rng_for(seed, 2, c)
+    h = random_hierarchy(rng, 3, (2, 2))
+    ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
+    return h.base, [coarsen(h, 2), coarsen(h, 3)], np.stack(ch.noise_covs)
+
+
+class TestLevelKernel:
+    """One stacked call per auxiliary level against the per-symbol rule."""
+
+    @staticmethod
+    def _assert_matches(src, joint, noises, order=None):
+        order = estimators._DEFAULT_QUAD_ORDER[src.dim] if order is None else order
+        J = mixture_fisher_quad(src, noises, order, joint=joint)
+        h = mixture_entropy_quad(src, noises, order, joint=joint)
+        assert J.shape == noises.shape and h.shape == noises.shape[:1]
+        for t, S in enumerate(noises):
+            J_ref, h_ref = _per_symbol_reference(src, joint, S, order)
+            assert np.max(np.abs(J[t] - J_ref)) <= 1e-12
+            assert abs(h[t] - h_ref) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [11, 12, 907])
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    def test_converse_instances(self, seed, c):
+        src, tables, noises = _converse_levels(seed, c)
+        for joint in tables:
+            self._assert_matches(src, joint, noises)
+
+    def test_badly_conditioned_mixture(self):
+        src, noise = BADLY_CONDITIONED
+        # one symbol mixing both components, then two symbols mixing them
+        noises = np.stack([noise, 2.0 * noise])
+        self._assert_matches(src, src.weights[:, None], noises)
+        self._assert_matches(src, np.array([[0.2, 0.1], [0.3, 0.4]]), noises)
+
+    def test_three_components_and_one(self):
+        rng = rng_for(306)
+        base = random_mixture(rng, 2, 4)
+        # symbol 0 mixes components 0, 1 and 2; symbol 1 is component 3 alone
+        joint = np.array([[0.1, 0.0], [0.25, 0.0], [0.3, 0.0], [0.0, 0.35]])
+        noises = np.stack([random_spd(rng, 2, 0.5, 1.5) for _ in range(3)])
+        self._assert_matches(base, joint, noises)
+
+    def test_no_table_is_one_symbol_of_the_weights(self):
+        rng = rng_for(307)
+        src = random_mixture(rng, 2, 3)
+        noise = random_spd(rng, 2, 0.5, 1.5)
+        J = mixture_fisher_quad(src, noise, joint=src.weights[:, None])
+        assert np.array_equal(mixture_fisher_quad(src, noise), J)
+        assert mixture_entropy_quad(src, noise) == mixture_entropy_quad(
+            src, noise, joint=src.weights[:, None])
+
+    def test_diagonal_table_is_the_closed_form_and_walks_no_grid(self, monkeypatch):
+        rng = rng_for(308)
+        src = random_mixture(rng, 3, 3)
+        noises = np.stack([random_spd(rng, 3, 0.5, 1.5) for _ in range(2)])
+
+        def no_grid(*args):
+            raise AssertionError("a diagonal table walked a grid")
+
+        monkeypatch.setattr(estimators, "_gh_grid", no_grid)
+        joint = np.diag(src.weights)
+        J = mixture_fisher_quad(src, noises, joint=joint)
+        h = mixture_entropy_quad(src, noises, joint=joint)
+        for t, S in enumerate(noises):
+            assert np.max(np.abs(J[t] - fisher_conditional(src, S))) <= 1e-13
+            assert abs(h[t] - entropy_conditional(src, S)) <= 1e-13

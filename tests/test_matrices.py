@@ -93,11 +93,38 @@ def test_kronrod_rule_exact_on_monomials():
 
 
 def test_line_integral_constant_field():
+    # the field takes the stack of an interval's nodes and returns one
+    # value per node
     val, err = mat.matrix_line_integral(
-        lambda K: np.eye(2), np.zeros((2, 2)), np.diag([1.0, 2.0]), 1e-10
+        lambda K: np.broadcast_to(np.eye(2), K.shape), np.zeros((2, 2)), np.diag([1.0, 2.0]), 1e-10
     )
     assert val == pytest.approx(3.0, abs=1e-12)
     assert err <= 1e-14
+
+
+def test_line_integral_calls_the_field_once_per_interval():
+    # the sharp field needs several intervals; each is one call on the
+    # (15, n, n) stack of its Kronrod nodes, in order along the path
+    K1 = np.diag([0.0, 0.5])
+    K2 = np.diag([1.0, 0.5])
+    stacks = []
+
+    def field(K):
+        stacks.append(K.copy())
+        return np.linalg.inv(K + 1e-3 * np.eye(2))
+
+    _, err = mat.matrix_line_integral(field, K1, K2, 1e-10)
+    assert err <= 1e-10
+    assert len(stacks) > 1
+    t, _, _ = mat._kronrod_rule()
+    assert np.allclose(stacks[0][:, 0, 0], t, rtol=0.0, atol=1e-15)  # [0, 1] first
+    for K in stacks:
+        assert K.shape == (15, 2, 2)
+        assert np.all(K[:, 1, 1] == 0.5)
+        # the path parameter at the nodes is a + width * t for some interval
+        s = K[:, 0, 0]
+        width = (s[-1] - s[0]) / (t[-1] - t[0])
+        assert np.allclose(s, s[0] + width * (t - t[0]), rtol=0.0, atol=1e-15)
 
 
 def test_line_integral_scalar_log():
@@ -147,7 +174,8 @@ def test_line_integral_bisects_a_sharp_field_to_tolerance():
     val, err = mat.matrix_line_integral(field, np.zeros((1, 1)), np.ones((1, 1)), 1e-10)
     assert err <= 1e-10
     assert val == pytest.approx(math.log(1001.0), abs=1e-10)
-    assert 15 < len(calls) <= 15 * (2 * mat._MAX_INTERVALS - 1)
+    # one call per interval evaluated: bisected, and within the cap
+    assert 1 < len(calls) <= 2 * mat._MAX_INTERVALS - 1
 
 
 def test_line_integral_stops_at_the_interval_cap():
@@ -160,7 +188,9 @@ def test_line_integral_stops_at_the_interval_cap():
 
     val, err = mat.matrix_line_integral(field, np.zeros((1, 1)), np.ones((1, 1)), 1e-10)
     assert err > 1e-10
-    assert len(calls) == 15 * (2 * mat._MAX_INTERVALS - 1)
+    # one call per interval: [0, 1] and the two halves of each of 49 bisections
+    assert len(calls) == 2 * mat._MAX_INTERVALS - 1
+    assert all(K.shape == (15, 1, 1) for K in calls)
 
 
 def test_line_integral_psd_field_nonnegative():

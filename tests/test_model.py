@@ -135,14 +135,10 @@ class TestHierarchy:
 
     def test_coarsen_identity_at_base(self):
         h = random_hierarchy(rng_for(12), 2, (3, 2))
-        groups = coarsen(h, 2)
-        assert len(groups) == 3
-        for u, (pg, sub) in enumerate(groups):
-            # the base weights themselves, not the chain marginal of U_2
-            assert pg == h.base.weights[u]
-            assert np.array_equal(sub.weights, [1.0])
-            assert np.array_equal(sub.means, h.base.means[u:u + 1])
-            assert np.array_equal(sub.comp_covs, h.base.comp_covs[u:u + 1])
+        joint = coarsen(h, 2)
+        # one component per symbol, with the base weights themselves, not
+        # the chain marginal of U_2
+        assert np.array_equal(joint, np.diag(h.base.weights))
 
     def test_deterministic_merge_adds_weights(self):
         base = MixtureSource(
@@ -153,11 +149,17 @@ class TestHierarchy:
         # U_3 merges symbols {0,1} and keeps {2}
         T = np.array([[0.4, 0.0], [0.6, 0.0], [0.0, 1.0]])
         h = MarkovHierarchy(base=base, tables=(T,), top_weights=np.array([0.5, 0.5]))
-        groups = coarsen(h, 3)
-        assert groups[0][0] == pytest.approx(0.5)
-        assert groups[1][0] == pytest.approx(0.5)
-        assert np.allclose(groups[0][1].weights, [0.4, 0.6])
-        assert np.array_equal(groups[1][1].weights, [1.0])
+        joint = coarsen(h, 3)
+        assert joint.shape == (3, 2)
+        assert np.allclose(joint.sum(axis=0), [0.5, 0.5])
+        assert np.allclose(joint[:, 0] / joint[:, 0].sum(), [0.4, 0.6, 0.0])
+        assert np.array_equal(joint[:, 1] / joint[:, 1].sum(), [0.0, 0.0, 1.0])
+
+    def test_zero_probability_symbols_are_dropped(self):
+        base = MixtureSource(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1, 1)))
+        T = np.array([[0.5, 1.0], [0.5, 0.0]])
+        h = MarkovHierarchy(base=base, tables=(T,), top_weights=np.array([1.0, 0.0]))
+        assert np.array_equal(coarsen(h, 3), [[0.5], [0.5]])
 
     @pytest.mark.parametrize("table, top", [
         ([[0.5], [0.5]], [math.nan]),
@@ -179,12 +181,12 @@ class TestHierarchy:
 
     def test_coarse_source_preserves_law_of_x(self):
         h = random_hierarchy(rng_for(13), 1, (3, 2))
-        groups = coarsen(h, 3)
+        joint = coarsen(h, 3)
         # the law of X as the mixture over U_3 of its conditional laws
         law = MixtureSource(
-            weights=np.concatenate([pg * sub.weights for pg, sub in groups]),
-            means=np.concatenate([sub.means for _, sub in groups]),
-            comp_covs=np.concatenate([sub.comp_covs for _, sub in groups]),
+            weights=joint.T.ravel(),
+            means=np.tile(h.base.means, (joint.shape[1], 1)),
+            comp_covs=np.tile(h.base.comp_covs, (joint.shape[1], 1, 1)),
         )
         assert np.allclose(aggregate_covariance(law), aggregate_covariance(h.base), atol=1e-12)
 
@@ -194,15 +196,11 @@ class TestHierarchy:
     def test_conditional_laws_reproduce_base_weights(self, seed, n, sizes):
         h = random_hierarchy(rng_for(seed), n, sizes)
         for level in range(2, h.num_users + 1):
-            groups = coarsen(h, level)
-            assert len(groups) == sizes[level - 2]
-            total = np.zeros(h.base.num_components)
-            for pg, sub in groups:
-                # the random means tell the base components apart
-                for w, mu in zip(sub.weights, sub.means):
-                    (u,) = np.flatnonzero(np.all(h.base.means == mu, axis=1))
-                    total[u] += pg * w
-            assert np.allclose(total, h.base.weights, atol=1e-14), level
+            joint = coarsen(h, level)
+            assert joint.shape == (h.base.num_components, sizes[level - 2])
+            assert np.all(joint >= 0.0)
+            assert np.allclose(joint.sum(axis=0), h.marginal(level), atol=1e-14), level
+            assert np.allclose(joint.sum(axis=1), h.base.weights, atol=1e-14), level
 
     def test_level_out_of_range(self):
         h = random_hierarchy(rng_for(14), 1, (2, 2))

@@ -160,10 +160,10 @@ class TestFisherDpi:
         # given U_2 every conditional law is one Gaussian component
         h = random_hierarchy(rng_for(seed), n, (3, 2))
         noise = 0.5 * np.eye(n)
-        groups = coarsen(h, 2)
-        J = verifier._fisher_given(groups, noise)
+        joint = coarsen(h, 2)
+        J = verifier.mixture_fisher_quad(h.base, noise, joint=joint)
         assert np.max(np.abs(J - fisher_conditional(h.base, noise))) <= 1e-13
-        h2 = verifier._entropy_given(groups, noise)
+        h2 = verifier.mixture_entropy_quad(h.base, noise, joint=joint)
         assert abs(h2 - entropy_conditional(h.base, noise)) <= 1e-13
 
 
@@ -330,21 +330,22 @@ class TestConverseWalkthrough:
         assert len(rep.achieved_rates) == 3
 
     def test_no_entropy_quadrature_repeats(self, monkeypatch):
-        # every stage entropy is computed once; the achieved rates reuse them
+        # every stage entropy is computed once, h(Y_k | U_k) and
+        # h(Y_{k-1} | U_k) in one call per stage; the achieved rates reuse them
         rng = rng_for(11, 2, 0)
         h = random_hierarchy(rng, 3, (2, 2))
         ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
         seen = []
         quad = verifier.mixture_entropy_quad
 
-        def recording(src, noise_cov, order=None):
+        def recording(src, noise_cov, order=None, joint=None):
             seen.append(tuple(np.asarray(a).tobytes() for a in (
-                src.weights, src.means, src.comp_covs, noise_cov)) + (order,))
-            return quad(src, noise_cov, order)
+                src.weights, src.means, src.comp_covs, noise_cov, joint)) + (order,))
+            return quad(src, noise_cov, order, joint)
 
         monkeypatch.setattr(verifier, "mixture_entropy_quad", recording)
         assert converse_walkthrough(h, ch).passed
-        assert len(seen) == 5
+        assert len(seen) == 3
         assert len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize("bits", [False, True])
