@@ -37,13 +37,17 @@ class CovarianceSplit:
     __slots__ = ("_stack",)
 
     def __init__(self, parts):
-        sym = [mat.symmetrize(K) for K in parts]
         try:
-            stack = np.array(sym)
+            stack = np.array(parts, dtype=float)
         except ValueError as exc:  # parts of different shapes
             raise DimensionMismatchError("split parts must share one shape") from exc
-        if stack.ndim != 3:
-            raise DimensionMismatchError("a split needs at least one part")
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+            raise DimensionMismatchError(
+                f"a split needs one or more nonempty square parts, got shape {stack.shape}"
+            )
+        stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("matrix entries must be finite")
         stack.flags.writeable = False
         self._stack = stack
 
@@ -181,26 +185,30 @@ _MAX_SWEEPS = 10_000
 
 # A projected point of norm r lands outside the set by round-off of about
 # 1e-16 * r. Past this norm (a feasible chain has norm at most sqrt(c n)),
-# the result is projected once more, from its own unit scale; on the
-# channels of the `region` benchmark about 2% of the projections are.
+# a Dykstra result is projected once more, from its own unit scale.
 _FAR = 10.0
 
 
 def _project_chain(Q: np.ndarray) -> np.ndarray:
     """Nearest point of {0 <= Q_1 <= ... <= Q_c <= I} to the stack Q.
 
-    Alternates between the even and the odd pairwise constraints with
-    Dykstra's corrections (Boyle & Dykstra 1986), which converge to the
-    projection. For one matrix the two constraints share its eigenvectors,
-    and the first sweep is already the eigenvalue clip to [0, 1].
+    For one matrix (two active users) the two constraints share its
+    eigenvectors, so the projection is the eigenvalue clip to [0, 1]:
+    one ``eigh``, and a result V clip(lam) V^T within round-off of the set
+    whatever the norm of Q.
 
-    A far point's eigenvalues are exact only to round-off of its own norm:
-    on an ill-conditioned cap a trial point of norm 4e7 came back outside
-    the set by 1.5e-8, the ascent kept that chain (it scores higher than
-    any feasible one), and its parts missed the cap by more than
-    ``CovarianceSplit.validate`` allows. So a far point is projected twice;
-    the second pass starts within round-off of the set.
+    Longer chains alternate between the even and the odd pairwise
+    constraints with Dykstra's corrections (Boyle & Dykstra 1986), which
+    converge to the projection. Their result is exact only to round-off of
+    the input's norm: on an ill-conditioned cap a trial point of norm 4e7
+    came back outside the set by 1.5e-8, the ascent kept that chain (it
+    scores higher than any feasible one), and its parts missed the cap by
+    more than ``CovarianceSplit.validate`` allows. So a far chain is
+    projected twice; the second pass starts within round-off of the set.
     """
+    if Q.shape[0] == 1:
+        lam, V = np.linalg.eigh(Q)
+        return (V * np.clip(lam, 0.0, 1.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
     x = _dykstra(Q)
     if float(np.linalg.norm(Q)) > _FAR:
         x = _dykstra(x)

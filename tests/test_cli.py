@@ -470,6 +470,25 @@ class TestFuzz:
         assert _run_in_process(tmp_path, "region", doc) == 0
         assert capsys.readouterr().err == ""
 
+    def test_equal_noises_far_below_ill_conditioned_cap_exits_0(self, tmp_path, capsys):
+        # equal noises (eigenvalues 4.7e-5 and 1.1e-3) under a cap with
+        # eigenvalues 2.0e3 and 3.3e6: the tracer's two-pass Dykstra
+        # projection once left a trial chain outside {0 <= Q <= I} by
+        # round-off of its norm here, and the run exited 1 with a
+        # non-finite objective
+        noise = [[0.0010220896420096552, 0.0002786261539000566],
+                 [0.0002786261539000566, 0.0001266945070794306]]
+        doc = {
+            "noise_covs": [noise, noise],
+            "input_cap": [[2205799.6028895215, 1581217.674582084],
+                          [1581217.674582084, 1136555.9613460833]],
+        }
+        assert _run_in_process(tmp_path, "region", doc) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = (tmp_path / "out").read_text().strip().splitlines()
+        assert header == "w_1,w_2,R_1,R_2" and len(rows) == 3
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @_pinned

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimobc.errors import DimensionMismatchError, LoewnerOrderError
+from mimobc import matrices as mat
 from mimobc import region
 from mimobc.fixtures import (
     admissible_mixture_for,
@@ -85,6 +86,33 @@ class TestRateTuple:
         for a in (0.0, 1.0, 2.0, 3.0):
             r = rate_tuple(ch, _split(a, 3.0 - a))
             assert sum(r) == pytest.approx(0.5 * math.log(4.0), abs=1e-12)
+
+
+class TestCovarianceSplit:
+    def test_parts_match_per_part_symmetrize_bit_for_bit(self):
+        rng = rng_for(107)
+        for n in (1, 2, 3):
+            for k in (1, 2, 4):
+                parts = [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8)
+                         for _ in range(k)]
+                got = CovarianceSplit(parts).parts
+                for a, b in zip(got, parts):
+                    assert a.tobytes() == mat.symmetrize(b).tobytes()
+
+    @pytest.mark.parametrize("parts", [
+        (),
+        (np.eye(2), np.eye(3)),
+        (np.ones((2, 3)),),
+        (np.zeros((0, 0)),),
+        (np.array([1.0, 2.0]),),
+    ], ids=["empty", "ragged", "non-square", "zero-dimension", "vector"])
+    def test_bad_shapes_rejected(self, parts):
+        with pytest.raises(DimensionMismatchError):
+            CovarianceSplit(parts)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceSplit((np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])))
 
 
 class TestWeightedSumRate:
@@ -238,6 +266,88 @@ class TestClosedFormGradientTracer:
             parts = tuple(root @ inv_total @ Xi @ inv_total @ root for Xi in X)
             best = max(best, float(w @ rate_tuple(ch, CovarianceSplit(parts))))
         assert traced >= best
+
+
+def _random_symmetric(rng, n, lam):
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (V * lam) @ V.T
+
+
+def _clip_reference(Q):
+    lam, V = np.linalg.eigh(Q)
+    return (V * np.clip(lam, 0.0, 1.0)) @ V.T
+
+
+class TestProjectChain:
+    # eigenvalues below 0, inside [0, 1] and above 1, alone and mixed
+    SPECTRA = [(-1.5, -0.2, -3.0), (0.1, 0.5, 0.9), (1.2, 4.0, 1.0001), (-0.7, 0.4, 2.5)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_matrix_is_eigenvalue_clip(self, n):
+        rng = rng_for(120, n)
+        for spectrum in self.SPECTRA:
+            Q = _random_symmetric(rng, n, np.array(spectrum[:n]))[None]
+            P = region._project_chain(Q)
+            np.testing.assert_allclose(P[0], _clip_reference(Q[0]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(P, region._dykstra(Q), rtol=0, atol=1e-12)
+            lam = np.linalg.eigvalsh(P[0])
+            assert lam.min() >= -1e-14 and lam.max() <= 1.0 + 1e-14
+            np.testing.assert_allclose(region._project_chain(P), P, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_matrix_far_point_needs_no_second_pass(self, n):
+        # One Dykstra run lands off the projection, and can land outside the
+        # set, by round-off of the input's norm; that is why a far chain of
+        # two or more matrices is projected twice. The clip's output
+        # V clip(lam) V^T is within round-off of the set at any input norm,
+        # so a second pass would not move it.
+        rng = rng_for(121, n)
+        for spectrum in self.SPECTRA:
+            for scale in (1e7, 1e12):
+                A = _random_symmetric(rng, n, np.array(spectrum[:n]))[None]
+                Q = scale * A / np.linalg.norm(A)
+                P = region._project_chain(Q)
+                np.testing.assert_allclose(P[0], _clip_reference(Q[0]), rtol=0, atol=1e-12)
+                lam = np.linalg.eigvalsh(P[0])
+                assert lam.min() >= -1e-14 and lam.max() <= 1.0 + 1e-14
+                np.testing.assert_allclose(region._project_chain(P), P, rtol=0, atol=1e-14)
+                one_pass = region._dykstra(Q)
+                assert np.abs(one_pass - P).max() <= 1e-14 * np.linalg.norm(Q)
+
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_longer_chain_is_the_projection(self, c, n):
+        # P(Q) is feasible and satisfies the variational inequality
+        # <Q - P(Q), X - P(Q)> <= 0 of the projection for every feasible X,
+        # both to within Dykstra's stopping tolerance
+        rng = rng_for(122, c, n)
+        for _ in range(5):
+            G = rng.standard_normal((c, n, n))
+            Q = G + np.swapaxes(G, -1, -2)
+            P = region._project_chain(Q)
+            steps = np.linalg.eigvalsh(np.diff(region._with_ends(P), axis=0))
+            assert steps.min() >= -1e-10
+            for _ in range(20):
+                X = region._random_chain(rng, c, n)
+                assert float(np.sum((Q - P) * (X - P))) <= 1e-10
+
+    def test_two_user_ascent_never_runs_dykstra(self, monkeypatch):
+        calls = []
+        dykstra = region._dykstra
+
+        def counted(Q):
+            calls.append(Q.shape[0])
+            return dykstra(Q)
+
+        monkeypatch.setattr(region, "_dykstra", counted)
+        ch = random_channel(rng_for(123), 2, 2)
+        weights = [(0.6, 0.8), (0.3, 0.95), (0.0, 1.0)]
+        trace_boundary(ch, weights, OptimizerConfig(restarts=2))
+        assert calls == []
+        # a three-user weight vector with every user active does reach it
+        ch3 = random_channel(rng_for(123, 3), 2, 3)
+        trace_boundary(ch3, [(0.25, 0.35, 0.4)], OptimizerConfig(restarts=1))
+        assert calls and set(calls) == {2}
 
 
 # Slack of the theorem check below. The walkthrough's achieved rates for

@@ -1,6 +1,5 @@
 """Smoke tests: the demo scripts run end to end and exit 0."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ["run_verification.py", "--users", "3"],
 ])
 def test_demo_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, text=True, timeout=300, cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr
