@@ -25,7 +25,6 @@ from .model import (
     aggregate_covariance,
     coarsen,
     gaussian_entropy,
-    validate_channel,
 )
 from .region import (
     CovarianceSplit,

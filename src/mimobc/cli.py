@@ -2,7 +2,7 @@
 
 Subcommands and the flags each one reads:
   region INPUT       boundary CSV of the superposition rate region for a
-                     channel; --seed --tol --grid --bits --output
+                     channel; --seed --grid --bits --output
   verify INPUT       run the full inequality suite on a source, emit JSON
                      reports; --tol --output
   walkthrough INPUT  replay the converse chain on a channel + source/hierarchy
@@ -10,11 +10,13 @@ Subcommands and the flags each one reads:
   selftest           run the built-in acceptance checks on bundled fixtures;
                      --seed --tol
 
-Every command validates its channel (degraded order, positive first noise
-and cap). ``verify`` and ``walkthrough`` also reject a source of a dimension
-the quadrature does not support (n > 3) or other than the channel's, and
+Every command reads its channel through ``model.channel_from_dict``, so a
+channel that is not degraded, or whose first noise or cap is not positive
+definite, exits 2 by the one rule of ``model.BroadcastChannel``.
+``verify`` and ``walkthrough`` also reject a source of a dimension the
+quadrature does not support (n > 3) or other than the channel's, and
 ``walkthrough`` one whose hierarchy depth is not the channel's user count
-(a plain source has depth 2).
+(a plain source has depth 2; ``verifier.converse_walkthrough`` checks it).
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input or configuration, which includes every ``errors.DomainError`` an
@@ -43,7 +45,6 @@ from .model import (
     gaussian_entropy,
     hierarchy_from_dict,
     source_from_dict,
-    validate_channel,
 )
 from .region import (
     CovarianceSplit,
@@ -100,23 +101,14 @@ def _rates_csv(weight_list, results, bits: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _extract_channel(obj: dict, tol: float | None = None):
-    """The channel, top level or under "channel", rejected unless it is
-    degraded with a positive first noise and cap (at ``tol``, default the
-    noise scale's PSD tolerance)."""
-    ch = channel_from_dict(obj["channel"] if "channel" in obj else obj)
-    report = validate_channel(ch, tol)
-    if not report.passed:
-        bad = [r.label for r in report.residuals if not r.holds(report.tolerance_used)]
-        raise InputFormatError(f"channel validation failed: {', '.join(bad)}")
-    return ch
+def _extract_channel(obj: dict):
+    """The channel, top level or under "channel"."""
+    return channel_from_dict(obj["channel"] if "channel" in obj else obj)
 
 
-def _extract_source_or_hierarchy(obj: dict, ch=None, match_users: bool = False):
+def _extract_source_or_hierarchy(obj: dict, ch=None):
     """The source or hierarchy, rejected unless the quadrature supports its
-    dimension and, given a channel, the dimensions agree; with
-    ``match_users`` its depth (2 for a plain source) must also be the
-    channel's user count."""
+    dimension and, given a channel, the dimensions agree."""
     if "hierarchy" in obj:
         thing = hierarchy_from_dict(obj["hierarchy"])
     elif "source" in obj:
@@ -133,18 +125,12 @@ def _extract_source_or_hierarchy(obj: dict, ch=None, match_users: bool = False):
         raise InputFormatError(
             f"source dimension {thing.dim} does not match channel dimension {ch.dim}"
         )
-    if match_users:
-        depth = thing.num_users if isinstance(thing, MarkovHierarchy) else 2
-        if depth != ch.num_users:
-            raise InputFormatError(
-                f"hierarchy depth {depth} does not match the channel's {ch.num_users} users"
-            )
     return thing
 
 
 def cmd_region(cfg) -> int:
     obj = _load_json(cfg.input)
-    ch = _extract_channel(obj, cfg.tol)
+    ch = _extract_channel(obj)
     weights = _weight_sweep(ch.num_users, cfg.grid)
     opt = OptimizerConfig(seed=cfg.seed)
     results = trace_boundary(ch, weights, opt)
@@ -169,7 +155,7 @@ def cmd_verify(cfg) -> int:
 def cmd_walkthrough(cfg) -> int:
     obj = _load_json(cfg.input)
     ch = _extract_channel(obj)
-    thing = _extract_source_or_hierarchy(obj, ch, match_users=True)
+    thing = _extract_source_or_hierarchy(obj, ch)
     try:
         report = verifier.converse_walkthrough(thing, ch)
     except InadmissibleSourceError as exc:
@@ -282,7 +268,7 @@ _FLAGS = {
 }
 
 _COMMANDS = [
-    ("region", cmd_region, True, ("--seed", "--tol", "--grid", "--bits", "--output")),
+    ("region", cmd_region, True, ("--seed", "--grid", "--bits", "--output")),
     ("verify", cmd_verify, True, ("--tol", "--output")),
     ("walkthrough", cmd_walkthrough, True, ("--bits", "--output")),
     ("selftest", cmd_selftest, False, ("--seed", "--tol")),

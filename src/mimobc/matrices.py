@@ -25,7 +25,7 @@ from .errors import (
 __all__ = [
     "symmetrize",
     "min_eig",
-    "default_psd_tol",
+    "psd_tol",
     "is_psd",
     "loewner_leq",
     "logdet",
@@ -53,26 +53,26 @@ def min_eig(M) -> float:
     return float(np.linalg.eigvalsh(symmetrize(M))[0])
 
 
-def _psd_tol(w: np.ndarray) -> float:
-    """Scale-invariant PSD slack from the eigenvalues w of a matrix."""
+def psd_tol(w: np.ndarray) -> float:
+    """Scale-invariant PSD slack 1e-9 * (1 + largest |eigenvalue|), from the
+    eigenvalues w of one matrix or of a stack of them."""
     return 1e-9 * (1.0 + float(np.max(np.abs(w))))
 
 
-def default_psd_tol(M) -> float:
-    """Scale-invariant PSD slack: 1e-9 * (1 + largest |eigenvalue|)."""
-    return _psd_tol(np.linalg.eigvalsh(symmetrize(M)))
-
-
-def is_psd(M, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue of M is >= -tol (default
-    ``default_psd_tol(M)``, taken from the same eigenvalues)."""
-    A = symmetrize(M)
+def _is_psd_symmetric(A: np.ndarray, tol: float | None) -> bool:
+    """``is_psd`` of an exactly symmetric A."""
     if tol is not None and tol < 0:
         raise ValueError("tol must be nonnegative")
     w = np.linalg.eigvalsh(A)
     if tol is None:
-        tol = _psd_tol(w)
+        tol = psd_tol(w)
     return float(w[0]) >= -tol
+
+
+def is_psd(M, tol: float | None = None) -> bool:
+    """True iff the smallest eigenvalue of M is >= -tol (default
+    ``psd_tol`` of the same eigenvalues)."""
+    return _is_psd_symmetric(symmetrize(M), tol)
 
 
 def loewner_leq(A, B, tol: float | None = None) -> bool:
@@ -81,7 +81,7 @@ def loewner_leq(A, B, tol: float | None = None) -> bool:
     B = symmetrize(B)
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return is_psd(B - A, tol)
+    return _is_psd_symmetric(B - A, tol)
 
 
 def logdet(M) -> float:
@@ -117,15 +117,15 @@ def inv_pd(M) -> np.ndarray:
 
 
 def sqrt_psd(M, tol: float | None = None) -> np.ndarray:
-    """Unique PSD square root R with R @ R = M."""
-    A = symmetrize(M)
+    """Unique PSD square root R with R @ R = M; M may fall short of PSD by
+    ``tol`` (default ``psd_tol`` of its eigenvalues)."""
+    w, V = np.linalg.eigh(symmetrize(M))
     if tol is None:
-        tol = default_psd_tol(A)
-    w, V = np.linalg.eigh(A)
+        tol = psd_tol(w)
     if w[0] < -tol:
         raise NotPsdError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    return symmetrize((V * np.sqrt(w)) @ V.T)
+    R = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    return (R + R.T) / 2.0
 
 
 # Gauss-Kronrod G7/K15 rule on [-1, 1] (the QUADPACK qk15 constants):
@@ -199,9 +199,9 @@ def matrix_line_integral(
     K2 = symmetrize(K2)
     if K1.shape != K2.shape:
         raise DimensionMismatchError(f"shape mismatch: {K1.shape} vs {K2.shape}")
-    if not loewner_leq(K1, K2):
-        raise LoewnerOrderError("matrix_line_integral requires K1 <= K2")
     D = K2 - K1
+    if not _is_psd_symmetric(D, None):
+        raise LoewnerOrderError("matrix_line_integral requires K1 <= K2")
     t, wk, wg = _kronrod_rule()
 
     def rule(a: float, b: float) -> tuple[float, float, float, float]:

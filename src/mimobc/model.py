@@ -3,7 +3,9 @@ input distributions, plus the Markov hierarchies of auxiliaries used by the
 multi-user converse machinery.
 
 The constructors validate their fields once, so downstream code takes them
-as given. ``coarsen`` gives the one representation of the law of X given an
+as given: a ``BroadcastChannel`` is degraded, with a positive definite
+first noise and input cap, by construction, and its arrays are read-only.
+``coarsen`` gives the one representation of the law of X given an
 auxiliary U_k: the joint table P(u_2 = u, U_k = g) over the base components.
 Column g, divided by its sum p(U_k = g), is the weights of the law of
 X | U_k = g, a Gaussian mixture of the base components.
@@ -18,7 +20,6 @@ import numpy as np
 
 from . import matrices as mat
 from .errors import DimensionMismatchError, InputFormatError, NotPsdError
-from .report import Residual, VerificationReport
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -26,7 +27,6 @@ __all__ = [
     "BroadcastChannel",
     "MixtureSource",
     "MarkovHierarchy",
-    "validate_channel",
     "gaussian_entropy",
     "aggregate_covariance",
     "coarsen",
@@ -51,7 +51,11 @@ class BroadcastChannel:
 
     ``noise_covs`` are the per-user noise covariances, ordered from the
     strongest receiver to the weakest; ``input_cap`` is the covariance cap
-    on the channel input.
+    on the channel input. The constructor enforces the hypotheses of the
+    converse, 0 < Sigma_1 <= ... <= Sigma_K and S > 0, at the PSD slack of
+    the largest noise: the smallest eigenvalue of Sigma_1 and of S must
+    exceed it, and every increment Sigma_{k+1} - Sigma_k must be PSD within
+    it. Otherwise it raises ``NotPsdError`` naming each failed check.
     """
 
     noise_covs: tuple[np.ndarray, ...]
@@ -68,6 +72,21 @@ class BroadcastChannel:
                 raise DimensionMismatchError(
                     "noise covariances and input cap must share one dimension"
                 )
+        # one stacked pass over Sigma_1 ... Sigma_K, S and the K - 1 increments
+        K = len(covs)
+        noise = np.stack(covs)
+        lam = np.linalg.eigvalsh(np.concatenate([noise, cap[None], np.diff(noise, axis=0)]))
+        tol = mat.psd_tol(lam[:K])
+        low = lam[:, 0]
+        holds = [low[0] > tol, low[K] > tol, *(low[K + 1:] >= -tol)]
+        labels = ["min_eig(noise_cov_1)", "min_eig(input_cap)"] + [
+            f"min_eig(noise_cov_{k + 1} - noise_cov_{k})" for k in range(1, K)
+        ]
+        bad = [label for label, ok in zip(labels, holds) if not ok]
+        if bad:
+            raise NotPsdError(f"channel validation failed: {', '.join(bad)}")
+        for a in (*covs, cap):
+            a.flags.writeable = False
         object.__setattr__(self, "noise_covs", covs)
         object.__setattr__(self, "input_cap", cap)
 
@@ -109,16 +128,18 @@ class MixtureSource:
                 "weights (m,), means (m, n) and comp_covs must agree on the number of symbols"
             )
         n = mu.shape[1]
-        if C.shape[1:] != (n, n):
-            raise DimensionMismatchError("component covariances must be (m, n, n)")
+        if n < 1 or C.shape[1:] != (n, n):
+            raise DimensionMismatchError("component covariances must be (m, n, n), n >= 1")
         if not _is_stochastic(w):
             raise InputFormatError("weights must be finite, nonnegative and sum to 1")
         if not np.all(np.isfinite(mu)):
             raise InputFormatError("means must be finite")
-        C = np.stack([mat.symmetrize(c) for c in C])
-        for k, c in enumerate(C):
-            if mat.min_eig(c) <= 0.0:
-                raise NotPsdError(f"component covariance {k} is not positive definite")
+        C = (C + np.swapaxes(C, -1, -2)) / 2.0
+        if not np.all(np.isfinite(C)):
+            raise ValueError("matrix entries must be finite")
+        bad = np.flatnonzero(np.linalg.eigvalsh(C)[:, 0] <= 0.0)
+        if bad.size:
+            raise NotPsdError(f"component covariance {bad[0]} is not positive definite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "comp_covs", C)
@@ -204,31 +225,9 @@ class MarkovHierarchy:
         return p
 
 
-def validate_channel(ch: BroadcastChannel, tol: float | None = None) -> VerificationReport:
-    """Check the degradedness order of the noise covariances (within tol)
-    and the strict positivity of the first noise covariance and the input
-    cap (smallest eigenvalue above tol)."""
-    if tol is None:
-        tol = max(mat.default_psd_tol(c) for c in ch.noise_covs)
-    residuals = [
-        Residual("min_eig(noise_cov_1)", mat.min_eig(ch.noise_covs[0]), "pos"),
-        Residual("min_eig(input_cap)", mat.min_eig(ch.input_cap), "pos"),
-    ]
-    for k in range(ch.num_users - 1):
-        d = ch.noise_covs[k + 1] - ch.noise_covs[k]
-        residuals.append(
-            Residual(f"min_eig(noise_cov_{k + 2} - noise_cov_{k + 1})", mat.min_eig(d), "ineq")
-        )
-    return VerificationReport.from_residuals(
-        "channel_validation", residuals, tol, notes="degradedness order and positivity"
-    )
-
-
 def gaussian_entropy(cov) -> float:
     """Differential entropy 0.5 ln((2 pi e)^n |cov|) in nats."""
-    C = mat.symmetrize(cov)
-    n = C.shape[0]
-    return 0.5 * (n * LOG_2PI_E + mat.logdet(C))
+    return 0.5 * (mat.logdet(cov) + np.shape(cov)[0] * LOG_2PI_E)
 
 
 def aggregate_covariance(src: MixtureSource) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices as mat
-from .errors import DimensionMismatchError, LoewnerOrderError, NumericalError
+from .errors import DimensionMismatchError, NumericalError
 from .model import BroadcastChannel
 
 __all__ = [
@@ -58,13 +58,13 @@ class CovarianceSplit:
     def __repr__(self) -> str:
         return f"CovarianceSplit(parts={self.parts!r})"
 
-    def validate(self, input_cap, tol: float | None = None) -> None:
+    def validate(self, input_cap) -> None:
         cap = mat.symmetrize(input_cap)
         total = np.zeros_like(cap)
         for K in self.parts:
             if K.shape != cap.shape:
                 raise DimensionMismatchError("split part dimension mismatch")
-            if not mat.is_psd(K, tol):
+            if not mat.is_psd(K):
                 raise ValueError("split part is not PSD")
             total = total + K
         denom = 1.0 + float(np.linalg.norm(cap))
@@ -310,18 +310,16 @@ def trace_boundary(
 ) -> list[tuple[CovarianceSplit, tuple[float, ...]]]:
     """Locally maximal split for each weight vector, with multi-start.
 
-    The channel must be degraded (Sigma_1 <= ... <= Sigma_K). Users whose
-    weight does not exceed an earlier user's get no power. With one active
-    user the split is closed-form (all of S to it); otherwise the chain of
-    active users is ascended from ``opt.restarts`` random starts, drawn from
-    sub-seeds of (opt.seed, weight index, restart index), and the best KKT
-    point is kept.
+    A ``BroadcastChannel`` is degraded (Sigma_1 <= ... <= Sigma_K) by
+    construction. Users whose weight does not exceed an earlier user's get
+    no power. With one active user the split is closed-form (all of S to
+    it); otherwise the chain of active users is ascended from
+    ``opt.restarts`` random starts, drawn from sub-seeds of (opt.seed,
+    weight index, restart index), and the best KKT point is kept.
     """
     if opt is None:
         opt = OptimizerConfig()
     K, n = ch.num_users, ch.dim
-    if not all(mat.loewner_leq(a, b) for a, b in zip(ch.noise_covs, ch.noise_covs[1:])):
-        raise LoewnerOrderError("noise covariances must be Loewner-ordered")
     results = []
     for widx, weights in enumerate(weight_list):
         w = np.asarray(weights, dtype=float)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices as mat
-from .errors import InadmissibleSourceError, LoewnerOrderError
+from .errors import DimensionMismatchError, InadmissibleSourceError, LoewnerOrderError
 from .estimators import (
     entropy_conditional,
     fisher_conditional,
@@ -387,7 +387,9 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         hierarchy = source
     K = ch.num_users
     if hierarchy.num_users != K:
-        raise ValueError("hierarchy depth does not match the channel user count")
+        raise DimensionMismatchError(
+            f"hierarchy depth {hierarchy.num_users} does not match the channel's {K} users"
+        )
     if not mat.loewner_leq(aggregate_covariance(hierarchy.base), ch.input_cap):
         raise InadmissibleSourceError(
             "source covariance exceeds the channel input cap"

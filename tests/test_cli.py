@@ -290,6 +290,26 @@ class TestInputValidation:
         assert "Traceback" not in res.stderr
 
 
+class TestOneChannelRule:
+    def test_small_scale_channel_accepted_by_every_command(self, tmp_path):
+        # valid at the noise-scale PSD slack (about 1e-9) but not at 1e-8
+        doc = {
+            "channel": {"noise_covs": [[[5e-9]], [[1e-8]]], "input_cap": [[5e-9]]},
+            "source": {
+                "weights": [0.5, 0.5],
+                "means": [[0.0], [1e-5]],
+                "comp_covs": [[[1e-9]], [[2e-9]]],
+            },
+        }
+        path = write(tmp_path, "in.json", doc)
+        for command in ("region", "walkthrough"):
+            res = run_cli(command, path, *(["--grid", "3"] if command == "region" else []))
+            assert res.returncode == 0, (command, res.stderr)
+        res = run_cli("verify", path)
+        assert "channel validation failed" not in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestSelftestAndFlags:
     def test_selftest_passes(self):
         res = run_cli("selftest")
@@ -323,8 +343,13 @@ class TestSelftestAndFlags:
         # selftest has no Monte Carlo check left, so no sample count
         assert cli.main(["selftest", "--samples", "5"]) == 2
 
+    def test_removed_region_tol_flag_exits_2(self, capsys):
+        # the channel rule is the constructor's, so region has no tolerance
+        assert cli.main(["region", "in.json", "--tol", "1e-8"]) == 2
+        assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, flags", [
-        ("region", {"--seed", "--tol", "--grid", "--bits", "--output"}),
+        ("region", {"--seed", "--grid", "--bits", "--output"}),
         ("verify", {"--tol", "--output"}),
         ("walkthrough", {"--bits", "--output"}),
         ("selftest", {"--seed", "--tol"}),

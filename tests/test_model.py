@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mimobc import matrices as mat
 from mimobc.errors import DimensionMismatchError, InputFormatError, NotPsdError
-from mimobc.fixtures import random_hierarchy, random_mixture, rng_for
+from mimobc.fixtures import random_channel, random_hierarchy, random_mixture, rng_for
 from mimobc.model import (
     LOG_2PI_E,
     BroadcastChannel,
@@ -17,7 +18,6 @@ from mimobc.model import (
     gaussian_entropy,
     hierarchy_from_dict,
     source_from_dict,
-    validate_channel,
 )
 
 
@@ -29,24 +29,40 @@ def _chan(sig1, sig2, S):
 
 
 class TestValidateChannel:
+    """The constructor accepts exactly the degraded channels with a positive
+    definite first noise and cap, and keeps them that way."""
+
     def test_scalar_pass(self):
-        assert validate_channel(_chan(1.0, 2.0, 1.0)).passed
+        assert _chan(1.0, 2.0, 1.0).num_users == 2
 
     def test_indefinite_increment_fails(self):
-        ch = _chan(np.diag([1.0, 3.0]), np.diag([2.0, 2.0]), np.eye(2))
-        rep = validate_channel(ch)
-        assert not rep.passed
-        assert rep.residual("min_eig(noise_cov_2 - noise_cov_1)") < 0
+        with pytest.raises(NotPsdError) as info:
+            _chan(np.diag([1.0, 3.0]), np.diag([2.0, 2.0]), np.eye(2))
+        assert str(info.value) == (
+            "channel validation failed: min_eig(noise_cov_2 - noise_cov_1)"
+        )
 
     def test_identity_chain_passes(self):
-        assert validate_channel(_chan(np.eye(2), 2 * np.eye(2), 3 * np.eye(2))).passed
+        assert _chan(np.eye(2), 2 * np.eye(2), 3 * np.eye(2)).dim == 2
 
     def test_psd_increments_always_pass(self):
         for seed in range(10):
-            rng = rng_for(31, seed)
-            from mimobc.fixtures import random_channel
+            assert random_channel(rng_for(31, seed), 3, 3).num_users == 3
 
-            assert validate_channel(random_channel(rng, 3, 3)).passed
+    @pytest.mark.parametrize("sig1, S, label", [
+        (np.diag([1.0, 0.0]), np.eye(2), "min_eig(noise_cov_1)"),
+        (np.eye(2), np.zeros((2, 2)), "min_eig(input_cap)"),
+    ], ids=["singular-first-noise", "zero-cap"])
+    def test_non_positive_definite_rejected(self, sig1, S, label):
+        with pytest.raises(NotPsdError, match=rf"^channel validation failed: {re.escape(label)}$"):
+            _chan(sig1, 2 * np.eye(2), S)
+
+    def test_fields_are_read_only(self):
+        ch = _chan(np.eye(2), 2 * np.eye(2), 3 * np.eye(2))
+        for a in (ch.input_cap, *ch.noise_covs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+        assert ch.input_cap[0, 0] == 3.0
 
 
 class TestGaussianEntropy:

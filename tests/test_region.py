@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimobc.errors import DimensionMismatchError, LoewnerOrderError
+from mimobc.errors import DimensionMismatchError, NotPsdError
 from mimobc import matrices as mat
 from mimobc import region
 from mimobc.fixtures import (
@@ -178,11 +178,11 @@ class TestTraceBoundary:
         assert rate_tuple(ch, split) == rates
 
     def test_rejects_non_degraded_channel(self):
-        ch = BroadcastChannel(
-            noise_covs=(np.diag([1.0, 3.0]), np.diag([2.0, 2.0])), input_cap=np.eye(2)
-        )
-        with pytest.raises(LoewnerOrderError):
-            trace_boundary(ch, [(0.4, 0.6)])
+        # a non-degraded channel cannot be built, so the tracer never sees one
+        with pytest.raises(NotPsdError, match="channel validation failed"):
+            BroadcastChannel(
+                noise_covs=(np.diag([1.0, 3.0]), np.diag([2.0, 2.0])), input_cap=np.eye(2)
+            )
 
     def test_rejects_wrong_weight_length(self):
         with pytest.raises(DimensionMismatchError):

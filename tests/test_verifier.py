@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mimobc import cli, matrices, verifier
-from mimobc.errors import InadmissibleSourceError, LoewnerOrderError
+from mimobc.errors import DimensionMismatchError, InadmissibleSourceError, LoewnerOrderError
 from mimobc.fixtures import (
     admissible_channel_for,
     admissible_mixture_for,
@@ -318,6 +318,14 @@ class TestConverseWalkthrough:
     def test_inadmissible_raises(self):
         ch = scalar_channel()  # cap 1 < Cov(X) = 2.0625
         with pytest.raises(InadmissibleSourceError):
+            converse_walkthrough(two_component_scalar_source(), ch)
+
+    def test_depth_mismatch_raises(self):
+        ch = scalar_channel(S=2.5, sigmas=(1.0, 2.0, 3.0))
+        with pytest.raises(
+            DimensionMismatchError,
+            match=r"^hierarchy depth 2 does not match the channel's 3 users$",
+        ):
             converse_walkthrough(two_component_scalar_source(), ch)
 
     def test_three_user_hierarchy(self):
