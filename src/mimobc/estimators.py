@@ -21,7 +21,11 @@ nodes. On component u's grid, y = mu_u + L_u z, every component's
 log-density is a quadratic in the standard node z, so the log-densities of
 all components at all noise covariances are one matmul of their
 coefficients with the per-node features [1, z, z_i z_j] (see
-``_ObservedLevel``).
+``_ObservedLevel``). Each node's m log-densities are shifted by their
+largest and exponentiated once per component; every symbol's mixture
+density is then one matmul of these with the joint table, so no
+per-symbol log-posterior is formed and the posterior costs m exponentials
+per node, not G m.
 
 The entropy of a symbol with one component is its exact Gaussian entropy;
 for the others -ln f is integrated over every component's grid. The Fisher
@@ -137,38 +141,39 @@ class _ObservedLevel:
     def blocks(self, grids: np.ndarray, order: int):
         """Walk the pruned grid (``_gh_grid``) in blocks of at most
         ``_BLOCK`` nodes for the components ``grids`` at once, yielding
-        (features (F, B), weights (B,), log-densities (U, T, m, B)), where
-        entry (u, t, w) is ln N(y; mu_w, C_tw) at y = mu_u + L_tu z."""
+        (features (F, B), weights (B,), top (U, T, 1, B), densities
+        (U, T, m, B)). At y = mu_u + L_tu z, entry (u, t, w) of the
+        densities is N(y; mu_w, C_tw) e^{-top}, with top the largest of the
+        m log-densities: one exponential per component, none of them
+        overflowing."""
         coef = self.coefs(grids)
         z, wt = _gh_grid(self.n, order)
         i, j = np.triu_indices(self.n)
         shape = (len(grids), self.T, self.m, -1)
         for start in range(0, len(wt), _BLOCK):
             F = _features(z[start:start + _BLOCK], i, j)
-            yield F, wt[start:start + _BLOCK], (coef @ F).reshape(shape)
+            e = (coef @ F).reshape(shape)
+            top = e.max(axis=2, keepdims=True)
+            e -= top
+            np.exp(e, out=e)
+            yield F, wt[start:start + _BLOCK], top, e
 
 
-def _log_table(P: np.ndarray) -> np.ndarray:
-    """ln P entrywise, -inf where P is zero."""
-    with np.errstate(divide="ignore"):
-        return np.log(P)
+def _pair_weights(e: np.ndarray, P: np.ndarray, P_grids: np.ndarray) -> np.ndarray:
+    """(U, T, m, B) node weights w_uv = sum_g P[u, g] pi^g_v(y) on the grids
+    of ``_ObservedLevel.blocks``, from its scaled densities ``e``, the
+    symbols' joint table P (m, G) and its rows ``P_grids`` (U, G) of the
+    grids' components.
 
-
-def _pair_weights(logf: np.ndarray, log_joint: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """(U, T, m, B) node weights sum_g P[u, g] pi^g_v(y) on the grids of
-    ``_ObservedLevel.blocks``, from its log-densities ``logf`` and the
-    symbols' log-joint table (1, 1, G, m, 1). A function of its own, so
-    that the (U, T, G, m, B) posterior is freed before the next block."""
-    lp = logf[:, :, None] + log_joint
-    lp -= lp.max(axis=3, keepdims=True)
-    np.exp(lp, out=lp)
-    lp /= lp.sum(axis=3, keepdims=True)
-    return np.einsum("ug,utgvb->utvb", P, lp)
-
-
-def _logsumexp(lp: np.ndarray, axis: int) -> np.ndarray:
-    top = lp.max(axis=axis, keepdims=True)
-    return (top + np.log(np.exp(lp - top).sum(axis=axis, keepdims=True))).squeeze(axis)
+    With s_g = sum_w P[w, g] e_w, the posterior is pi^g_v = P[v, g] e_v / s_g,
+    so w_uv = e_v sum_g P[v, g] P[u, g] / s_g: two batched matmuls with the
+    table. The ratio is formed only where P[u, g] > 0, where s_g is at least
+    P[u, g] e_u; a symbol without u may have every density underflow at
+    some nodes, and its 0 / 0 must not enter."""
+    s = P.T @ e
+    mine = P_grids[:, None, :, None]
+    R = np.divide(mine, s, out=np.zeros_like(s), where=mine > 0.0)
+    return e * (P @ R)
 
 
 # --- exact conditional quantities -------------------------------------------
@@ -272,12 +277,17 @@ def mixture_entropy_quad(
     mixed = np.flatnonzero(size > 1)
     if mixed.size:
         Pm = P[:, mixed]
-        log_cond = _log_table(Pm / Pm.sum(axis=0)).T[None, None, :, :, None]
+        cond_T = (Pm / Pm.sum(axis=0)).T
         grids = np.flatnonzero(np.any(Pm > 0.0, axis=1))
+        # ln f_g is needed on u's grid only where u is in g, and there
+        # f_g e^{-top} is at least p(u | g) e_u > 0
+        mine = (Pm[grids] > 0.0)[:, None, :, None]
         # acc[u, t, g] = E_u[ln f_g] at noise t
         acc = np.zeros((len(grids), obs.T, mixed.size))
-        for _, wt, logf in obs.blocks(grids, order):
-            acc += _logsumexp(logf[:, :, None] + log_cond, axis=3) @ wt
+        for _, wt, top, e in obs.blocks(grids, order):
+            # ln f_g = top + ln sum_w p(w | g) e_w
+            s = cond_T @ e
+            acc += np.log(s, out=np.zeros_like(s), where=mine) @ wt + top @ wt
         h -= np.einsum("ug,utg->t", Pm[grids], acc)
     return h if obs.stacked else float(h[0])
 
@@ -324,12 +334,11 @@ def mixture_fisher_quad(
     use = narrow & paired[None]
     grids = np.flatnonzero(use.any(axis=(0, 2)))
     if grids.size:
-        log_joint = _log_table(Pm).T[None, None, :, :, None]
         P_grids = Pm[grids]
         # moments[u, t, v] = sum_nodes w_uv [1, z, z_i z_j] on u's grid at noise t
         moments = 0.0
-        for F, wt, logf in obs.blocks(grids, order):
-            moments = moments + (_pair_weights(logf, log_joint, P_grids) * wt) @ F.T
+        for F, wt, _, e in obs.blocks(grids, order):
+            moments = moments + (_pair_weights(e, Pm, P_grids) * wt) @ F.T
         moments *= np.swapaxes(use[:, grids], 0, 1)[..., None]
         # d_uv at y = mu_u + L_tu z is M z + c
         L = np.swapaxes(obs.chols[:, grids], 0, 1)[:, :, None]

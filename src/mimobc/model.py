@@ -52,10 +52,12 @@ class BroadcastChannel:
     ``noise_covs`` are the per-user noise covariances, ordered from the
     strongest receiver to the weakest; ``input_cap`` is the covariance cap
     on the channel input. The constructor enforces the hypotheses of the
-    converse, 0 < Sigma_1 <= ... <= Sigma_K and S > 0, at the PSD slack of
-    the largest noise: the smallest eigenvalue of Sigma_1 and of S must
-    exceed it, and every increment Sigma_{k+1} - Sigma_k must be PSD within
-    it. Otherwise it raises ``NotPsdError`` naming each failed check.
+    converse, 0 < Sigma_1 <= ... <= Sigma_K and S > 0, at the slack
+    1e-9 * (largest noise eigenvalue): the smallest eigenvalue of Sigma_1
+    and of S must exceed it, and every increment Sigma_{k+1} - Sigma_k must
+    be PSD within it. Otherwise it raises ``NotPsdError`` naming each
+    failed check. The slack is relative, so the rule does not depend on the
+    scale of the channel.
     """
 
     noise_covs: tuple[np.ndarray, ...]
@@ -76,7 +78,7 @@ class BroadcastChannel:
         K = len(covs)
         noise = np.stack(covs)
         lam = np.linalg.eigvalsh(np.concatenate([noise, cap[None], np.diff(noise, axis=0)]))
-        tol = mat.psd_tol(lam[:K])
+        tol = 1e-9 * float(np.max(np.abs(lam[:K])))
         low = lam[:, 0]
         holds = [low[0] > tol, low[K] > tol, *(low[K + 1:] >= -tol)]
         labels = ["min_eig(noise_cov_1)", "min_eig(input_cap)"] + [

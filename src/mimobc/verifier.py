@@ -28,18 +28,24 @@ field the rule cannot resolve within its interval cap does not pass.
 Every evaluation is deterministic. The settings no caller varies are module
 constants: the fixed-point bisection tolerance and the walkthrough's
 sandwich tolerance. The de Bruijn check takes its finite-difference step
-from its noise covariance.
+from its noise and observed covariances and judges its gap relative to J.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import matrices as mat
-from .errors import DimensionMismatchError, InadmissibleSourceError, LoewnerOrderError
+from .errors import (
+    DimensionMismatchError,
+    InadmissibleSourceError,
+    LoewnerOrderError,
+    SingularMatrixError,
+)
 from .estimators import (
     entropy_conditional,
     fisher_conditional,
@@ -135,14 +141,18 @@ def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> Verifica
 
     An off-diagonal basis direction perturbs both (i,j) and (j,i), so the
     directional derivative along it equals twice the gradient entry. The
-    step is min(1e-4, 0.1 * min_eig(noise_cov)), so both sides of every
-    difference stay positive definite.
+    step is min(0.1 * min_eig(noise_cov), 1e-4 * min_v min_eig(C_v +
+    noise_cov)): both sides of every difference stay positive definite, and
+    the step follows the observed covariances C_v + noise_cov, which set the
+    curvature of h. The largest gap is reported relative to the largest
+    entry of J / 2, so the check reads the same at every scale.
     """
     noise_cov = mat.symmetrize(noise_cov)
     lam = mat.min_eig(noise_cov)
     if lam <= 0:
         raise ValueError("noise covariance must be positive definite")
-    fd_step = min(1e-4, 0.1 * lam)
+    observed = np.linalg.eigvalsh(src.comp_covs + noise_cov[None])[:, 0]
+    fd_step = min(0.1 * lam, 1e-4 * float(observed.min()))
     n = src.dim
     half_J = 0.5 * fisher_conditional(src, noise_cov)
     max_err = 0.0
@@ -154,7 +164,7 @@ def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> Verifica
         max_err = max(max_err, abs(d - expect))
     return VerificationReport.from_residuals(
         "de_bruijn",
-        [Residual("max_entry_gradient_gap", max_err, "eq")],
+        [Residual("max_entry_gradient_gap_rel", max_err / float(np.max(np.abs(half_J))), "eq")],
         tol,
         notes=f"central differences, step {fd_step}",
     )
@@ -304,22 +314,51 @@ class FixedPointResult:
     bracketed: bool
 
 
+def _pencil_entropy(
+    lower: np.ndarray, sigma: np.ndarray, upper_cap: np.ndarray
+) -> Callable[[float], float]:
+    """The function r(t) = ``gaussian_entropy``(A(t) + sigma) of t in
+    [0, 1], for A(t) = (1 - t) lower + t upper_cap.
+
+    A(t) + sigma is the pencil B_0 + t D, with B_0 = lower + sigma and
+    D = upper_cap - lower. One Cholesky B_0 = L L^T and the eigenvalues
+    lambda of L^{-1} D L^{-T} give r(t) = r(0) + sum_i ln(1 + t lambda_i) / 2,
+    a sum over n numbers per t. B(t) is a convex combination of B_0 and
+    upper_cap + sigma, so every 1 + t lambda_i is positive on [0, 1] when
+    both are positive definite; otherwise ``SingularMatrixError``, as
+    ``logdet`` raises.
+    """
+    try:
+        L = np.linalg.cholesky(lower + sigma)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("lower + sigma is not positive definite") from None
+    X = np.linalg.solve(L, upper_cap - lower)
+    lam = np.linalg.eigvalsh(np.linalg.solve(L, X.T))
+    if 1.0 + lam[0] <= 0.0:
+        raise SingularMatrixError(
+            f"upper_cap + sigma is not positive definite (pencil eigenvalue {1.0 + lam[0]:.3e})"
+        )
+    r0 = 0.5 * (sigma.shape[0] * LOG_2PI_E + 2.0 * float(np.sum(np.log(np.diag(L)))))
+
+    def r(t: float) -> float:
+        return r0 + 0.5 * float(np.sum(np.log1p(t * lam)))
+
+    return r
+
+
 def _solve_fixed_point_core(
     J: np.ndarray, h_target: float, sigma: np.ndarray, upper_cap: np.ndarray
 ) -> FixedPointResult:
     """Bisection for t with Gaussian entropy of A(t) + sigma matching the
     target within ``_FIXED_POINT_TOL``; A(t) interpolates from
     J^{-1} - sigma to the cap and is Loewner nondecreasing, so the objective
-    is monotone."""
+    is monotone. Each step evaluates the entropy on the pencil's
+    eigenvalues (``_pencil_entropy``, whose B_0 is J^{-1}); the reported
+    entropy match is ``gaussian_entropy`` of the returned A + sigma.
+    """
     tol = _FIXED_POINT_TOL
     lower = mat.symmetrize(mat.inv_pd(J) - sigma)
-
-    def A_of(t: float) -> np.ndarray:
-        return mat.symmetrize((1.0 - t) * lower + t * upper_cap)
-
-    def r(t: float) -> float:
-        return gaussian_entropy(A_of(t) + sigma)
-
+    r = _pencil_entropy(lower, sigma, upper_cap)
     r0, r1 = r(0.0), r(1.0)
     bracketed = (r0 <= h_target + tol) and (r1 >= h_target - tol)
     if abs(r0 - h_target) <= tol:
@@ -340,11 +379,11 @@ def _solve_fixed_point_core(
                 lo = t
             else:
                 hi = t
-    A = A_of(t)
+    A = mat.symmetrize((1.0 - t) * lower + t * upper_cap)
     return FixedPointResult(
         t_star=t,
         A=A,
-        entropy_match_residual=r(t) - h_target,
+        entropy_match_residual=gaussian_entropy(A + sigma) - h_target,
         sandwich_lower_residual=mat.min_eig(A - lower),
         sandwich_upper_residual=mat.min_eig(upper_cap - A),
         bracketed=bracketed,

@@ -291,8 +291,21 @@ class TestInputValidation:
 
 
 class TestOneChannelRule:
+    @staticmethod
+    def _run_every_command(path):
+        """The results of ``region --grid 3``, ``walkthrough`` and ``verify``,
+        each required to exit 0."""
+        results = []
+        for command, flags in (("region", ["--grid", "3"]), ("walkthrough", []), ("verify", [])):
+            res = run_cli(command, path, *flags)
+            assert res.returncode == 0, (command, res.stdout, res.stderr)
+            results.append(res)
+        return results
+
     def test_small_scale_channel_accepted_by_every_command(self, tmp_path):
-        # valid at the noise-scale PSD slack (about 1e-9) but not at 1e-8
+        # valid at the noise-scale PSD slack (about 1e-9) but not at 1e-8;
+        # verify's de Bruijn check takes its step from the observed
+        # covariances and judges its gap relative to J
         doc = {
             "channel": {"noise_covs": [[[5e-9]], [[1e-8]]], "input_cap": [[5e-9]]},
             "source": {
@@ -301,13 +314,22 @@ class TestOneChannelRule:
                 "comp_covs": [[[1e-9]], [[2e-9]]],
             },
         }
-        path = write(tmp_path, "in.json", doc)
-        for command in ("region", "walkthrough"):
-            res = run_cli(command, path, *(["--grid", "3"] if command == "region" else []))
-            assert res.returncode == 0, (command, res.stderr)
-        res = run_cli("verify", path)
-        assert "channel validation failed" not in res.stderr
-        assert "Traceback" not in res.stderr
+        self._run_every_command(write(tmp_path, "in.json", doc))
+
+    def test_channel_below_unit_scale_accepted_by_every_command(self, tmp_path):
+        # the slack is relative to the largest noise, so a channel at 1e-10
+        # is as valid as the same channel at unit scale, and its boundary is
+        # the scale-invariant R_1 = ln(2) / 2 at w = (1, 0)
+        doc = {
+            "channel": {"noise_covs": [[[1e-10]], [[2e-10]]], "input_cap": [[1e-10]]},
+            "source": {
+                "weights": [0.5, 0.5],
+                "means": [[0.0], [2e-6]],
+                "comp_covs": [[[2e-11]], [[4e-11]]],
+            },
+        }
+        region = self._run_every_command(write(tmp_path, "in.json", doc))[0]
+        assert region.stdout.splitlines()[1] == "1,0,0.34657359028,0"
 
 
 class TestSelftestAndFlags:

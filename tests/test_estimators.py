@@ -21,7 +21,14 @@ from mimobc.fixtures import (
     rng_for,
     two_component_scalar_source,
 )
-from mimobc.model import LOG_2PI_E, MixtureSource, aggregate_covariance, coarsen, gaussian_entropy
+from mimobc.model import (
+    LOG_2PI_E,
+    MarkovHierarchy,
+    MixtureSource,
+    aggregate_covariance,
+    coarsen,
+    gaussian_entropy,
+)
 
 # frozen oracle: J(X+N) for p=(1/2,1/2), component variances (1,3), unit noise,
 # equal means — given the label the output is Gaussian, so J = E[1/(C_u+1)].
@@ -422,3 +429,105 @@ class TestLevelKernel:
         for t, S in enumerate(noises):
             assert np.max(np.abs(J[t] - fisher_conditional(src, S))) <= 1e-13
             assert abs(h[t] - entropy_conditional(src, S)) <= 1e-13
+
+
+def _log_space_reference(src, joint, noise, order):
+    """(J, h) of Y = X + N given U_k at one noise covariance, with the
+    kernel's log-densities but every symbol's posterior taken as a softmax
+    in log space over that symbol's own components: -ln f_g on the grid of
+    each of its components, and the correction P[u, g] E_u[pi^g_v d d^T] on
+    the narrower member u of every pair it mixes, with the score gap
+    d = g_u - g_v summed node by node instead of from weighted moments."""
+    obs = estimators._ObservedLevel(src, noise)
+    n, m = src.dim, src.num_components
+    z, wt = estimators._gh_grid(n, order)
+    # logs[u, w] = ln N(y; mu_w, C_w) at the nodes y = mu_u + L_u z of u's grid
+    logs = obs.coefs(np.arange(m)) @ estimators._features(z, *np.triu_indices(n))
+    logs = logs.reshape(m, m, -1)
+    precs = np.swapaxes(obs.inv_chols[0], 1, 2) @ obs.inv_chols[0]
+    hl = obs.half_logdet[0]
+    J = np.einsum("u,uij->ij", joint.sum(axis=1), precs)
+    h = 0.0
+    for col in joint.T:
+        idx = np.flatnonzero(col > 0.0)
+        if idx.size == 1:
+            h += col[idx[0]] * (0.5 * n * LOG_2PI_E + hl[idx[0]])
+            continue
+        for u in idx:
+            lp = logs[u, idx] + np.log(col[idx] / col.sum())[:, None]
+            top = lp.max(axis=0)
+            post = np.exp(lp - top)
+            total = post.sum(axis=0)
+            h -= col[u] * float(wt @ (top + np.log(total)))
+            post /= total
+            for k, v in enumerate(idx):
+                if hl[u] < hl[v] or (hl[u] == hl[v] and u < v):
+                    # at y = mu_u + L_u z, d = M z + c with the kernel's M and c
+                    M = precs[v] @ obs.chols[0, u] - obs.inv_chols[0, u].T
+                    d = z @ M.T + precs[v] @ (src.means[u] - src.means[v])
+                    J -= col[u] * np.einsum("N,Ni,Nj->ij", wt * post[k], d, d)
+    return (J + J.T) / 2.0, h
+
+
+def _three_component_hierarchy(n, gap):
+    """Three components ``gap`` apart on the first axis under a coarse
+    auxiliary whose two symbols mix {0, 1} and {1, 2}, so that each symbol
+    leaves out the component with the largest density at the far end of
+    component 1's grid. At gap 8 the densities of the symbol without
+    component 0 (or 2) also underflow to zero on that component's grid."""
+    means = np.zeros((3, n))
+    means[:, 0] = [0.0, gap, 2.0 * gap]
+    covs = np.stack([s * np.eye(n) for s in (0.01, 0.02, 0.015)])
+    table = np.array([[0.5, 0.0], [0.5, 0.4], [0.0, 0.6]])
+    top = np.array([0.5, 0.5])
+    base = MixtureSource(weights=table @ top, means=means, comp_covs=covs)
+    return MarkovHierarchy(base=base, tables=(table,), top_weights=top)
+
+
+def _wide_scale_mixture(rng, n):
+    """Three components whose covariance eigenvalues span 1e-8 to 1e4, seen
+    through a noise of about 1e-9. Components 0 and 1 share their axes and
+    lie about one standard deviation apart along each, so their posteriors
+    stay uncertain in every direction; component 2 is rotated."""
+    covs, means = [], []
+    for k in range(3):
+        if k != 1:
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eig = np.exp(rng.uniform(np.log(1e-8), np.log(1e4), size=n))
+            eig[0], eig[-1] = 1e-8, 1e4
+        scale = eig * rng.uniform(0.5, 2.0, size=n)
+        covs.append((Q * scale) @ Q.T)
+        means.append(Q @ (np.sqrt(scale) * rng.uniform(-1.0, 1.0, size=n)))
+    return MixtureSource(weights=[0.3, 0.3, 0.4], means=np.stack(means), comp_covs=np.stack(covs))
+
+
+class TestKernelPosterior:
+    """The kernel's posterior (one exponential per component, shifted by the
+    node's largest log-density) against the per-symbol softmax in log
+    space."""
+
+    @staticmethod
+    def _assert_matches(src, joint, noises):
+        order = estimators._DEFAULT_QUAD_ORDER[src.dim]
+        J = mixture_fisher_quad(src, noises, joint=joint)
+        h = mixture_entropy_quad(src, noises, joint=joint)
+        assert np.all(np.isfinite(J)) and np.all(np.isfinite(h))
+        for t, S in enumerate(noises):
+            J_ref, h_ref = _log_space_reference(src, joint, S, order)
+            assert np.max(np.abs(J[t] - J_ref)) <= 1e-12 * np.max(np.abs(J_ref))
+            assert abs(h[t] - h_ref) <= 1e-12 * abs(h_ref)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("gap", [0.2, 8.0])
+    def test_symbols_leaving_out_the_largest_density(self, n, gap):
+        hierarchy = _three_component_hierarchy(n, gap)
+        noises = np.stack([0.01 * np.eye(n), 0.02 * np.eye(n)])
+        self._assert_matches(hierarchy.base, coarsen(hierarchy, 3), noises)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_covariances_spanning_twelve_decades(self, n):
+        rng = rng_for(309, n)
+        src = _wide_scale_mixture(rng, n)
+        noises = np.stack([1e-9 * random_spd(rng, n, 0.5, 1.5) for _ in range(2)])
+        self._assert_matches(src, src.weights[:, None], noises)
+        self._assert_matches(src, np.array([[0.2, 0.1], [0.1, 0.2], [0.3, 0.1]]), noises)

@@ -57,6 +57,14 @@ class TestValidateChannel:
         with pytest.raises(NotPsdError, match=rf"^channel validation failed: {re.escape(label)}$"):
             _chan(sig1, 2 * np.eye(2), S)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1.0, 1e6])
+    def test_slack_is_relative_to_the_noise(self, scale):
+        # the slack is 1e-9 times the largest noise eigenvalue, so the rule
+        # reads the same at every scale
+        assert _chan(scale * np.eye(2), 2 * scale * np.eye(2), scale * np.eye(2)).dim == 2
+        with pytest.raises(NotPsdError, match=r"^channel validation failed: min_eig\(noise_cov_1\)$"):
+            _chan(scale * np.diag([1.0, 1e-10]), 2 * scale * np.eye(2), scale * np.eye(2))
+
     def test_fields_are_read_only(self):
         ch = _chan(np.eye(2), 2 * np.eye(2), 3 * np.eye(2))
         for a in (ch.input_cap, *ch.noise_covs):

@@ -1,10 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from mimobc import cli, matrices, verifier
-from mimobc.errors import DimensionMismatchError, InadmissibleSourceError, LoewnerOrderError
+from mimobc.errors import (
+    DimensionMismatchError,
+    InadmissibleSourceError,
+    LoewnerOrderError,
+    SingularMatrixError,
+)
 from mimobc.fixtures import (
     admissible_channel_for,
     admissible_mixture_for,
@@ -12,12 +18,18 @@ from mimobc.fixtures import (
     random_channel,
     random_hierarchy,
     random_mixture,
+    random_spd,
     rng_for,
     scalar_channel,
     two_component_scalar_source,
 )
-from mimobc.estimators import entropy_conditional, fisher_conditional
-from mimobc.model import aggregate_covariance, coarsen
+from mimobc.estimators import (
+    entropy_conditional,
+    fisher_conditional,
+    mixture_entropy_quad,
+    mixture_fisher_quad,
+)
+from mimobc.model import MixtureSource, aggregate_covariance, coarsen, gaussian_entropy
 from mimobc.verifier import (
     check_cramer_rao,
     check_debruijn,
@@ -39,8 +51,6 @@ FISHER_SHIFT_GAP = 1.75 - 5.0 / 3.0         # 0.0833333 for sigma 1 -> 2
 
 
 def _scalar_equal_means():
-    from mimobc.model import MixtureSource
-
     return MixtureSource(
         weights=np.array([0.5, 0.5]),
         means=np.zeros((2, 1)),
@@ -114,6 +124,16 @@ class TestDeBruijn:
         # the positive definite cone and the identity still holds
         rep = check_debruijn(two_component_scalar_source(), noise * np.eye(1))
         assert rep.passed, rep.to_dict()
+
+    @pytest.mark.parametrize("scale", [1e-10, 5e-9, 1.0, 1e6])
+    def test_scaled_input_passes(self, scale):
+        # the step follows the observed covariances and the gap is relative
+        # to J, so scaling every covariance by one factor changes neither
+        base = random_mixture(rng_for(314), 2, 2)
+        src = MixtureSource(base.weights, math.sqrt(scale) * base.means, scale * base.comp_covs)
+        rep = check_debruijn(src, scale * np.eye(2))
+        assert rep.passed, rep.to_dict()
+        assert rep.residuals[0].label == "max_entry_gradient_gap_rel"
 
 
 class TestDembo:
@@ -293,6 +313,72 @@ class TestFixedPoint:
         ch = scalar_channel()
         with pytest.raises(ValueError):
             solve_fixed_point(gaussian_source(np.array([[0.5]])), ch, 3, ch.input_cap)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pencil_entropy_matches_gaussian_entropy(self, n):
+        for seed in range(5):
+            rng = rng_for(313, n, seed)
+            sigma = random_spd(rng, n, 0.5, 1.5)
+            lower = random_spd(rng, n, 0.1, 1.0)
+            cap = lower + random_spd(rng, n, 0.01, 3.0)
+            r = verifier._pencil_entropy(lower, sigma, cap)
+            for t in np.linspace(0.0, 1.0, 11):
+                exact = gaussian_entropy((1.0 - t) * lower + t * cap + sigma)
+                assert abs(r(t) - exact) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_same_t_star_as_the_logdet_bisection(self, seed):
+        for c in range(3):
+            rng = rng_for(seed, 2, c)
+            h = random_hierarchy(rng, 3, (2, 2))
+            ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
+            report = converse_walkthrough(h, ch)
+            cap = ch.input_cap
+            for stage in report.stages:
+                k = stage.user_index
+                sigma, sigma_prev = ch.noise_covs[k - 1], ch.noise_covs[k - 2]
+                joint = coarsen(h, k)
+                J = mixture_fisher_quad(h.base, sigma, joint=joint)
+                target = mixture_entropy_quad(
+                    h.base, np.stack([sigma, sigma_prev]), joint=joint)[0]
+                t_star = _logdet_bisection(J, target, sigma, cap)
+                assert verifier._solve_fixed_point_core(J, target, sigma, cap).t_star == t_star
+                assert stage.t_star == t_star
+                cap = stage.A
+
+    def test_non_positive_definite_cap_raises(self):
+        ch = scalar_channel(S=2.5)
+        with pytest.raises(SingularMatrixError):
+            solve_fixed_point(two_component_scalar_source(), ch, 2, -2.0 * ch.noise_covs[1])
+
+
+def _logdet_bisection(J, h_target, sigma, upper_cap):
+    """t_star of the fixed-point bisection with every step's entropy a
+    Cholesky log-determinant of A(t) + sigma."""
+    tol = verifier._FIXED_POINT_TOL
+    lower = matrices.symmetrize(matrices.inv_pd(J) - sigma)
+
+    def r(t):
+        return gaussian_entropy(matrices.symmetrize((1.0 - t) * lower + t * upper_cap) + sigma)
+
+    r0, r1 = r(0.0), r(1.0)
+    if abs(r0 - h_target) <= tol:
+        return 0.0
+    if abs(r1 - h_target) <= tol:
+        return 1.0
+    if not (r0 <= h_target + tol and r1 >= h_target - tol):
+        return 0.0 if abs(r0 - h_target) <= abs(r1 - h_target) else 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        t = 0.5 * (lo + hi)
+        rt = r(t)
+        if abs(rt - h_target) <= tol:
+            break
+        if rt < h_target:
+            lo = t
+        else:
+            hi = t
+    return t
 
 
 class TestConverseWalkthrough:
