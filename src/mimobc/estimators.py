@@ -2,8 +2,12 @@
 additive Gaussian noise: Fisher information matrices and differential
 entropies.
 
-Quantities conditional on the mixture label are exact closed forms, at one
-noise covariance (``fisher_conditional``, ``entropy_conditional``).
+Quantities conditional on the mixture label are exact closed forms
+(``fisher_conditional``, ``entropy_conditional``), at one noise covariance
+or a stack of them. They come from the Cholesky factors of the observed
+components that the quadrature kernels use (``_ObservedLevel.given_label``),
+which also give the kernels' one-component symbols and the closed-form part
+of their Fisher matrix.
 
 The quadrature kernels ``mixture_fisher_quad`` and ``mixture_entropy_quad``
 cover a whole auxiliary level at a whole stack of noise covariances in one
@@ -45,8 +49,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from . import matrices as mat
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SingularMatrixError
 from .model import LOG_2PI_E, MixtureSource
 
 __all__ = [
@@ -60,18 +63,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 # --- observed-mixture plumbing ---------------------------------------------
-
-def _observed(src: MixtureSource, noise_cov) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariances of the mixture law of X + N.
-
-    The components are symmetric and finite from the ``MixtureSource``
-    constructor, so only the noise is symmetrized here.
-    """
-    S = mat.symmetrize(noise_cov)
-    if S.shape[0] != src.dim:
-        raise DimensionMismatchError("noise covariance dimension mismatch")
-    return src.means, src.comp_covs + S[None]
-
 
 def _joint_table(src: MixtureSource, joint) -> np.ndarray:
     """The (m, G) table P(u_2 = u, U_k = g); with none, the source's weights
@@ -102,7 +93,9 @@ class _ObservedLevel:
     On component u's grid at noise t, the point y = mu_u + L_tu z has
     ln N(y; mu_w, C_tw) = -(n ln 2 pi)/2 - ln|L_tw| - |A z + o|^2 / 2, with
     A = L_tw^{-1} L_tu and o = L_tw^{-1} (mu_u - mu_w): a quadratic in z,
-    whose coefficients ``coefs`` gives against ``_features``.
+    whose coefficients ``coefs`` gives against ``_features``. A C_tw whose
+    Cholesky factorization fails, or whose inverse overflows, raises
+    ``SingularMatrixError``.
     """
 
     def __init__(self, src: MixtureSource, noise_cov):
@@ -118,10 +111,33 @@ class _ObservedLevel:
         self.means = src.means
         self.T = S.shape[0]
         self.m, self.n = src.means.shape
-        self.chols = np.linalg.cholesky(src.comp_covs[None] + S[:, None])
+        C = src.comp_covs[None] + S[:, None]
+        try:
+            self.chols = np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            w = float(np.linalg.eigvalsh(C)[..., 0].min())
+            raise SingularMatrixError(
+                "an observed component covariance is not positive definite"
+                f" (min eigenvalue {w:.3e})"
+            ) from None
         self.inv_chols = np.linalg.inv(self.chols)
+        # C_tw^{-1}, (T, m, n, n); an overflow is caught by the check below
+        with np.errstate(over="ignore"):
+            self.precs = np.swapaxes(self.inv_chols, 2, 3) @ self.inv_chols
+        if not np.all(np.isfinite(self.precs)):
+            raise SingularMatrixError(
+                "an observed component covariance is too small to invert"
+            )
         # ln |C_tw| / 2, (T, m)
         self.half_logdet = np.log(np.diagonal(self.chols, axis1=2, axis2=3)).sum(axis=2)
+
+    def given_label(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J (T, n, n), h (T,)) given the label, with weight w_u on component
+        u: J = sum_u w_u C_tu^{-1} and h = sum_u w_u ln((2 pi e)^n |C_tu|) / 2,
+        since given the label Y is Gaussian."""
+        J = np.einsum("u,tuij->tij", weights, self.precs)
+        h = (0.5 * self.n * LOG_2PI_E + self.half_logdet) @ weights
+        return (J + np.swapaxes(J, 1, 2)) / 2.0, h
 
     def coefs(self, grids: np.ndarray) -> np.ndarray:
         """(U*T*m, F) coefficients: row (u, t, w) times ``_features(z)`` is
@@ -182,19 +198,20 @@ def fisher_conditional(src: MixtureSource, noise_cov) -> np.ndarray:
     """J(X+N | U): the weighted sum of inverse observed component covariances.
 
     Given the label, X + N is Gaussian, whose Fisher matrix is the inverse
-    of its covariance.
+    of its covariance. ``noise_cov`` is one (n, n) covariance, giving
+    (n, n), or a (T, n, n) stack, giving (T, n, n).
     """
-    _, covs = _observed(src, noise_cov)
-    J = np.einsum("u,uij->ij", src.weights, np.stack([mat.inv_pd(C) for C in covs]))
-    return mat.symmetrize(J)
+    obs = _ObservedLevel(src, noise_cov)
+    J, _ = obs.given_label(src.weights)
+    return J if obs.stacked else J[0]
 
 
-def entropy_conditional(src: MixtureSource, noise_cov) -> float:
-    """h(X+N | U) = sum_u p_u * Gaussian entropy of component u."""
-    _, covs = _observed(src, noise_cov)
-    n = src.dim
-    vals = np.array([0.5 * (n * LOG_2PI_E + mat.logdet(C)) for C in covs])
-    return float(src.weights @ vals)
+def entropy_conditional(src: MixtureSource, noise_cov) -> float | np.ndarray:
+    """h(X+N | U) = sum_u p_u * Gaussian entropy of component u, a float
+    for one (n, n) noise covariance or T values for a (T, n, n) stack."""
+    obs = _ObservedLevel(src, noise_cov)
+    _, h = obs.given_label(src.weights)
+    return h if obs.stacked else float(h[0])
 
 
 # --- deterministic quadrature -----------------------------------------------
@@ -270,10 +287,7 @@ def mixture_entropy_quad(
     obs = _ObservedLevel(src, noise_cov)
     order = _quad_order(src.dim, order)
     size = np.count_nonzero(P > 0.0, axis=0)
-    h = np.zeros(obs.T)
-    for g in np.flatnonzero(size == 1):
-        (u,) = np.flatnonzero(P[:, g] > 0.0)
-        h += P[u, g] * (0.5 * obs.n * LOG_2PI_E + obs.half_logdet[:, u])
+    _, h = obs.given_label(P[:, size == 1].sum(axis=1))
     mixed = np.flatnonzero(size > 1)
     if mixed.size:
         Pm = P[:, mixed]
@@ -320,8 +334,7 @@ def mixture_fisher_quad(
     obs = _ObservedLevel(src, noise_cov)
     n, m = obs.n, obs.m
     order = _quad_order(n, order)
-    precs = np.swapaxes(obs.inv_chols, 2, 3) @ obs.inv_chols  # C_tw^{-1}
-    J = np.einsum("u,tuij->tij", P.sum(axis=1), precs)
+    J, _ = obs.given_label(P.sum(axis=1))
     mixed = np.flatnonzero(np.count_nonzero(P > 0.0, axis=0) > 1)
     Pm = P[:, mixed]
     support = (Pm > 0.0).astype(float)
@@ -343,9 +356,9 @@ def mixture_fisher_quad(
         # d_uv at y = mu_u + L_tu z is M z + c
         L = np.swapaxes(obs.chols[:, grids], 0, 1)[:, :, None]
         L_inv_T = np.swapaxes(np.swapaxes(obs.inv_chols[:, grids], 0, 1), 2, 3)[:, :, None]
-        M = precs[None] @ L - L_inv_T
+        M = obs.precs[None] @ L - L_inv_T
         gaps = obs.means[grids, None] - obs.means[None]
-        c = (precs[None] @ gaps[:, None, :, :, None])[..., 0]
+        c = (obs.precs[None] @ gaps[:, None, :, :, None])[..., 0]
         i, j = np.triu_indices(n)
         S2 = np.empty(moments.shape[:3] + (n, n))
         S2[..., i, j] = moments[..., 1 + n:]
@@ -358,5 +371,5 @@ def mixture_fisher_quad(
             + moments[..., 0, None, None] * c[..., :, None] * c[..., None, :]
         )
         J -= corr.sum(axis=(0, 2))
-    J = (J + np.swapaxes(J, 1, 2)) / 2.0
+        J = (J + np.swapaxes(J, 1, 2)) / 2.0
     return J if obs.stacked else J[0]

@@ -85,24 +85,18 @@ def loewner_leq(A, B, tol: float | None = None) -> bool:
 
 
 def logdet(M) -> float:
-    """ln|M| for symmetric positive definite M (natural log).
-
-    Cholesky is attempted first; on failure the eigenvalues decide whether
-    the matrix is merely near the PSD boundary or genuinely not positive
-    definite.
-    """
+    """ln|M| for symmetric positive definite M (natural log), from its
+    Cholesky factor; a matrix Cholesky rejects raises
+    ``SingularMatrixError``."""
     A = symmetrize(M)
     try:
         L = np.linalg.cholesky(A)
-        return 2.0 * float(np.sum(np.log(np.diag(L))))
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(A)
-        floor = 1e-12 * (1.0 + float(np.max(np.abs(w))))
-        if w[0] <= floor:
-            raise SingularMatrixError(
-                f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
-            ) from None
-        return float(np.sum(np.log(w)))
+        raise SingularMatrixError(
+            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
+        ) from None
+    return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 def inv_pd(M) -> np.ndarray:

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True, slots=True)
 class Residual:
-    """One labeled residual. ``kind`` is "ineq" (must be >= -tol), "eq"
-    (|value| must be <= tol) or "pos" (must be > tol)."""
+    """One labeled residual. ``kind`` is "ineq" (must be >= -tol) or "eq"
+    (|value| must be <= tol)."""
 
     label: str
     value: float
@@ -17,9 +17,7 @@ class Residual:
     def holds(self, tol: float) -> bool:
         if self.kind == "ineq":
             return self.value >= -tol
-        if self.kind == "eq":
-            return abs(self.value) <= tol
-        return self.value > tol
+        return abs(self.value) <= tol
 
 
 @dataclass(frozen=True, slots=True)

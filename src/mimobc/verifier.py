@@ -6,17 +6,18 @@ The law of X given one symbol of an auxiliary U_k is a Gaussian mixture of
 the base components. ``model.coarsen`` gives a whole level as one joint
 table P(u_2 = u, U_k = g), and ``estimators.mixture_fisher_quad`` and
 ``mixture_entropy_quad`` turn it into J(Y | U_k) and h(Y | U_k) in one call,
-at one noise covariance or a stack of them. Given the finest auxiliary (the
-mixture label, a diagonal table) every symbol has one component and both are
-the closed forms, as in ``fisher_conditional`` and ``entropy_conditional``.
-Given a coarser one they use the deterministic Gauss-Hermite quadrature: a
-pruned tensor grid whose dropped nodes carry under 1e-19 of the weight at
-the default orders. The error of the quadrature order itself is not
-estimated and does not enter any tolerance. On a badly conditioned mixture
-it is about 1e-9 in Fisher information but reaches about 5e-4 in entropy at
-the default order (see ``estimators.mixture_entropy_quad``), more than the
-1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass does not
-bound it.
+at one noise covariance or a stack of them. Given the mixture label X + N is
+Gaussian, and ``fisher_conditional`` and ``entropy_conditional`` give its
+closed forms, also at a stack of noise covariances; the kernels share that
+code for the finest auxiliary (a diagonal table), whose every symbol has one
+component. Given a coarser auxiliary the kernels use the deterministic
+Gauss-Hermite quadrature: a pruned tensor grid whose dropped nodes carry
+under 1e-19 of the weight at the default orders. The error of the
+quadrature order itself is not estimated and does not enter any tolerance.
+On a badly conditioned mixture it is about 1e-9 in Fisher information but
+reaches about 5e-4 in entropy at the default order (see
+``estimators.mixture_entropy_quad``), more than the 1e-6 to 1e-10 the
+walkthrough's identities are judged at, so a pass does not bound it.
 
 The matrix line integrals of the Fisher field use the adaptive
 Gauss-Kronrod G7/K15 rule of ``matrices.matrix_line_integral``, which
@@ -234,12 +235,9 @@ def check_line_integral_entropy(
     Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J."""
     sigma_a = mat.symmetrize(sigma_a)
     sigma_b = mat.symmetrize(sigma_b)
-    # given the label every symbol is one component: the closed form,
-    # evaluated at all of an interval's nodes in one call
-    given_label = np.diag(src.weights)
-
+    # the closed form, evaluated at all of an interval's nodes in one call
     def field(sigmas):
-        return mixture_fisher_quad(src, sigmas, joint=given_label)
+        return fisher_conditional(src, sigmas)
 
     # the rule's error budget is tol on the integral, so tol / 2 on the gap
     integral, err = mat.matrix_line_integral(field, sigma_a, sigma_b, tol)

@@ -238,6 +238,16 @@ class TestWalkthrough:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["passed"]
 
+    @pytest.mark.parametrize("variance", [1e-15, 1e-264])
+    def test_tiny_component_verifies(self, tmp_path, variance):
+        # verify agrees with the walkthrough on the same valid input; the
+        # check at zero noise inverts the component's own covariance
+        path = write(tmp_path, "in.json", {**MIXTURE_INPUT, "source": {
+            **MIXTURE_INPUT["source"], "comp_covs": [[[variance]], [[3.0]]]}})
+        res = run_cli("verify", path)
+        assert res.returncode == 0, res.stderr
+        assert all(r["passed"] for r in json.loads(res.stdout))
+
     def test_seed_determinism(self, tmp_path):
         # the walkthrough is deterministic quadrature: it takes no seed, and
         # two runs on one input give the same bytes
@@ -459,6 +469,19 @@ def _with_source(**fields):
     return {**MIXTURE_INPUT, "source": {**MIXTURE_INPUT["source"], **fields}}
 
 
+SINGULAR_OBSERVED_INPUT = {
+    "channel": {
+        "noise_covs": [[[1e-13, 0], [0, 1e-13]], [[2e-13, 0], [0, 2e-13]]],
+        "input_cap": [[300000.0, 0], [0, 300000.0]],
+    },
+    "source": {
+        "weights": [1.0],
+        "means": [[0.0, 0.0]],
+        "comp_covs": [[[58498.35714501206, 49272.48649942301],
+                       [49272.48649942301, 41501.64285498795]]],
+    },
+}
+
 # inputs that once ended in a traceback; each must exit 2 with an error line
 MALFORMED_INPUTS = {
     "nan-weight-verify": ("verify", _with_source(weights=[math.nan, 1.0])),
@@ -473,8 +496,12 @@ MALFORMED_INPUTS = {
     "number-source-walkthrough": ("walkthrough", {**MIXTURE_INPUT, "source": 3}),
     "overflowing-means-verify": ("verify", _with_source(means=[[0.0], [1e200]])),
     "overflowing-means-walkthrough": ("walkthrough", _with_source(means=[[0.0], [1e200]])),
-    # positive, but below what check_f_epsilon can invert
-    "tiny-component": ("verify", _with_source(comp_covs=[[[1e-264]], [[3.0]]])),
+    # a component that is singular at double precision once observed
+    # through noise 1e-13 I: its Cholesky factorization fails
+    "singular-observed-verify": ("verify", SINGULAR_OBSERVED_INPUT),
+    "singular-observed-walkthrough": ("walkthrough", SINGULAR_OBSERVED_INPUT),
+    # positive, but check_f_epsilon's inverse of the bare component overflows
+    "subnormal-component": ("verify", _with_source(comp_covs=[[[1e-310]], [[3.0]]])),
     # J(X+N|U) = 1e-30 is singular at the estimators' precision
     "singular-fisher": ("verify", {
         "channel": {"noise_covs": [[[1e-6]], [[1e-6]]], "input_cap": [[1e-6]]},

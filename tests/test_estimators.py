@@ -52,6 +52,16 @@ def mixture_logpdf(src, noise_cov, y):
     return top + np.log(np.exp(logs - top).sum(axis=0))
 
 
+def _closed_form_reference(src, noise_cov):
+    """(J, h) of Y = X + N given the label, one component at a time:
+    sum_u p_u C_u^{-1} and sum_u p_u ln((2 pi e)^n |C_u|) / 2."""
+    covs = src.comp_covs + noise_cov[None]
+    J = sum(p * np.linalg.inv(C) for p, C in zip(src.weights, covs))
+    h = sum(p * 0.5 * (src.dim * LOG_2PI_E + np.linalg.slogdet(C)[1])
+            for p, C in zip(src.weights, covs))
+    return J, h
+
+
 class TestExactConditionals:
     def test_fisher_conditional_scalar(self):
         src = two_component_scalar_source()
@@ -78,6 +88,22 @@ class TestExactConditionals:
             0.5 * (LOG_2PI_E + math.log(2.0)) + 0.5 * (LOG_2PI_E + math.log(4.0))
         )
         assert h == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_is_one_call_per_noise(self, n):
+        rng = rng_for(309, n)
+        src = random_mixture(rng, n, 3)
+        noises = np.stack([random_spd(rng, n, 0.5, 1.5) for _ in range(4)])
+        J = fisher_conditional(src, noises)
+        h = entropy_conditional(src, noises)
+        assert J.shape == noises.shape and h.shape == noises.shape[:1]
+        # the stack sums in another order than a single call: round-off apart
+        for t, S in enumerate(noises):
+            assert np.max(np.abs(J[t] - fisher_conditional(src, S))) <= 1e-13
+            assert abs(h[t] - entropy_conditional(src, S)) <= 1e-13
+            J_ref, h_ref = _closed_form_reference(src, S)
+            assert np.max(np.abs(J[t] - J_ref)) <= 1e-13
+            assert abs(h[t] - h_ref) <= 1e-13
 
 
 class TestDensityAndScore:
@@ -427,8 +453,9 @@ class TestLevelKernel:
         J = mixture_fisher_quad(src, noises, joint=joint)
         h = mixture_entropy_quad(src, noises, joint=joint)
         for t, S in enumerate(noises):
-            assert np.max(np.abs(J[t] - fisher_conditional(src, S))) <= 1e-13
-            assert abs(h[t] - entropy_conditional(src, S)) <= 1e-13
+            J_ref, h_ref = _closed_form_reference(src, S)
+            assert np.max(np.abs(J[t] - J_ref)) <= 1e-13
+            assert abs(h[t] - h_ref) <= 1e-13
 
 
 def _log_space_reference(src, joint, noise, order):
