@@ -93,7 +93,8 @@ class _ObservedLevel:
     On component u's grid at noise t, the point y = mu_u + L_tu z has
     ln N(y; mu_w, C_tw) = -(n ln 2 pi)/2 - ln|L_tw| - |A z + o|^2 / 2, with
     A = L_tw^{-1} L_tu and o = L_tw^{-1} (mu_u - mu_w): a quadratic in z,
-    whose coefficients ``coefs`` gives against ``_features``. A C_tw whose
+    whose coefficients ``coefs`` gives against ``_features``. The noise
+    covariances are taken as given, symmetric and finite. A C_tw whose
     Cholesky factorization fails, or whose inverse overflows, raises
     ``SingularMatrixError``.
     """
@@ -105,9 +106,6 @@ class _ObservedLevel:
             S = S[None]
         if S.ndim != 3 or S.shape[1:] != (src.dim, src.dim):
             raise DimensionMismatchError("noise covariance dimension mismatch")
-        S = (S + np.swapaxes(S, 1, 2)) / 2.0
-        if not np.all(np.isfinite(S)):
-            raise ValueError("matrix entries must be finite")
         self.means = src.means
         self.T = S.shape[0]
         self.m, self.n = src.means.shape

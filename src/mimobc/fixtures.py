@@ -57,7 +57,7 @@ def random_channel(rng: np.random.Generator, n: int, num_users: int) -> Broadcas
     """Valid degraded channel: PSD increments on top of an SPD base."""
     covs = [random_spd(rng, n, 0.5, 1.5)]
     for _ in range(num_users - 1):
-        covs.append(mat.symmetrize(covs[-1] + random_spd(rng, n, 0.2, 1.0)))
+        covs.append(covs[-1] + random_spd(rng, n, 0.2, 1.0))
     S = random_spd(rng, n, 0.8, 2.0)
     return BroadcastChannel(noise_covs=tuple(covs), input_cap=S)
 
@@ -69,8 +69,8 @@ def admissible_channel_for(
     n = source_cov.shape[0]
     covs = [random_spd(rng, n, 0.5, 1.5)]
     for _ in range(num_users - 1):
-        covs.append(mat.symmetrize(covs[-1] + random_spd(rng, n, 0.2, 1.0)))
-    S = mat.symmetrize(source_cov + random_spd(rng, n, 0.05, 0.5))
+        covs.append(covs[-1] + random_spd(rng, n, 0.2, 1.0))
+    S = source_cov + random_spd(rng, n, 0.05, 0.5)
     return BroadcastChannel(noise_covs=tuple(covs), input_cap=S)
 
 

@@ -3,8 +3,12 @@ PSD square root, and straight-line matrix integrals with an error estimate.
 
 All functions take and return plain ``numpy`` arrays. ``symmetrize`` is the
 constructor for the symmetric-matrix currency used everywhere else: it
-averages a matrix with its transpose, so downstream code can assume exact
-symmetry.
+averages a matrix with its transpose and checks that it is square and
+finite. A function that produces a matrix by asymmetric arithmetic (an
+inverse, a product A B A) averages its own result once; a function that
+consumes a matrix takes it as given and neither averages nor checks it
+again. Arrays from outside are checked where they enter: by
+``symmetrize``, the dataclass constructors and the JSON adapters.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .errors import (
 __all__ = [
     "symmetrize",
     "min_eig",
-    "psd_tol",
     "is_psd",
     "loewner_leq",
     "logdet",
@@ -36,13 +39,16 @@ __all__ = [
 
 
 def symmetrize(M) -> np.ndarray:
-    """Return (M + M^T)/2 as a float array, validating squareness."""
+    """Return (M + M^T)/2 as a float array, validating squareness and
+    finiteness."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
         raise DimensionMismatchError("matrix dimension must be >= 1")
-    S = (A + A.T) / 2.0
+    # an overflow of the average is caught by the finiteness check below
+    with np.errstate(over="ignore"):
+        S = (A + A.T) / 2.0
     if not np.all(np.isfinite(S)):
         raise ValueError("matrix entries must be finite")
     return S
@@ -50,49 +56,38 @@ def symmetrize(M) -> np.ndarray:
 
 def min_eig(M) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(M))[0])
+    return float(np.linalg.eigvalsh(M)[0])
 
 
 def psd_tol(w: np.ndarray) -> float:
     """Scale-invariant PSD slack 1e-9 * (1 + largest |eigenvalue|), from the
-    eigenvalues w of one matrix or of a stack of them."""
+    eigenvalues w of one matrix."""
     return 1e-9 * (1.0 + float(np.max(np.abs(w))))
 
 
-def _is_psd_symmetric(A: np.ndarray, tol: float | None) -> bool:
-    """``is_psd`` of an exactly symmetric A."""
-    if tol is not None and tol < 0:
-        raise ValueError("tol must be nonnegative")
-    w = np.linalg.eigvalsh(A)
-    if tol is None:
-        tol = psd_tol(w)
-    return float(w[0]) >= -tol
+def is_psd(M) -> bool:
+    """True iff the smallest eigenvalue of the symmetric M is at least
+    -``psd_tol`` of its eigenvalues."""
+    w = np.linalg.eigvalsh(M)
+    return float(w[0]) >= -psd_tol(w)
 
 
-def is_psd(M, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue of M is >= -tol (default
-    ``psd_tol`` of the same eigenvalues)."""
-    return _is_psd_symmetric(symmetrize(M), tol)
-
-
-def loewner_leq(A, B, tol: float | None = None) -> bool:
-    """True iff A <= B in the Loewner order (B - A is PSD within tol)."""
-    A = symmetrize(A)
-    B = symmetrize(B)
-    if A.shape != B.shape:
-        raise DimensionMismatchError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return _is_psd_symmetric(B - A, tol)
+def loewner_leq(A, B) -> bool:
+    """True iff A <= B in the Loewner order (B - A is PSD within
+    ``psd_tol``)."""
+    if np.shape(A) != np.shape(B):
+        raise DimensionMismatchError(f"shape mismatch: {np.shape(A)} vs {np.shape(B)}")
+    return is_psd(np.subtract(B, A))
 
 
 def logdet(M) -> float:
     """ln|M| for symmetric positive definite M (natural log), from its
     Cholesky factor; a matrix Cholesky rejects raises
     ``SingularMatrixError``."""
-    A = symmetrize(M)
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(A)
+        w = np.linalg.eigvalsh(M)
         raise SingularMatrixError(
             f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
         ) from None
@@ -100,23 +95,22 @@ def logdet(M) -> float:
 
 
 def inv_pd(M) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    A = symmetrize(M)
-    w = np.linalg.eigvalsh(A)
+    """Inverse of a symmetric positive definite matrix, averaged with its
+    transpose."""
+    w = np.linalg.eigvalsh(M)
     if w[0] <= 1e-14 * (1.0 + float(np.max(np.abs(w)))):
         raise SingularMatrixError(
             f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
         )
-    return symmetrize(np.linalg.inv(A))
+    X = np.linalg.inv(M)
+    return (X + X.T) / 2.0
 
 
-def sqrt_psd(M, tol: float | None = None) -> np.ndarray:
+def sqrt_psd(M) -> np.ndarray:
     """Unique PSD square root R with R @ R = M; M may fall short of PSD by
-    ``tol`` (default ``psd_tol`` of its eigenvalues)."""
-    w, V = np.linalg.eigh(symmetrize(M))
-    if tol is None:
-        tol = psd_tol(w)
-    if w[0] < -tol:
+    ``psd_tol`` of its eigenvalues."""
+    w, V = np.linalg.eigh(M)
+    if w[0] < -psd_tol(w):
         raise NotPsdError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     R = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return (R + R.T) / 2.0
@@ -189,13 +183,9 @@ def matrix_line_integral(
     gradient fields the value is path-independent, so the straight path is
     canonical.
     """
-    K1 = symmetrize(K1)
-    K2 = symmetrize(K2)
-    if K1.shape != K2.shape:
-        raise DimensionMismatchError(f"shape mismatch: {K1.shape} vs {K2.shape}")
-    D = K2 - K1
-    if not _is_psd_symmetric(D, None):
+    if not loewner_leq(K1, K2):
         raise LoewnerOrderError("matrix_line_integral requires K1 <= K2")
+    D = K2 - K1
     t, wk, wg = _kronrod_rule()
 
     def rule(a: float, b: float) -> tuple[float, float, float, float]:

@@ -136,7 +136,8 @@ class MixtureSource:
             raise InputFormatError("weights must be finite, nonnegative and sum to 1")
         if not np.all(np.isfinite(mu)):
             raise InputFormatError("means must be finite")
-        C = (C + np.swapaxes(C, -1, -2)) / 2.0
+        with np.errstate(over="ignore"):  # the finiteness check decides
+            C = (C + np.swapaxes(C, -1, -2)) / 2.0
         if not np.all(np.isfinite(C)):
             raise ValueError("matrix entries must be finite")
         bad = np.flatnonzero(np.linalg.eigvalsh(C)[:, 0] <= 0.0)

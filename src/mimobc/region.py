@@ -45,7 +45,8 @@ class CovarianceSplit:
             raise DimensionMismatchError(
                 f"a split needs one or more nonempty square parts, got shape {stack.shape}"
             )
-        stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
+        with np.errstate(over="ignore"):  # the finiteness check decides
+            stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
         if not np.all(np.isfinite(stack)):
             raise ValueError("matrix entries must be finite")
         stack.flags.writeable = False
@@ -58,17 +59,16 @@ class CovarianceSplit:
     def __repr__(self) -> str:
         return f"CovarianceSplit(parts={self.parts!r})"
 
-    def validate(self, input_cap) -> None:
-        cap = mat.symmetrize(input_cap)
-        total = np.zeros_like(cap)
-        for K in self.parts:
-            if K.shape != cap.shape:
-                raise DimensionMismatchError("split part dimension mismatch")
-            if not mat.is_psd(K):
-                raise ValueError("split part is not PSD")
-            total = total + K
-        denom = 1.0 + float(np.linalg.norm(cap))
-        if float(np.linalg.norm(total - cap)) > 1e-9 * denom:
+    def validate(self, input_cap: np.ndarray) -> None:
+        """Raise unless the parts sum to a channel's cap, taken as given, and
+        each is PSD within ``matrices.is_psd``'s slack (one stacked eigvalsh)."""
+        if self._stack.shape[1:] != input_cap.shape:
+            raise DimensionMismatchError("split part dimension mismatch")
+        lam = np.linalg.eigvalsh(self._stack)
+        if np.any(lam[:, 0] < -1e-9 * (1.0 + np.max(np.abs(lam), axis=1))):
+            raise ValueError("split part is not PSD")
+        denom = 1.0 + float(np.linalg.norm(input_cap))
+        if float(np.linalg.norm(self._stack.sum(axis=0) - input_cap)) > 1e-9 * denom:
             raise ValueError("split parts do not sum to the input cap")
 
 

@@ -148,7 +148,7 @@ def test_criterion_04_inequality_suite():
         a = random_spd(rng, n, 0.8, 1.5)
         b = a + random_spd(rng, n, 0.2, 1.0)
         gaps = [
-            check_cramer_rao(g, a).residual("equality_gap"),
+            check_cramer_rao(g, a).residual("equality_gap_rel"),
             check_fisher_shift(g, a, b).residuals[0].value,
             check_dembo(g, a).residual("equality_gap"),
             check_fisher_convolution(g, a, b).residuals[0].value,

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mimobc import cli
+from mimobc.fixtures import admissible_mixture_for, random_channel, rng_for
 
 CLI = [sys.executable, "-m", "mimobc.cli"]
 
@@ -531,8 +532,11 @@ def _pinned(test):
 class TestFuzz:
     @pytest.mark.parametrize("command, doc", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, doc):
+        # one error line and nothing else; a numpy warning on the way would
+        # fail the test by the RuntimeWarning filter of pyproject.toml
         assert _run_in_process(tmp_path, command, doc) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_ill_conditioned_cap_exits_0(self, tmp_path, capsys):
         # a valid cap (eigenvalues 7.5e-7 and 10) over noises 1e-6 I: the
@@ -571,3 +575,69 @@ class TestFuzz:
         """Every input ends in an exit code of the contract, never in an
         exception."""
         assert _run_in_process(tmp_path, *case) in (0, 1, 2)
+
+
+def _cramer_rao_pair(scale: float) -> dict:
+    """Two components 0.6% apart at the scale of their noises, covariances
+    times ``scale`` and means times its square root."""
+    root = math.sqrt(scale)
+    return {
+        "channel": {"noise_covs": [[[1.95833321e-12 * scale]], [[2.97464112e-12 * scale]]],
+                    "input_cap": [[1.5710825e-12 * scale]]},
+        "source": {"weights": [0.50138821, 0.49861179],
+                   "means": [[6.96677068e-7 * root], [-4.02781524e-7 * root]],
+                   "comp_covs": [[[1.10863346e-12 * scale]], [[1.11493259e-12 * scale]]]},
+    }
+
+
+def _scaled_input(ch, src, scale: float) -> dict:
+    """The channel and source as JSON, covariances times ``scale`` and
+    means times its square root."""
+    return {
+        "channel": {"noise_covs": [(scale * S).tolist() for S in ch.noise_covs],
+                    "input_cap": (scale * ch.input_cap).tolist()},
+        "source": {"weights": src.weights.tolist(),
+                   "means": (math.sqrt(scale) * src.means).tolist(),
+                   "comp_covs": (scale * src.comp_covs).tolist()},
+    }
+
+
+class TestScale:
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_cramer_rao_verdict_does_not_depend_on_scale(self, tmp_path, capsys, scale):
+        # the components do not coincide at either scale; an absolute
+        # tolerance once asserted the equality case at the smaller one
+        assert _run_in_process(tmp_path, "verify", _cramer_rao_pair(scale)) == 0
+        assert capsys.readouterr().err == ""
+        report, = [r for r in json.loads((tmp_path / "out").read_text()) if r["name"] == "cramer_rao"]
+        assert report["passed"] and report["notes"] == ""
+        assert [r["label"] for r in report["residuals"]] == ["min_eig(J - inv(Cov))_rel"]
+
+    def test_component_spectrum_wider_than_1e14_verifies(self, tmp_path, capsys):
+        # J at zero noise is diag(1, 5e14): positive definite, though its
+        # eigenvalues spread past inv_pd's relative floor
+        doc = {
+            "channel": {"noise_covs": [np.eye(2).tolist(), (2.0 * np.eye(2)).tolist()],
+                        "input_cap": (4.0 * np.eye(2)).tolist()},
+            "source": {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [0.5, 0.0]],
+                       "comp_covs": [[[1.0, 0.0], [0.0, 1e-15]], np.eye(2).tolist()]},
+        }
+        assert _run_in_process(tmp_path, "verify", doc) == 0
+        assert capsys.readouterr().err == ""
+        reports = json.loads((tmp_path / "out").read_text())
+        assert len(reports) == 8 and all(r["passed"] for r in reports)
+
+    def test_scaled_inputs_exit_0(self, tmp_path, capsys):
+        """Well-conditioned two-user inputs (n = 1, 2, two components)
+        scaled by 10^U(-12, 12): every command exits 0 and prints nothing
+        to stderr."""
+        for c in range(100):
+            rng = rng_for(2024, c)
+            scale = 10.0 ** rng.uniform(-12.0, 12.0)
+            ch = random_channel(rng, 1 + c % 2, 2)
+            src = admissible_mixture_for(ch, rng, 2)
+            path = write(tmp_path, "in.json", _scaled_input(ch, src, scale))
+            out = str(tmp_path / "out")
+            for argv in (["region", path, "--grid", "5"], ["verify", path], ["walkthrough", path]):
+                assert cli.main(argv + ["--output", out]) == 0, (c, argv[0])
+                assert capsys.readouterr().err == "", (c, argv[0])

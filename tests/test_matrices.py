@@ -25,17 +25,25 @@ def test_symmetrize_rejects_nonsquare():
         mat.symmetrize(np.ones((2, 3)))
 
 
+def _min_eig(M):
+    return np.linalg.eigvalsh(M)[0]
+
+
 def test_is_psd_examples():
-    assert mat.is_psd(np.eye(2), 0.0)
-    assert not mat.is_psd(np.diag([1.0, -1.0]), 1e-12)
-    assert mat.is_psd(np.zeros((3, 3)), 0.0)
+    assert mat.is_psd(np.eye(2)) and _min_eig(np.eye(2)) >= 0.0
+    assert not mat.is_psd(np.diag([1.0, -1.0])) and _min_eig(np.diag([1.0, -1.0])) < -1e-12
+    assert mat.is_psd(np.zeros((3, 3))) and _min_eig(np.zeros((3, 3))) >= 0.0
+    # the default slack is 1e-9 (1 + largest |eigenvalue|)
+    assert mat.is_psd(np.diag([-1e-9, 0.5]))
+    assert not mat.is_psd(np.diag([-2e-9, 0.5]))
 
 
 def test_loewner_examples():
-    assert mat.loewner_leq(np.eye(2), 2 * np.eye(2), 0.0)
-    assert not mat.loewner_leq(np.diag([1.0, 3.0]), np.diag([2.0, 2.0]), 1e-12)
+    assert mat.loewner_leq(np.eye(2), 2 * np.eye(2)) and _min_eig(2 * np.eye(2) - np.eye(2)) >= 0.0
+    A, B = np.diag([1.0, 3.0]), np.diag([2.0, 2.0])
+    assert not mat.loewner_leq(A, B) and _min_eig(B - A) < -1e-12
     A = _psd_from_seed(5)
-    assert mat.loewner_leq(A, A, 0.0)
+    assert mat.loewner_leq(A, A) and _min_eig(A - A) >= 0.0
     with pytest.raises(DimensionMismatchError):
         mat.loewner_leq(np.eye(2), np.eye(3))
 
@@ -47,11 +55,12 @@ def test_loewner_partial_order(seed):
     B = mat.symmetrize(A + _psd_from_seed([seed, 1], lo=0.1))
     C = mat.symmetrize(B + _psd_from_seed([seed, 2], lo=0.1))
     tol = 1e-9
-    assert mat.loewner_leq(A, A, tol)
-    assert mat.loewner_leq(A, B, tol) and mat.loewner_leq(B, C, tol)
-    assert mat.loewner_leq(A, C, tol)  # transitivity along the chain
+    assert mat.loewner_leq(A, A) and _min_eig(A - A) >= -tol
+    assert mat.loewner_leq(A, B) and mat.loewner_leq(B, C)
+    assert _min_eig(B - A) >= -tol and _min_eig(C - B) >= -tol
+    assert mat.loewner_leq(A, C) and _min_eig(C - A) >= -tol  # transitivity along the chain
     # antisymmetry within tol
-    if mat.loewner_leq(B, A, tol):
+    if _min_eig(A - B) >= -tol:
         assert np.max(np.abs(B - A)) < 1e-6
 
 

@@ -114,7 +114,7 @@ class TestAggregateCovariance:
         for seed in range(10):
             src = random_mixture(rng_for(9, seed), 2, 3)
             within = np.einsum("u,uij->ij", src.weights, src.comp_covs)
-            assert mat.is_psd(aggregate_covariance(src) - within, 1e-12)
+            assert np.linalg.eigvalsh(aggregate_covariance(src) - within)[0] >= -1e-12
 
 
 class TestMixtureSourceValidation:

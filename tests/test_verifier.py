@@ -42,6 +42,7 @@ from mimobc.verifier import (
 # frozen oracle values for the hand-checked scalar fixture
 # p=(1/2,1/2), component variances (1,3), unit perturbations.
 CRAMER_RAO_GAP = 0.375 - 1.0 / 3.0          # 0.0416667 with equal means
+CRAMER_RAO_J = 0.375                        # J(Y|U) = (1/2)/2 + (1/2)/4
 FISHER_SHIFT_GAP = 1.75 - 5.0 / 3.0         # 0.0833333 for sigma 1 -> 2
 
 
@@ -57,19 +58,33 @@ class TestCramerRao:
     def test_scalar_gap(self):
         rep = check_cramer_rao(_scalar_equal_means(), np.eye(1))
         assert rep.passed
-        assert rep.residual("min_eig(J - inv(Cov))") == pytest.approx(
-            CRAMER_RAO_GAP, abs=1e-10
+        # relative to the largest entry of J
+        assert rep.residual("min_eig(J - inv(Cov))_rel") == pytest.approx(
+            CRAMER_RAO_GAP / CRAMER_RAO_J, abs=1e-10
         )
 
     def test_gaussian_equality(self):
         rep = check_cramer_rao(gaussian_source(np.array([[2.0]])), np.eye(1))
         assert rep.passed
-        assert abs(rep.residual("equality_gap")) <= 1e-12
+        assert abs(rep.residual("equality_gap_rel")) <= 1e-12
 
     def test_random_mixtures(self):
         for seed in range(20):
             src = random_mixture(rng_for(301, seed), 2, 3)
             assert check_cramer_rao(src, np.eye(2)).passed
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_equality_case_decided_at_every_scale(self, scale):
+        C = scale * np.array([[1.3, 0.4], [0.4, 0.9]])
+        means = math.sqrt(scale) * np.array([[0.0, 0.0], [1.0, 0.5]])
+        same = MixtureSource(np.array([1.0 / 3.0, 2.0 / 3.0]), means, np.stack([C, C]))
+        rep = check_cramer_rao(same, scale * np.eye(2))
+        assert rep.passed and rep.notes == "equality case asserted"
+        assert abs(rep.residual("equality_gap_rel")) <= 1e-12
+        # components 0.6% apart do not coincide, whatever their scale
+        apart = MixtureSource(same.weights, means, np.stack([C, 1.006 * C]))
+        rep = check_cramer_rao(apart, scale * np.eye(2))
+        assert rep.passed and rep.notes == ""
 
 
 class TestFisherShift:
