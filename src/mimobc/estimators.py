@@ -13,9 +13,14 @@ The quadrature kernels ``mixture_fisher_quad`` and ``mixture_entropy_quad``
 cover a whole auxiliary level at a whole stack of noise covariances in one
 pass. Given a joint table P(u_2 = u, U_k = g) over the source's components
 (``model.coarsen``), they return J(Y | U_k) and h(Y | U_k); with no table,
-the unconditional J(Y) and h(Y). Every symbol's law mixes the same base
-components, so one walk of a component's grid serves every symbol and every
-noise covariance: only the posterior differs between symbols.
+the unconditional J(Y) and h(Y). ``mixture_level_quad`` returns J(Y | U_k),
+h(Y | U_k) and h(Y) together, from one walk of the grids. Every symbol's law
+mixes the same base components, so one walk of a component's grid serves
+every symbol, every noise covariance and both quantities: only the posterior
+differs between symbols, and the Fisher correction and the entropies read
+the same scaled densities. All three are calls of one walker (``_walk``),
+which walks only the grids each quantity needs; the unconditional h(Y) is
+one more symbol, the source's weights.
 
 The grids are tensor Gauss-Hermite grids for the small dimensions (n <= 3)
 this package targets, pruned of the nodes whose weight is at most
@@ -57,9 +62,13 @@ __all__ = [
     "entropy_conditional",
     "mixture_entropy_quad",
     "mixture_fisher_quad",
+    "mixture_level_quad",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# the smallest positive float; a density sum raised to it stays as it is
+# unless it underflowed to zero
+_TINY = np.finfo(float).smallest_subnormal
 
 
 # --- observed-mixture plumbing ---------------------------------------------
@@ -131,11 +140,15 @@ class _ObservedLevel:
 
     def given_label(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(J (T, n, n), h (T,)) given the label, with weight w_u on component
-        u: J = sum_u w_u C_tu^{-1} and h = sum_u w_u ln((2 pi e)^n |C_tu|) / 2,
-        since given the label Y is Gaussian."""
+        u: J = sum_u w_u C_tu^{-1} and h = ``entropies(weights)``, since given
+        the label Y is Gaussian."""
         J = np.einsum("u,tuij->tij", weights, self.precs)
-        h = (0.5 * self.n * LOG_2PI_E + self.half_logdet) @ weights
-        return (J + np.swapaxes(J, 1, 2)) / 2.0, h
+        return (J + np.swapaxes(J, 1, 2)) / 2.0, self.entropies(weights)
+
+    def entropies(self, weights: np.ndarray) -> np.ndarray:
+        """h = sum_u w_u ln((2 pi e)^n |C_tu|) / 2: (T,) for weights (m,), or
+        (T, S) for weights (m, S) with one column per symbol."""
+        return (0.5 * self.n * LOG_2PI_E + self.half_logdet) @ weights
 
     def coefs(self, grids: np.ndarray) -> np.ndarray:
         """(U*T*m, F) coefficients: row (u, t, w) times ``_features(z)`` is
@@ -181,13 +194,14 @@ def _pair_weights(e: np.ndarray, P: np.ndarray, P_grids: np.ndarray) -> np.ndarr
 
     With s_g = sum_w P[w, g] e_w, the posterior is pi^g_v = P[v, g] e_v / s_g,
     so w_uv = e_v sum_g P[v, g] P[u, g] / s_g: two batched matmuls with the
-    table. The ratio is formed only where P[u, g] > 0, where s_g is at least
-    P[u, g] e_u; a symbol without u may have every density underflow at
-    some nodes, and its 0 / 0 must not enter."""
+    table. Where P[u, g] > 0, s_g is at least P[u, g] e_u. A symbol without
+    u may have every density underflow at some nodes; raising s_g to the
+    smallest subnormal turns its 0 / 0 into 0 / tiny = 0 and leaves every
+    positive s_g, hence every ratio the pair weights use, as it is."""
     s = P.T @ e
-    mine = P_grids[:, None, :, None]
-    R = np.divide(mine, s, out=np.zeros_like(s), where=mine > 0.0)
-    return e * (P @ R)
+    np.maximum(s, _TINY, out=s)
+    np.divide(P_grids[:, None, :, None], s, out=s)
+    return e * (P @ s)
 
 
 # --- exact conditional quantities -------------------------------------------
@@ -259,6 +273,98 @@ def _quad_order(n: int, order: int | None) -> int:
     return _DEFAULT_QUAD_ORDER[n]
 
 
+def _walk(
+    obs: _ObservedLevel, order: int, P: np.ndarray | None, Q: np.ndarray | None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """J(Y | U) of the joint table P (m, G) and the entropy terms
+    h_s = -sum_u Q[u, s] E_u[ln f_s] of the symbol columns Q (m, S), with
+    f_s = sum_w Q[w, s] N_w / sum_w Q[w, s], from one walk of the grids
+    (``_ObservedLevel.blocks``): (J (T, n, n), H (T, S)), each None when
+    its table is.
+
+    Each part walks only the grids it needs: the Fisher correction those
+    of the narrower member of each pair some symbol of P mixes (see
+    ``mixture_fisher_quad``), the entropy those of the components of every
+    symbol of Q that mixes several; a symbol with one component has its
+    exact Gaussian entropy. Both parts read the same scaled densities of
+    each block, whose grids are the Fisher grids first, then the others."""
+    m = obs.m
+    J = H = None
+    fisher = walked = np.zeros(m, dtype=bool)
+    if P is not None:
+        J, _ = obs.given_label(P.sum(axis=1))
+        Pm = P[:, np.count_nonzero(P > 0.0, axis=0) > 1]
+        support = (Pm > 0.0).astype(float)
+        paired = support @ support.T > 0.0
+        np.fill_diagonal(paired, False)
+        # narrow[t, u, v]: u is the pair's grid at noise t (ties to the lower index)
+        hl = obs.half_logdet
+        lower = np.arange(m)[:, None] < np.arange(m)[None, :]
+        narrow = (hl[:, :, None] < hl[:, None, :]) | ((hl[:, :, None] == hl[:, None, :]) & lower)
+        use = narrow & paired[None]
+        fisher = use.any(axis=(0, 2))
+    if Q is not None:
+        size = np.count_nonzero(Q > 0.0, axis=0)
+        H = obs.entropies(Q * (size == 1))
+        mixed = np.flatnonzero(size > 1)
+        Qm = Q[:, mixed]
+        cond_T = (Qm / Qm.sum(axis=0)).T
+        walked = np.any(Qm > 0.0, axis=1)
+    grids = np.concatenate([np.flatnonzero(fisher), np.flatnonzero(walked & ~fisher)])
+    if not grids.size:
+        return J, H
+    U = np.count_nonzero(fisher)
+    P_grids = Pm[grids[:U]] if U else None
+    # moments[u, t, v] = sum_nodes w_uv [1, z, z_i z_j] on Fisher grid u at noise t
+    moments = 0.0
+    # acc[u, t, s] = E_u[ln f_s] at noise t
+    acc = 0.0
+    for F, wt, top, e in obs.blocks(grids, order):
+        if U:
+            moments = moments + _pair_weights(e[:U], Pm, P_grids) @ (F * wt).T
+        if Q is not None:
+            # ln f_s = top + ln sum_w p(w | s) e_w. Where u is in s, the sum
+            # is at least p(u | s) e_u > 0 and ``_TINY`` leaves it as it is;
+            # elsewhere it may underflow to 0, and its weight Q[u, s] is 0
+            f = cond_T @ e
+            np.maximum(f, _TINY, out=f)
+            np.log(f, out=f)
+            f += top
+            acc = acc + f @ wt
+    if Q is not None:
+        H[:, mixed] -= np.einsum("us,uts->ts", Qm[grids], acc)
+    if U:
+        moments *= np.swapaxes(use[:, grids[:U]], 0, 1)[..., None]
+        J -= _fisher_correction(obs, grids[:U], moments)
+        J = (J + np.swapaxes(J, 1, 2)) / 2.0
+    return J, H
+
+
+def _fisher_correction(obs: _ObservedLevel, grids: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """(T, n, n) sum over the pairs of E_u[w_uv d_uv d_uv^T] from the weighted
+    moments (U, T, m, F) on the grids of their narrower members u, with
+    d_uv = g_u - g_v, the gap of the component scores, affine in the nodes:
+    at y = mu_u + L_tu z it is M z + c."""
+    n = obs.n
+    L = np.swapaxes(obs.chols[:, grids], 0, 1)[:, :, None]
+    L_inv_T = np.swapaxes(np.swapaxes(obs.inv_chols[:, grids], 0, 1), 2, 3)[:, :, None]
+    M = obs.precs[None] @ L - L_inv_T
+    gaps = obs.means[grids, None] - obs.means[None]
+    c = (obs.precs[None] @ gaps[:, None, :, :, None])[..., 0]
+    i, j = np.triu_indices(n)
+    S2 = np.empty(moments.shape[:3] + (n, n))
+    S2[..., i, j] = moments[..., 1 + n:]
+    S2[..., j, i] = moments[..., 1 + n:]
+    Ms1 = (M @ moments[..., 1:1 + n, None])[..., 0]
+    corr = (
+        M @ S2 @ np.swapaxes(M, 3, 4)
+        + Ms1[..., :, None] * c[..., None, :]
+        + c[..., :, None] * Ms1[..., None, :]
+        + moments[..., 0, None, None] * c[..., :, None] * c[..., None, :]
+    )
+    return corr.sum(axis=(0, 2))
+
+
 def mixture_entropy_quad(
     src: MixtureSource, noise_cov, order: int | None = None, joint=None
 ) -> float | np.ndarray:
@@ -283,24 +389,8 @@ def mixture_entropy_quad(
     """
     P = _joint_table(src, joint)
     obs = _ObservedLevel(src, noise_cov)
-    order = _quad_order(src.dim, order)
-    size = np.count_nonzero(P > 0.0, axis=0)
-    _, h = obs.given_label(P[:, size == 1].sum(axis=1))
-    mixed = np.flatnonzero(size > 1)
-    if mixed.size:
-        Pm = P[:, mixed]
-        cond_T = (Pm / Pm.sum(axis=0)).T
-        grids = np.flatnonzero(np.any(Pm > 0.0, axis=1))
-        # ln f_g is needed on u's grid only where u is in g, and there
-        # f_g e^{-top} is at least p(u | g) e_u > 0
-        mine = (Pm[grids] > 0.0)[:, None, :, None]
-        # acc[u, t, g] = E_u[ln f_g] at noise t
-        acc = np.zeros((len(grids), obs.T, mixed.size))
-        for _, wt, top, e in obs.blocks(grids, order):
-            # ln f_g = top + ln sum_w p(w | g) e_w
-            s = cond_T @ e
-            acc += np.log(s, out=np.zeros_like(s), where=mine) @ wt + top @ wt
-        h -= np.einsum("ug,utg->t", Pm[grids], acc)
+    _, H = _walk(obs, _quad_order(obs.n, order), None, P)
+    h = H.sum(axis=1)
     return h if obs.stacked else float(h[0])
 
 
@@ -330,44 +420,25 @@ def mixture_fisher_quad(
     """
     P = _joint_table(src, joint)
     obs = _ObservedLevel(src, noise_cov)
-    n, m = obs.n, obs.m
-    order = _quad_order(n, order)
-    J, _ = obs.given_label(P.sum(axis=1))
-    mixed = np.flatnonzero(np.count_nonzero(P > 0.0, axis=0) > 1)
-    Pm = P[:, mixed]
-    support = (Pm > 0.0).astype(float)
-    paired = support @ support.T > 0.0
-    np.fill_diagonal(paired, False)
-    # narrow[t, u, v]: u is the pair's grid at noise t (ties to the lower index)
-    hl = obs.half_logdet
-    lower = np.arange(m)[:, None] < np.arange(m)[None, :]
-    narrow = (hl[:, :, None] < hl[:, None, :]) | ((hl[:, :, None] == hl[:, None, :]) & lower)
-    use = narrow & paired[None]
-    grids = np.flatnonzero(use.any(axis=(0, 2)))
-    if grids.size:
-        P_grids = Pm[grids]
-        # moments[u, t, v] = sum_nodes w_uv [1, z, z_i z_j] on u's grid at noise t
-        moments = 0.0
-        for F, wt, _, e in obs.blocks(grids, order):
-            moments = moments + (_pair_weights(e, Pm, P_grids) * wt) @ F.T
-        moments *= np.swapaxes(use[:, grids], 0, 1)[..., None]
-        # d_uv at y = mu_u + L_tu z is M z + c
-        L = np.swapaxes(obs.chols[:, grids], 0, 1)[:, :, None]
-        L_inv_T = np.swapaxes(np.swapaxes(obs.inv_chols[:, grids], 0, 1), 2, 3)[:, :, None]
-        M = obs.precs[None] @ L - L_inv_T
-        gaps = obs.means[grids, None] - obs.means[None]
-        c = (obs.precs[None] @ gaps[:, None, :, :, None])[..., 0]
-        i, j = np.triu_indices(n)
-        S2 = np.empty(moments.shape[:3] + (n, n))
-        S2[..., i, j] = moments[..., 1 + n:]
-        S2[..., j, i] = moments[..., 1 + n:]
-        Ms1 = (M @ moments[..., 1:1 + n, None])[..., 0]
-        corr = (
-            M @ S2 @ np.swapaxes(M, 3, 4)
-            + Ms1[..., :, None] * c[..., None, :]
-            + c[..., :, None] * Ms1[..., None, :]
-            + moments[..., 0, None, None] * c[..., :, None] * c[..., None, :]
-        )
-        J -= corr.sum(axis=(0, 2))
-        J = (J + np.swapaxes(J, 1, 2)) / 2.0
+    J, _ = _walk(obs, _quad_order(obs.n, order), P, None)
     return J if obs.stacked else J[0]
+
+
+def mixture_level_quad(
+    src: MixtureSource, noise_cov, joint
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J(Y | U_k), h(Y | U_k), h(Y)) of one auxiliary level at a (T, n, n)
+    stack of noise covariances, from one walk of the grids (n <= 3):
+    (T, n, n), (T,) and (T,); one (n, n) covariance is a stack of one.
+
+    Each equals ``mixture_fisher_quad``, ``mixture_entropy_quad`` with the
+    same ``joint`` and ``mixture_entropy_quad`` with none (the source's own
+    weights) on the same stack, at the default order. All three read the same scaled component
+    densities: the Fisher correction on the narrower member of each mixed
+    pair, and the entropies with the weights p(u) as one more symbol, on
+    the grid of every component that a symbol mixes with another.
+    """
+    P = _joint_table(src, joint)
+    obs = _ObservedLevel(src, noise_cov)
+    J, H = _walk(obs, _quad_order(obs.n, None), P, np.column_stack([P, src.weights]))
+    return J, H[:, :-1].sum(axis=1), H[:, -1]

@@ -61,14 +61,16 @@ class CovarianceSplit:
 
     def validate(self, input_cap: np.ndarray) -> None:
         """Raise unless the parts sum to a channel's cap, taken as given, and
-        each is PSD within ``matrices.is_psd``'s slack (one stacked eigvalsh)."""
+        each is PSD within ``matrices.is_psd``'s slack (one stacked eigvalsh).
+        The sum may miss the cap by 1e-9 times its largest entry in any
+        entry, which reads the same at every scale and squares nothing."""
         if self._stack.shape[1:] != input_cap.shape:
             raise DimensionMismatchError("split part dimension mismatch")
         lam = np.linalg.eigvalsh(self._stack)
         if np.any(lam[:, 0] < -1e-9 * (1.0 + np.max(np.abs(lam), axis=1))):
             raise ValueError("split part is not PSD")
-        denom = 1.0 + float(np.linalg.norm(input_cap))
-        if float(np.linalg.norm(self._stack.sum(axis=0) - input_cap)) > 1e-9 * denom:
+        gap = np.max(np.abs(self._stack.sum(axis=0) - input_cap))
+        if gap > 1e-9 * np.max(np.abs(input_cap)):
             raise ValueError("split parts do not sum to the input cap")
 
 

@@ -6,7 +6,10 @@ The law of X given one symbol of an auxiliary U_k is a Gaussian mixture of
 the base components. ``model.coarsen`` gives a whole level as one joint
 table P(u_2 = u, U_k = g), and ``estimators.mixture_fisher_quad`` and
 ``mixture_entropy_quad`` turn it into J(Y | U_k) and h(Y | U_k) in one call,
-at one noise covariance or a stack of them. Given the mixture label X + N is
+at one noise covariance or a stack of them; ``mixture_level_quad`` gives
+J(Y | U_k), h(Y | U_k) and h(Y) from one walk of the quadrature grids, so
+a walkthrough stage reads J and both of its entropies off the same
+component densities. Given the mixture label X + N is
 Gaussian, and ``fisher_conditional`` and ``entropy_conditional`` give its
 closed forms, also at a stack of noise covariances; the kernels share that
 code for the finest auxiliary (a diagonal table), whose every symbol has one
@@ -52,6 +55,7 @@ from .estimators import (
     fisher_conditional,
     mixture_entropy_quad,
     mixture_fisher_quad,
+    mixture_level_quad,
 )
 from .model import (
     LOG_2PI_E,
@@ -418,8 +422,12 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
 
     Every entropy is deterministic: closed form given the finest auxiliary,
     Gauss-Hermite quadrature given a coarser one and for the unconditional
-    h(Y_K). Each conditional entropy is computed once, at the stage that
-    needs it, and the achieved rates are differences of the stored values.
+    h(Y_K). A stage with a coarser auxiliary walks the grids once
+    (``mixture_level_quad`` on [Sigma_k, Sigma_{k-1}]) for J(Y_k | U_k),
+    h(Y_k | U_k) and h(Y_{k-1} | U_k), and at the top stage also h(Y_K);
+    only the line integral's field walks them again, at its own nodes. Each
+    entropy is computed once, and the achieved rates are differences of the
+    stored values.
     """
     if isinstance(source, MixtureSource):
         hierarchy = MarkovHierarchy(base=source)
@@ -447,11 +455,20 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         sigma = ch.noise_covs[k - 1]
         sigma_prev = ch.noise_covs[k - 2]
         joint = coarsen(hierarchy, k)
-        J = mixture_fisher_quad(base, sigma, joint=joint)
-        # h(Y_k | U_k) and h(Y_{k-1} | U_k) from one call
-        h, h_prev[k] = mixture_entropy_quad(
-            base, np.stack([sigma, sigma_prev]), joint=joint
-        ).tolist()
+        stack = np.stack([sigma, sigma_prev])
+        if k == 2 < K:
+            # U_2 is the mixture label: its table is diagonal, so both are
+            # closed forms and walk no grid, and h(Y_2) is not needed
+            J = mixture_fisher_quad(base, sigma, joint=joint)
+            h, h_prev[k] = mixture_entropy_quad(base, stack, joint=joint).tolist()
+        else:
+            # J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and at the top
+            # stage h(Y_K) = h(Y_K | U_{K+1}), from one walk of the grids
+            Js, hs, h_y = mixture_level_quad(base, stack, joint)
+            J = Js[0]
+            h, h_prev[k] = hs.tolist()
+            if k == K:
+                h_prev[K + 1] = float(h_y[0])
         h_cond[k] = h
         fp = _solve_fixed_point_core(J, h, sigma, A[k + 1])
         A[k] = fp.A
@@ -506,7 +523,6 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
     # achieved rates, finest to coarsest: R_k = h(Y_k|U_{k+1}) - h(Y_k|U_k),
     # with U_1 = X (so h(Y_1|X) = h(N_1)) and U_{K+1} constant
     h_cond[1] = gaussian_entropy(ch.noise_covs[0])
-    h_prev[K + 1] = mixture_entropy_quad(base, ch.noise_covs[K - 1])
     achieved = [h_prev[k + 1] - h_cond[k] for k in range(1, K + 1)]
 
     # recovered split and its superposition rates

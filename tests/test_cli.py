@@ -627,6 +627,12 @@ class TestScale:
         reports = json.loads((tmp_path / "out").read_text())
         assert len(reports) == 8 and all(r["passed"] for r in reports)
 
+    def test_region_near_the_largest_float_exits_0(self, tmp_path, capsys):
+        # the split check once took norms of the cap, whose squares overflow
+        doc = {"noise_covs": [[[1e300]], [[2e300]]], "input_cap": [[2.5e300]]}
+        assert _run_in_process(tmp_path, "region", doc) == 0
+        assert capsys.readouterr().err == ""
+
     def test_scaled_inputs_exit_0(self, tmp_path, capsys):
         """Well-conditioned two-user inputs (n = 1, 2, two components)
         scaled by 10^U(-12, 12): every command exits 0 and prints nothing

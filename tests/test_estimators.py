@@ -10,6 +10,7 @@ from mimobc.estimators import (
     fisher_conditional,
     mixture_entropy_quad,
     mixture_fisher_quad,
+    mixture_level_quad,
 )
 from mimobc import estimators
 from mimobc.fixtures import (
@@ -456,6 +457,45 @@ class TestLevelKernel:
             J_ref, h_ref = _closed_form_reference(src, S)
             assert np.max(np.abs(J[t] - J_ref)) <= 1e-13
             assert abs(h[t] - h_ref) <= 1e-13
+
+
+class TestLevelQuad:
+    """``mixture_level_quad``'s one walk against separate Fisher and entropy
+    calls on the same stack of noise covariances."""
+
+    @staticmethod
+    def _assert_matches_separate_calls(src, joint, noises):
+        J, h_cond, h = mixture_level_quad(src, noises, joint)
+        J_ref = mixture_fisher_quad(src, noises, joint=joint)
+        h_cond_ref = mixture_entropy_quad(src, noises, joint=joint)
+        h_ref = mixture_entropy_quad(src, noises)
+        assert J.shape == noises.shape and h_cond.shape == h.shape == noises.shape[:1]
+        for t in range(len(noises)):
+            assert np.max(np.abs(J[t] - J_ref[t])) <= 1e-12 * np.max(np.abs(J_ref[t]))
+        assert np.all(np.abs(h_cond - h_cond_ref) <= 1e-12 * np.abs(h_cond_ref))
+        assert np.all(np.abs(h - h_ref) <= 1e-12 * np.abs(h_ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alphabet", [(2, 2), (3, 2)])
+    def test_three_user_hierarchy(self, n, alphabet):
+        rng = rng_for(310, n, *alphabet)
+        h = random_hierarchy(rng, n, alphabet)
+        assert h.num_users == 3
+        ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
+        noises = np.stack(ch.noise_covs)
+        # level 3 mixes the components; level 2's table is diagonal
+        assert np.any(np.count_nonzero(coarsen(h, 3) > 0.0, axis=0) > 1)
+        assert np.count_nonzero(coarsen(h, 2)) == h.base.num_components
+        for level in (3, 2):
+            self._assert_matches_separate_calls(h.base, coarsen(h, level), noises)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_two_user_hierarchy(self, n):
+        rng = rng_for(311, n)
+        h = random_hierarchy(rng, n, (3,))
+        assert h.num_users == 2
+        ch = admissible_channel_for(aggregate_covariance(h.base), rng, 2)
+        self._assert_matches_separate_calls(h.base, coarsen(h, 2), np.stack(ch.noise_covs))
 
 
 def _log_space_reference(src, joint, noise, order):

@@ -1,10 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mimobc import cli, matrices, verifier
+from mimobc import cli, estimators, matrices, verifier
 from mimobc.errors import (
     DimensionMismatchError,
     InadmissibleSourceError,
@@ -437,24 +438,70 @@ class TestConverseWalkthrough:
         assert len(rep.stages) == 2
         assert len(rep.achieved_rates) == 3
 
-    def test_no_entropy_quadrature_repeats(self, monkeypatch):
-        # every stage entropy is computed once, h(Y_k | U_k) and
-        # h(Y_{k-1} | U_k) in one call per stage; the achieved rates reuse them
+    def test_one_grid_walk_per_mixed_stage(self, monkeypatch):
+        # a mixed stage's J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and, at
+        # the top, h(Y_K) come from one walk of the grids; the line integral's
+        # field walks once per call on a mixed table; and no noise covariance
+        # is walked twice with the same table
         rng = rng_for(11, 2, 0)
         h = random_hierarchy(rng, 3, (2, 2))
         ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
-        seen = []
-        quad = verifier.mixture_entropy_quad
+        context = []  # the calls in progress, innermost last
+        calls, walks = [], []
 
-        def recording(src, noise_cov, order=None, joint=None):
-            seen.append(tuple(np.asarray(a).tobytes() for a in (
-                src.weights, src.means, src.comp_covs, noise_cov, joint)) + (order,))
-            return quad(src, noise_cov, order, joint)
+        def tracking(name, quad):
+            def call(src, noise_cov, *args, **kwargs):
+                bound = inspect.signature(quad).bind(src, noise_cov, *args, **kwargs)
+                joint = bound.arguments.get("joint")
+                table = src.weights[:, None] if joint is None else np.asarray(joint)
+                tables = [table, src.weights[:, None]] if name == "mixture_level_quad" else [table]
+                noises = np.reshape(noise_cov, (-1,) + src.comp_covs.shape[1:])
+                mixed = bool(np.any(np.count_nonzero(table > 0.0, axis=0) > 1))
+                context.append((name, noises, tables))
+                calls.append((context[0][0], name, mixed))
+                try:
+                    return quad(src, noise_cov, *args, **kwargs)
+                finally:
+                    context.pop()
+            return call
 
-        monkeypatch.setattr(verifier, "mixture_entropy_quad", recording)
+        line_integral = matrices.matrix_line_integral
+
+        def integrating(field, a, b, tol):
+            context.append(("field", None, None))
+            try:
+                return line_integral(field, a, b, tol)
+            finally:
+                context.pop()
+
+        blocks = estimators._ObservedLevel.blocks
+
+        def walking(obs, grids, order):
+            walks.append((context[0][0],) + context[-1])
+            return blocks(obs, grids, order)
+
+        for name in ("mixture_level_quad", "mixture_fisher_quad", "mixture_entropy_quad"):
+            monkeypatch.setattr(verifier, name, tracking(name, getattr(verifier, name)))
+        monkeypatch.setattr(matrices, "matrix_line_integral", integrating)
+        monkeypatch.setattr(estimators._ObservedLevel, "blocks", walking)
         assert converse_walkthrough(h, ch).passed
-        assert len(seen) == 3
-        assert len(set(seen)) == len(seen)
+
+        mixed_stages = [
+            k for k in range(3, 1, -1)
+            if np.any(np.count_nonzero(coarsen(h, k) > 0.0, axis=0) > 1)
+        ]
+        assert mixed_stages == [3]
+        staged = [name for outer, name, _, _ in walks if outer != "field"]
+        assert staged == ["mixture_level_quad"] * len(mixed_stages)
+        in_field = [name for outer, name, _, _ in walks if outer == "field"]
+        field_calls = [c for c in calls if c[0] == "field" and c[2]]
+        assert in_field == ["mixture_fisher_quad"] * len(field_calls)
+        assert field_calls
+        pairs = [
+            (S.tobytes(), P.tobytes())
+            for _, _, noises, tables in walks for S in noises for P in tables
+        ]
+        assert len(set(pairs)) == len(pairs)
 
     @pytest.mark.parametrize("bits", [False, True])
     def test_cli_report_keys(self, tmp_path, bits):
