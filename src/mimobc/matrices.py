@@ -60,8 +60,8 @@ def min_eig(M) -> float:
 
 
 def psd_tol(w: np.ndarray) -> float:
-    """Scale-invariant PSD slack 1e-9 * (1 + largest |eigenvalue|), from the
-    eigenvalues w of one matrix."""
+    """PSD slack 1e-9 * (1 + largest |eigenvalue|), from the eigenvalues w
+    of one matrix: relative above unit scale, absolute (1e-9) below it."""
     return 1e-9 * (1.0 + float(np.max(np.abs(w))))
 
 
@@ -73,11 +73,13 @@ def is_psd(M) -> bool:
 
 
 def loewner_leq(A, B) -> bool:
-    """True iff A <= B in the Loewner order (B - A is PSD within
-    ``psd_tol``)."""
+    """True iff A <= B in the Loewner order: the smallest eigenvalue of
+    B - A is at least -1e-9 times the largest |eigenvalue| of A and B, so
+    the verdict is the same at every scale (one stacked eigvalsh)."""
     if np.shape(A) != np.shape(B):
         raise DimensionMismatchError(f"shape mismatch: {np.shape(A)} vs {np.shape(B)}")
-    return is_psd(np.subtract(B, A))
+    w = np.linalg.eigvalsh(np.stack([np.subtract(B, A), A, B]))
+    return float(w[0, 0]) >= -1e-9 * float(np.max(np.abs(w[1:])))
 
 
 def logdet(M) -> float:
@@ -96,7 +98,9 @@ def logdet(M) -> float:
 
 def inv_pd(M) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, averaged with its
-    transpose."""
+    transpose. A matrix whose smallest eigenvalue is at most
+    1e-14 * (1 + largest |eigenvalue|) raises ``SingularMatrixError``; below
+    unit scale that floor is absolute."""
     w = np.linalg.eigvalsh(M)
     if w[0] <= 1e-14 * (1.0 + float(np.max(np.abs(w)))):
         raise SingularMatrixError(

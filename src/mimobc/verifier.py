@@ -9,18 +9,23 @@ table P(u_2 = u, U_k = g), and ``estimators.mixture_fisher_quad`` and
 at one noise covariance or a stack of them; ``mixture_level_quad`` gives
 J(Y | U_k), h(Y | U_k) and h(Y) from one walk of the quadrature grids, so
 a walkthrough stage reads J and both of its entropies off the same
-component densities. Given the mixture label X + N is
-Gaussian, and ``fisher_conditional`` and ``entropy_conditional`` give its
-closed forms, also at a stack of noise covariances; the kernels share that
-code for the finest auxiliary (a diagonal table), whose every symbol has one
-component. Given a coarser auxiliary the kernels use the deterministic
-Gauss-Hermite quadrature: a pruned tensor grid whose dropped nodes carry
-under 1e-19 of the weight at the default orders. The error of the
-quadrature order itself is not estimated and does not enter any tolerance.
-On a badly conditioned mixture it is about 1e-9 in Fisher information but
-reaches about 5e-4 in entropy at the default order (see
-``estimators.mixture_entropy_quad``), more than the 1e-6 to 1e-10 the
-walkthrough's identities are judged at, so a pass does not bound it.
+component densities. Given the mixture label X + N is Gaussian, and
+``fisher_conditional`` and ``entropy_conditional`` give its closed forms,
+also at a stack of noise covariances; the kernels share that code for the
+finest auxiliary (a diagonal table), whose every symbol has one component.
+Given a coarser auxiliary the kernels use the deterministic Gauss-Hermite
+quadrature: a pruned tensor grid whose dropped nodes carry under 1e-19 of
+the weight at the default orders. The error of the quadrature order itself
+is not estimated and does not enter any tolerance. On a badly conditioned
+mixture it is about 1e-9 in Fisher information but reaches about 5e-4 in
+entropy at the default order (see ``estimators.mixture_entropy_quad``),
+more than the 1e-6 to 1e-10 the walkthrough's identities are judged at, so
+a pass does not bound it.
+
+Each inequality check passes all of its noise covariances to a closed form
+as one stack: de Bruijn's perturbed noises, f_epsilon's eps * sigma and
+each sigma_a / sigma_b pair are one call of ``entropy_conditional`` or
+``fisher_conditional``, never a loop of calls.
 
 The matrix line integrals of the Fisher field use the adaptive
 Gauss-Kronrod G7/K15 rule of ``matrices.matrix_line_integral``, which
@@ -124,8 +129,9 @@ def check_fisher_shift(src: MixtureSource, sigma_a, sigma_b, tol: float = 1e-8) 
     """Growth of J^{-1}(X+V|U) - Cov(V) as the Gaussian perturbation grows."""
     if not (mat.min_eig(sigma_a) > 0 and mat.loewner_leq(sigma_a, sigma_b)):
         raise LoewnerOrderError("need 0 < sigma_a <= sigma_b")
-    lhs = mat.inv_pd(fisher_conditional(src, sigma_b)) - sigma_b
-    rhs = mat.inv_pd(fisher_conditional(src, sigma_a)) - sigma_a
+    J_b, J_a = fisher_conditional(src, np.stack([sigma_b, sigma_a]))
+    lhs = mat.inv_pd(J_b) - sigma_b
+    rhs = mat.inv_pd(J_a) - sigma_a
     return VerificationReport.from_residuals(
         "fisher_shift",
         [Residual("min_eig(big_side - small_side)", mat.min_eig(lhs - rhs), "ineq")],
@@ -133,22 +139,15 @@ def check_fisher_shift(src: MixtureSource, sigma_a, sigma_b, tol: float = 1e-8) 
     )
 
 
-def _sym_basis(n: int):
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            yield i, j, E
-
-
 def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> VerificationReport:
     """Gradient of h(X+N|U) w.r.t. the noise covariance vs half the Fisher
-    matrix, by central differences over the symmetric basis.
+    matrix, by central differences along the symmetric basis E_ij (i <= j,
+    ones at (i, j) and (j, i)).
 
-    An off-diagonal basis direction perturbs both (i,j) and (j,i), so the
-    directional derivative along it equals twice the gradient entry. The
-    step is min(0.1 * min_eig(noise_cov), 1e-4 * min_v min_eig(C_v +
+    All n (n + 1) perturbed noises noise_cov +- step E_ij go to
+    ``entropy_conditional`` as one stack. An off-diagonal direction moves
+    both (i, j) and (j, i), so its derivative is twice the gradient entry.
+    The step is min(0.1 * min_eig(noise_cov), 1e-4 * min_v min_eig(C_v +
     noise_cov)): both sides of every difference stay positive definite, and
     the step follows the observed covariances C_v + noise_cov, which set the
     curvature of h. The largest gap is reported relative to the largest
@@ -159,18 +158,17 @@ def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> Verifica
         raise ValueError("noise covariance must be positive definite")
     observed = np.linalg.eigvalsh(src.comp_covs + noise_cov[None])[:, 0]
     fd_step = min(0.1 * lam, 1e-4 * float(observed.min()))
-    n = src.dim
+    i, j = np.triu_indices(src.dim)
+    k = np.arange(i.size)
+    E = np.zeros((i.size,) + noise_cov.shape)
+    E[k, i, j] = E[k, j, i] = fd_step
+    h = entropy_conditional(src, noise_cov + np.concatenate([E, -E]))
+    grad = (h[:i.size] - h[i.size:]) / (2.0 * fd_step)
     half_J = 0.5 * fisher_conditional(src, noise_cov)
-    max_err = 0.0
-    for i, j, E in _sym_basis(n):
-        hp = entropy_conditional(src, noise_cov + fd_step * E)
-        hm = entropy_conditional(src, noise_cov - fd_step * E)
-        d = (hp - hm) / (2.0 * fd_step)
-        expect = (2.0 if i != j else 1.0) * half_J[i, j]
-        max_err = max(max_err, abs(d - expect))
+    gap = np.abs(grad - np.where(i == j, 1.0, 2.0) * half_J[i, j])
     return VerificationReport.from_residuals(
         "de_bruijn",
-        [Residual("max_entry_gradient_gap_rel", max_err / float(np.max(np.abs(half_J))), "eq")],
+        [Residual("max_entry_gradient_gap_rel", float(gap.max() / np.max(np.abs(half_J))), "eq")],
         tol,
         notes=f"central differences, step {fd_step}",
     )
@@ -217,8 +215,7 @@ def check_fisher_convolution(src: MixtureSource, sigma_a, sigma_b, tol: float = 
     Y' = N_b Gaussian."""
     if mat.min_eig(sigma_a) <= 0 or mat.min_eig(sigma_b) <= 0:
         raise ValueError("both noise covariances must be positive definite")
-    lhs = fisher_conditional(src, sigma_a + sigma_b)
-    Jx = fisher_conditional(src, sigma_a)
+    lhs, Jx = fisher_conditional(src, np.stack([sigma_a + sigma_b, sigma_a]))
     rhs = mat.inv_pd(mat.inv_pd(Jx) + sigma_b)
     residuals = [Residual("min_eig(bound - J_sum)", mat.min_eig(rhs - lhs), "ineq")]
     if src.num_components == 1:
@@ -234,13 +231,13 @@ def check_line_integral_entropy(
 ) -> VerificationReport:
     """Entropy difference as a matrix line integral of the conditional
     Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J."""
-    # the closed form, evaluated at all of an interval's nodes in one call
-    def field(sigmas):
-        return fisher_conditional(src, sigmas)
-
+    # the field is the closed form at all of an interval's nodes in one call;
     # the rule's error budget is tol on the integral, so tol / 2 on the gap
-    integral, err = mat.matrix_line_integral(field, sigma_a, sigma_b, tol)
-    exact = entropy_conditional(src, sigma_b) - entropy_conditional(src, sigma_a)
+    integral, err = mat.matrix_line_integral(
+        lambda sigmas: fisher_conditional(src, sigmas), sigma_a, sigma_b, tol
+    )
+    h_b, h_a = entropy_conditional(src, np.stack([sigma_b, sigma_a]))
+    exact = float(h_b - h_a)
     return VerificationReport.from_residuals(
         "line_integral_entropy",
         [
@@ -262,13 +259,21 @@ def check_f_epsilon(
     Fisher information: nonincreasing in eps, nonnegative at the small end,
     vanishing at the large end, and inside its eigenvalue envelope.
 
-    All quantities are conditional on the finest auxiliary, hence exact.
-    J at zero noise is positive definite when its Cholesky factorization
-    succeeds, however widely its eigenvalues spread (``inv_pd``'s relative
-    floor rejects a component variance of 1e-15 next to one of 1).
+    All quantities are conditional on the finest auxiliary, hence exact:
+    the entropies at every eps * sigma come from one ``entropy_conditional``
+    call on their stack. With sigma = L L^T, lambda the eigenvalues of
+    L^{-1} J_0^{-1} L^{-T} (J_0 = J(X|U), at zero noise) and lambda_t those
+    of L^{-1} Cov(X) L^{-T}, the matched Gaussian entropy is
+    ``gaussian_entropy``(sigma) + sum_i ln(lambda_i + eps) / 2, and the
+    envelope is sum_i ln(eps / (lambda_i + eps)) / 2 <= f(eps) <=
+    sum_i ln((lambda_t_i + eps) / (lambda_i + eps)) / 2. J_0 is positive
+    definite when its Cholesky factorization succeeds, however widely its
+    eigenvalues spread.
     """
-    if mat.min_eig(sigma) <= 0:
-        raise ValueError("sigma must be positive definite")
+    try:
+        L = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise ValueError("sigma must be positive definite") from None
     eps = [float(e) for e in eps_grid]
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_grid must be strictly increasing and positive")
@@ -277,29 +282,23 @@ def check_f_epsilon(
         np.linalg.cholesky(J0)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J at zero noise is not positive definite") from None
-    J0inv = np.linalg.inv(J0)
-    J0inv = (J0inv + J0inv.T) / 2.0
-    root_inv = mat.inv_pd(mat.sqrt_psd(sigma))
-    lam = np.linalg.eigvalsh(root_inv @ J0inv @ root_inv)
-    lam_t = np.linalg.eigvalsh(root_inv @ aggregate_covariance(src) @ root_inv)
+    # L^{-1} M L^{-T} for M = J_0^{-1} and Cov(X), one stacked solve each way
+    X = np.linalg.solve(L, np.stack([np.linalg.inv(J0), aggregate_covariance(src)]))
+    lam, lam_t = np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(X, 1, 2)))
+    grid = np.array(eps)[:, None]
+    h_sigma = 0.5 * src.dim * LOG_2PI_E + float(np.sum(np.log(np.diag(L))))
+    matched = h_sigma + 0.5 * np.log(lam + grid).sum(axis=1)
+    vals = (entropy_conditional(src, grid[:, :, None] * sigma) - matched).tolist()
+    env_lo = (0.5 * np.log(grid / (lam + grid)).sum(axis=1)).tolist()
+    env_hi = (0.5 * np.log((lam_t + grid) / (lam + grid)).sum(axis=1)).tolist()
 
-    def f(e: float) -> float:
-        return entropy_conditional(src, e * sigma) - gaussian_entropy(J0inv + e * sigma)
-
-    def env_lo(e: float) -> float:
-        return 0.5 * float(np.sum(np.log(e / (lam + e))))
-
-    def env_hi(e: float) -> float:
-        return 0.5 * float(np.sum(np.log((lam_t + e) / (lam + e))))
-
-    vals = [f(e) for e in eps]
     residuals = [Residual(f"f({eps[0]:g})_nonneg", vals[0], "ineq")]
     for (e1, v1), (e2, v2) in zip(zip(eps, vals), zip(eps[1:], vals[1:])):
         residuals.append(Residual(f"monotone_{e1:g}_to_{e2:g}", v1 - v2, "ineq"))
-    for e, v in zip(eps, vals):
-        residuals.append(Residual(f"envelope_lower_{e:g}", v - env_lo(e), "ineq"))
-        residuals.append(Residual(f"envelope_upper_{e:g}", env_hi(e) - v, "ineq"))
-    tail_cap = 10.0 * tol + max(abs(env_lo(eps[-1])), abs(env_hi(eps[-1])))
+    for e, v, lo, hi in zip(eps, vals, env_lo, env_hi):
+        residuals.append(Residual(f"envelope_lower_{e:g}", v - lo, "ineq"))
+        residuals.append(Residual(f"envelope_upper_{e:g}", hi - v, "ineq"))
+    tail_cap = 10.0 * tol + max(abs(env_lo[-1]), abs(env_hi[-1]))
     residuals.append(Residual("tail_within_cap", tail_cap - abs(vals[-1]), "ineq"))
     return VerificationReport.from_residuals(
         "f_epsilon", residuals, tol,

@@ -508,6 +508,13 @@ MALFORMED_INPUTS = {
         "channel": {"noise_covs": [[[1e-6]], [[1e-6]]], "input_cap": [[1e-6]]},
         "source": {"weights": [1.0], "means": [[0.0]], "comp_covs": [[[1e30]]]},
     }),
+    # Cov(X) = 4.25e-10 exceeds the cap 2.5e-10: the Loewner verdict is taken
+    # at the operands' scale, not against an absolute slack of 1e-9
+    "inadmissible-tiny-scale": ("walkthrough", {
+        "channel": {"noise_covs": [[[1e-10]], [[2e-10]]], "input_cap": [[2.5e-10]]},
+        "source": {"weights": [0.5, 0.5], "means": [[0.0], [1e-5]],
+                   "comp_covs": [[[4e-10]], [[4e-10]]]},
+    }),
     # finite entries whose symmetrization overflows
     "overflowing-noise": ("region", {"channel": {"noise_covs": [[[1e308]], [[1e308]]], "input_cap": [[1.0]]}}),
 }

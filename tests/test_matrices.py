@@ -48,6 +48,21 @@ def test_loewner_examples():
         mat.loewner_leq(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_loewner_verdict_does_not_depend_on_scale(scale):
+    # B - A judged against the scale of A and B: an increment with a zero
+    # eigenvalue holds, one with eigenvalue -1e-5 (a relative margin of at
+    # least 3e-6 against eigenvalues at most 3) fails, at any scale
+    for seed in range(5):
+        A = _psd_from_seed([seed, 4], lo=0.5, hi=2.0)
+        rng = np.random.Generator(np.random.Philox([seed, 5]))
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        holds = A + (Q * [0.0, 0.3, 0.7]) @ Q.T
+        fails = A + (Q * [-1e-5, 0.3, 0.7]) @ Q.T
+        assert mat.loewner_leq(scale * A, scale * holds)
+        assert not mat.loewner_leq(scale * A, scale * fails)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_loewner_partial_order(seed):

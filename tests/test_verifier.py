@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -128,6 +129,9 @@ class TestDeBruijn:
             src = random_mixture(rng_for(303, seed), 2, 3)
             rep = check_debruijn(src, np.eye(2), tol=1e-6)
             assert rep.passed, rep.to_dict()
+        src = random_mixture(rng_for(303, 3, 0), 3, 3)
+        rep = check_debruijn(src, np.eye(3), tol=1e-6)
+        assert rep.passed, rep.to_dict()
 
     @pytest.mark.parametrize("noise", [1e-5, 1e-6])
     def test_tiny_noise_passes(self, noise):
@@ -289,6 +293,9 @@ class TestFEpsilon:
     def test_matrix(self):
         src = random_mixture(rng_for(311), 2, 2)
         rep = check_f_epsilon(src, np.eye(2), self.EPS)
+        assert rep.passed, rep.to_dict()
+        src = random_mixture(rng_for(311, 3), 3, 2)
+        rep = check_f_epsilon(src, np.eye(3), self.EPS)
         assert rep.passed, rep.to_dict()
 
 
@@ -548,3 +555,112 @@ class TestInequalitySuite:
             src = random_mixture(rng_for(314, seed), 2, 3)
             for r in run_inequality_suite(src):
                 assert r.passed, r.to_dict()
+
+
+class TestStackedNoises:
+    """Each check evaluates each closed form once, on the stack of every
+    noise covariance it needs."""
+
+    # _ObservedLevel constructions per check; line_integral_entropy's
+    # field builds one more per call
+    CONSTRUCTIONS = {
+        "cramer_rao": 1, "fisher_shift": 1, "debruijn": 2, "dembo": 2,
+        "fisher_dpi": 2, "fisher_convolution": 1, "line_integral_entropy": 1,
+        "f_epsilon": 2,
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_construction_per_closed_form(self, monkeypatch, n):
+        rng = rng_for(316, n)
+        ch = random_channel(rng, n, 2)
+        src = admissible_mixture_for(ch, rng, 3)
+        current, counts, field_calls = [], {}, []
+
+        def checking(name, check):
+            def call(*args, **kwargs):
+                current.append(name)
+                try:
+                    return check(*args, **kwargs)
+                finally:
+                    current.pop()
+            return call
+
+        init = estimators._ObservedLevel.__init__
+
+        def counting(obs, *args, **kwargs):
+            counts[current[-1]] = counts.get(current[-1], 0) + 1
+            init(obs, *args, **kwargs)
+
+        line_integral = matrices.matrix_line_integral
+
+        def integrating(field, a, b, tol):
+            def counted(sigmas):
+                field_calls.append(current[-1])
+                return field(sigmas)
+            return line_integral(counted, a, b, tol)
+
+        for name in self.CONSTRUCTIONS:
+            check = getattr(verifier, f"check_{name}")
+            monkeypatch.setattr(verifier, f"check_{name}", checking(name, check))
+        monkeypatch.setattr(estimators._ObservedLevel, "__init__", counting)
+        monkeypatch.setattr(matrices, "matrix_line_integral", integrating)
+        assert all(r.passed for r in run_inequality_suite(src, ch=ch))
+
+        assert field_calls and set(field_calls) == {"line_integral_entropy"}
+        counts["line_integral_entropy"] -= len(field_calls)
+        assert counts == self.CONSTRUCTIONS
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_noise_loops(self, n):
+        for seed in range(3):
+            rng = rng_for(317, n, seed)
+            src = random_mixture(rng, n, 3)
+            a = random_spd(rng, n, 0.5, 1.5)
+            b = a + random_spd(rng, n, 0.1, 1.0)
+            fisher = functools.partial(estimators.fisher_conditional, src)
+            entropy = functools.partial(estimators.entropy_conditional, src)
+
+            rep = check_debruijn(src, a)
+            observed = np.linalg.eigvalsh(src.comp_covs + a[None])[:, 0]
+            step = min(0.1 * matrices.min_eig(a), 1e-4 * float(observed.min()))
+            half_J = 0.5 * fisher(a)
+            gaps = []
+            for i in range(n):
+                for j in range(i, n):
+                    E = np.zeros((n, n))
+                    E[i, j] = E[j, i] = step
+                    grad = (entropy(a + E) - entropy(a - E)) / (2.0 * step)
+                    gaps.append(abs(grad - (1.0 if i == j else 2.0) * half_J[i, j]))
+            ref = max(gaps) / np.max(np.abs(half_J))
+            assert abs(rep.residual("max_entry_gradient_gap_rel") - ref) <= 1e-10
+
+            eps = TestFEpsilon.EPS
+            rep = check_f_epsilon(src, a, eps)
+            J0inv = np.linalg.inv(fisher(0.0 * a))
+            root_inv = matrices.inv_pd(matrices.sqrt_psd(a))
+            lam = np.linalg.eigvalsh(root_inv @ J0inv @ root_inv)
+            lam_t = np.linalg.eigvalsh(root_inv @ aggregate_covariance(src) @ root_inv)
+            f = [entropy(e * a) - gaussian_entropy(J0inv + e * a) for e in eps]
+            lo = [0.5 * np.sum(np.log(e / (lam + e))) for e in eps]
+            hi = [0.5 * np.sum(np.log((lam_t + e) / (lam + e))) for e in eps]
+            ref = [f[0]] + [f[k] - f[k + 1] for k in range(len(eps) - 1)]
+            for k in range(len(eps)):
+                ref += [f[k] - lo[k], hi[k] - f[k]]
+            ref.append(10.0 * rep.tolerance_used + max(abs(lo[-1]), abs(hi[-1])) - abs(f[-1]))
+            assert len(rep.residuals) == len(ref)
+            for r, v in zip(rep.residuals, ref):
+                assert abs(r.value - v) <= 1e-12, r.label
+
+            rep = check_fisher_shift(src, a, b)
+            lhs = matrices.inv_pd(fisher(b)) - b
+            rhs = matrices.inv_pd(fisher(a)) - a
+            assert abs(rep.residuals[0].value - matrices.min_eig(lhs - rhs)) <= 1e-12
+
+            rep = check_fisher_convolution(src, a, b)
+            bound = matrices.inv_pd(matrices.inv_pd(fisher(a)) + b)
+            assert abs(rep.residuals[0].value - matrices.min_eig(bound - fisher(a + b))) <= 1e-12
+
+            rep = check_line_integral_entropy(src, a, b)
+            integral, _ = matrices.matrix_line_integral(fisher, a, b, rep.tolerance_used)
+            ref = 0.5 * integral - (entropy(b) - entropy(a))
+            assert abs(rep.residual("integral_minus_entropy_gap") - ref) <= 1e-12
