@@ -54,6 +54,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from . import matrices as mat
 from .errors import DimensionMismatchError, SingularMatrixError
 from .model import LOG_2PI_E, MixtureSource
 
@@ -103,8 +104,8 @@ class _ObservedLevel:
     ln N(y; mu_w, C_tw) = -(n ln 2 pi)/2 - ln|L_tw| - |A z + o|^2 / 2, with
     A = L_tw^{-1} L_tu and o = L_tw^{-1} (mu_u - mu_w): a quadratic in z,
     whose coefficients ``coefs`` gives against ``_features``. The noise
-    covariances are taken as given, symmetric and finite. A C_tw whose
-    Cholesky factorization fails, or whose inverse overflows, raises
+    covariances are taken as given, symmetric and finite. A C_tw that
+    ``matrices.cholesky`` rejects, or whose inverse overflows, raises
     ``SingularMatrixError``.
     """
 
@@ -119,14 +120,7 @@ class _ObservedLevel:
         self.T = S.shape[0]
         self.m, self.n = src.means.shape
         C = src.comp_covs[None] + S[:, None]
-        try:
-            self.chols = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            w = float(np.linalg.eigvalsh(C)[..., 0].min())
-            raise SingularMatrixError(
-                "an observed component covariance is not positive definite"
-                f" (min eigenvalue {w:.3e})"
-            ) from None
+        self.chols = mat.cholesky(C)
         self.inv_chols = np.linalg.inv(self.chols)
         # C_tw^{-1}, (T, m, n, n); an overflow is caught by the check below
         with np.errstate(over="ignore"):

@@ -1,5 +1,6 @@
-"""Symmetric-matrix primitives: PSD tests, Loewner comparison, log-det,
-PSD square root, and straight-line matrix integrals with an error estimate.
+"""Symmetric-matrix primitives: PSD tests, Loewner comparison, Cholesky
+factor, log-det, inverse, PSD square root, and straight-line matrix
+integrals with an error estimate.
 
 All functions take and return plain ``numpy`` arrays. ``symmetrize`` is the
 constructor for the symmetric-matrix currency used everywhere else: it
@@ -9,6 +10,11 @@ inverse, a product A B A) averages its own result once; a function that
 consumes a matrix takes it as given and neither averages nor checks it
 again. Arrays from outside are checked where they enter: by
 ``symmetrize``, the dataclass constructors and the JSON adapters.
+
+A symmetric matrix is positive definite exactly when its Cholesky
+factorization succeeds. ``cholesky`` alone makes that decision, for one
+matrix or a stack and with no eigenvalue threshold; ``logdet``, ``inv_pd``,
+the quadrature kernel and the checks call it rather than factorize.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "min_eig",
     "is_psd",
     "loewner_leq",
+    "cholesky",
     "logdet",
     "sqrt_psd",
     "inv_pd",
@@ -82,32 +89,38 @@ def loewner_leq(A, B) -> bool:
     return float(w[0, 0]) >= -1e-9 * float(np.max(np.abs(w[1:])))
 
 
+def cholesky(M) -> np.ndarray:
+    """Lower Cholesky factor L, with L L^T = M, of a symmetric (n, n) matrix
+    or of every matrix of a (..., n, n) stack. A matrix is positive definite
+    exactly when this succeeds; otherwise ``SingularMatrixError`` names the
+    smallest eigenvalue of the stack, computed on that failure only."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        w = float(np.min(np.linalg.eigvalsh(M)[..., 0]))
+        raise SingularMatrixError(
+            f"matrix is not positive definite (min eigenvalue {w:.3e})"
+        ) from None
+
+
 def logdet(M) -> float:
     """ln|M| for symmetric positive definite M (natural log), from its
-    Cholesky factor; a matrix Cholesky rejects raises
-    ``SingularMatrixError``."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(M)
-        raise SingularMatrixError(
-            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
-        ) from None
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    ``cholesky`` factor."""
+    return 2.0 * float(np.sum(np.log(np.diag(cholesky(M)))))
 
 
 def inv_pd(M) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, averaged with its
-    transpose. A matrix whose smallest eigenvalue is at most
-    1e-14 * (1 + largest |eigenvalue|) raises ``SingularMatrixError``; below
-    unit scale that floor is absolute."""
-    w = np.linalg.eigvalsh(M)
-    if w[0] <= 1e-14 * (1.0 + float(np.max(np.abs(w)))):
-        raise SingularMatrixError(
-            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
-        )
+    transpose. A matrix ``cholesky`` rejects, or whose inverse overflows,
+    raises ``SingularMatrixError``."""
+    cholesky(M)
     X = np.linalg.inv(M)
-    return (X + X.T) / 2.0
+    # an overflow of the average is caught by the finiteness check below
+    with np.errstate(over="ignore"):
+        X = (X + X.T) / 2.0
+    if not np.all(np.isfinite(X)):
+        raise SingularMatrixError("matrix is too small to invert (its inverse overflows)")
+    return X
 
 
 def sqrt_psd(M) -> np.ndarray:

@@ -103,8 +103,9 @@ def _clamped_rate(r: float) -> float:
 def rate_tuple(ch: BroadcastChannel, split: CovarianceSplit) -> tuple[float, ...]:
     """Superposition-coding rates for one split.
 
-    R_k = 0.5 [ln|sum_{i<=k} K_i + Sigma_k| - ln|sum_{i<k} K_i + Sigma_k|],
-    clamped at -1e-12 to absorb round-off.
+    R_k = 0.5 [ln|sum_{i<=k} K_i + Sigma_k| - ln|sum_{i<k} K_i + Sigma_k|];
+    a rate in [-1e-9, 0) is round-off and reads 0, and one below -1e-9
+    raises ``NumericalError``.
     """
     if len(split.parts) != ch.num_users:
         raise DimensionMismatchError("split has wrong number of parts")

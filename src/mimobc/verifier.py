@@ -213,8 +213,7 @@ def check_fisher_convolution(src: MixtureSource, sigma_a, sigma_b, tol: float = 
     """Fisher information of a sum of conditionally independent vectors:
     J(X' + Y'|U) <= [J(X'|U)^{-1} + J(Y')^{-1}]^{-1} with X' = X + N_a and
     Y' = N_b Gaussian."""
-    if mat.min_eig(sigma_a) <= 0 or mat.min_eig(sigma_b) <= 0:
-        raise ValueError("both noise covariances must be positive definite")
+    mat.cholesky(np.stack([sigma_a, sigma_b]))
     lhs, Jx = fisher_conditional(src, np.stack([sigma_a + sigma_b, sigma_a]))
     rhs = mat.inv_pd(mat.inv_pd(Jx) + sigma_b)
     residuals = [Residual("min_eig(bound - J_sum)", mat.min_eig(rhs - lhs), "ineq")]
@@ -270,18 +269,12 @@ def check_f_epsilon(
     definite when its Cholesky factorization succeeds, however widely its
     eigenvalues spread.
     """
-    try:
-        L = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise ValueError("sigma must be positive definite") from None
+    L = mat.cholesky(sigma)
     eps = [float(e) for e in eps_grid]
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_grid must be strictly increasing and positive")
     J0 = fisher_conditional(src, 0.0 * sigma)
-    try:
-        np.linalg.cholesky(J0)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("J at zero noise is not positive definite") from None
+    mat.cholesky(J0)
     # L^{-1} M L^{-T} for M = J_0^{-1} and Cov(X), one stacked solve each way
     X = np.linalg.solve(L, np.stack([np.linalg.inv(J0), aggregate_covariance(src)]))
     lam, lam_t = np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(X, 1, 2)))
@@ -332,10 +325,7 @@ def _pencil_entropy(
     both are positive definite; otherwise ``SingularMatrixError``, as
     ``logdet`` raises.
     """
-    try:
-        L = np.linalg.cholesky(lower + sigma)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("lower + sigma is not positive definite") from None
+    L = mat.cholesky(lower + sigma)
     X = np.linalg.solve(L, upper_cap - lower)
     lam = np.linalg.eigvalsh(np.linalg.solve(L, X.T))
     if 1.0 + lam[0] <= 0.0:
@@ -478,9 +468,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
         integral, integral_err = mat.matrix_line_integral(field, sigma_prev, sigma, _INTEGRAL_TOL)
         integral_residual = (h_prev[k] - h) - (-0.5 * integral)
-        entropy_bound_residual = (
-            0.5 * (n * LOG_2PI_E + mat.logdet(fp.A + sigma_prev)) - h_prev[k]
-        )
+        entropy_bound_residual = gaussian_entropy(fp.A + sigma_prev) - h_prev[k]
         stages.append(
             WalkthroughStage(
                 user_index=k,

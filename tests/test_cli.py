@@ -503,11 +503,6 @@ MALFORMED_INPUTS = {
     "singular-observed-walkthrough": ("walkthrough", SINGULAR_OBSERVED_INPUT),
     # positive, but check_f_epsilon's inverse of the bare component overflows
     "subnormal-component": ("verify", _with_source(comp_covs=[[[1e-310]], [[3.0]]])),
-    # J(X+N|U) = 1e-30 is singular at the estimators' precision
-    "singular-fisher": ("verify", {
-        "channel": {"noise_covs": [[[1e-6]], [[1e-6]]], "input_cap": [[1e-6]]},
-        "source": {"weights": [1.0], "means": [[0.0]], "comp_covs": [[[1e30]]]},
-    }),
     # Cov(X) = 4.25e-10 exceeds the cap 2.5e-10: the Loewner verdict is taken
     # at the operands' scale, not against an absolute slack of 1e-9
     "inadmissible-tiny-scale": ("walkthrough", {
@@ -634,6 +629,19 @@ class TestScale:
         reports = json.loads((tmp_path / "out").read_text())
         assert len(reports) == 8 and all(r["passed"] for r in reports)
 
+    def test_component_far_above_the_noise_exits_1(self, tmp_path, capsys):
+        # J(X+N|U) = 1e-30 is a valid positive definite J, but 1e30 + 1e-7
+        # rounds to 1e30, so de Bruijn's finite difference is exactly 0:
+        # the numerics diverge (exit 1), with no error line
+        doc = {
+            "channel": {"noise_covs": [[[1e-6]], [[1e-6]]], "input_cap": [[1e-6]]},
+            "source": {"weights": [1.0], "means": [[0.0]], "comp_covs": [[[1e30]]]},
+        }
+        assert _run_in_process(tmp_path, "verify", doc) == 1
+        assert capsys.readouterr().err == ""
+        reports = json.loads((tmp_path / "out").read_text())
+        assert [r["name"] for r in reports if not r["passed"]] == ["de_bruijn"]
+
     def test_region_near_the_largest_float_exits_0(self, tmp_path, capsys):
         # the split check once took norms of the cap, whose squares overflow
         doc = {"noise_covs": [[[1e300]], [[2e300]]], "input_cap": [[2.5e300]]}
@@ -642,11 +650,11 @@ class TestScale:
 
     def test_scaled_inputs_exit_0(self, tmp_path, capsys):
         """Well-conditioned two-user inputs (n = 1, 2, two components)
-        scaled by 10^U(-12, 12): every command exits 0 and prints nothing
+        scaled by 10^U(-20, 20): every command exits 0 and prints nothing
         to stderr."""
         for c in range(100):
             rng = rng_for(2024, c)
-            scale = 10.0 ** rng.uniform(-12.0, 12.0)
+            scale = 10.0 ** rng.uniform(-20.0, 20.0)
             ch = random_channel(rng, 1 + c % 2, 2)
             src = admissible_mixture_for(ch, rng, 2)
             path = write(tmp_path, "in.json", _scaled_input(ch, src, scale))

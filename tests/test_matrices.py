@@ -86,6 +86,29 @@ def test_logdet_examples():
         mat.logdet(np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("shape", [(), (4,)])
+def test_cholesky_factor_is_numpys(shape):
+    rng = np.random.Generator(np.random.Philox(17))
+    G = rng.standard_normal(shape + (3, 3))
+    M = G @ np.swapaxes(G, -1, -2) + 0.1 * np.eye(3)
+    assert np.array_equal(mat.cholesky(M), np.linalg.cholesky(M))
+
+
+def test_cholesky_rejects_a_stack_with_one_indefinite_member():
+    M = np.stack([np.eye(2), np.diag([2.0, -0.5]), 3.0 * np.eye(2)])
+    with pytest.raises(SingularMatrixError, match=r"min eigenvalue -5\.000e-01"):
+        mat.cholesky(M)
+
+
+def test_inv_pd_has_no_eigenvalue_floor():
+    assert np.array_equal(mat.inv_pd(1e-20 * np.eye(2)), 1e20 * np.eye(2))
+
+
+def test_inv_pd_rejects_an_overflowing_inverse():
+    with pytest.raises(SingularMatrixError, match="overflows"):
+        mat.inv_pd(np.array([[1e-310]]))
+
+
 def test_sqrt_psd_examples():
     assert np.allclose(mat.sqrt_psd(np.eye(3)), np.eye(3))
     assert np.allclose(mat.sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
