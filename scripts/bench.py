@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Time the package's layers on fixed seeded inputs and write BENCH_<label>.json.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/bench.py --label NAME [--repeats N] [--out DIR]
+
+Each item is timed ``--repeats`` times with ``time.perf_counter`` after one
+untimed warm-up call (which builds the cached quadrature grids), and its
+median is reported in seconds:
+
+- ``stage_walk``: one converse stage walk, ``mixture_level_quad`` on the
+  two noises of the top stage;
+- ``field_walk``: the line integral's field, ``mixture_fisher_quad`` on a
+  15-noise stack between those two noises;
+- ``fixed_point``: one ``solve_fixed_point``;
+- ``line_integral``: one ``matrix_line_integral`` of the field;
+- ``walkthrough``: one full ``converse_walkthrough``;
+- ``boundary_point``: one ``trace_boundary`` weight vector;
+- ``grid_oracle``: ``grid_oracle`` at resolution 21.
+
+The converse inputs are the first instance of the ``converse`` benchmark
+workload at seed 11 (K = 3, n = 3, two-value auxiliaries); the region inputs
+are its first 2-user 2x2 channel. The output also records the machine:
+nproc, Python, NumPy and the BLAS thread settings of the environment, which
+the timings depend on. To compare two checkouts, run this script from each
+with ``PYTHONPATH`` at that checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from mimobc import matrices, verifier
+from mimobc.estimators import mixture_fisher_quad, mixture_level_quad
+from mimobc.fixtures import admissible_channel_for, random_channel, random_hierarchy, rng_for
+from mimobc.model import aggregate_covariance, coarsen
+from mimobc.region import OptimizerConfig, grid_oracle, trace_boundary
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def items() -> dict:
+    """The timed calls, by name, each a function of no arguments."""
+    rng = rng_for(11, 2, 0)
+    h = random_hierarchy(rng, 3, (2, 2))
+    ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
+    joint = coarsen(h, 3)
+    sigma_prev, sigma = ch.noise_covs[1], ch.noise_covs[2]
+    path = np.linspace(0.0, 1.0, 15)[:, None, None]
+    field_stack = sigma_prev + path * (sigma - sigma_prev)
+
+    def field(sigmas):
+        return mixture_fisher_quad(h.base, sigmas, joint=joint)
+
+    region_ch = random_channel(rng_for(1002, 0), 2, 2)
+    weights = [np.array([0.6, 0.8])]
+    return {
+        "stage_walk": lambda: mixture_level_quad(h.base, np.stack([sigma, sigma_prev]), joint),
+        "field_walk": lambda: field(field_stack),
+        "fixed_point": lambda: verifier.solve_fixed_point(h.base, ch, 3, ch.input_cap),
+        "line_integral": lambda: matrices.matrix_line_integral(
+            field, sigma_prev, sigma, verifier._INTEGRAL_TOL),
+        "walkthrough": lambda: verifier.converse_walkthrough(h, ch),
+        "boundary_point": lambda: trace_boundary(region_ch, weights, OptimizerConfig(seed=42)),
+        "grid_oracle": lambda: grid_oracle(region_ch, 21),
+    }
+
+
+def machine() -> dict:
+    return {
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREADS},
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    ap.add_argument("--repeats", type=int, default=20, help="timed calls per item (default 20)")
+    ap.add_argument("--out", type=Path, default=Path("."), help="output directory (default .)")
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    medians = {}
+    for name, call in items().items():
+        call()
+        times = []
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        medians[name] = statistics.median(times)
+        print(f"{name:16s} {medians[name] * 1e3:10.3f} ms")
+
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"BENCH_{args.label}.json"
+    doc = {"label": args.label, "repeats": args.repeats, "machine": machine(),
+           "median_s": medians}
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -324,6 +324,12 @@ def _pencil_entropy(
     upper_cap + sigma, so every 1 + t lambda_i is positive on [0, 1] when
     both are positive definite; otherwise ``SingularMatrixError``, as
     ``logdet`` raises.
+
+    r(t) adds its n logarithms as Python floats, left to right, which is
+    the order numpy's sum takes for fewer than 8 terms: the same value as
+    ``r0 + 0.5 * np.sum(np.log1p(t * lam))`` without a numpy reduction
+    per bisection step. The logarithms stay numpy's, since ``math.log1p``
+    differs from numpy's vectorised one in the last bit on some inputs.
     """
     L = mat.cholesky(lower + sigma)
     X = np.linalg.solve(L, upper_cap - lower)
@@ -335,7 +341,10 @@ def _pencil_entropy(
     r0 = 0.5 * (sigma.shape[0] * LOG_2PI_E + 2.0 * float(np.sum(np.log(np.diag(L)))))
 
     def r(t: float) -> float:
-        return r0 + 0.5 * float(np.sum(np.log1p(t * lam)))
+        total = 0.0
+        for term in np.log1p(t * lam).tolist():
+            total += term
+        return r0 + 0.5 * total
 
     return r
 

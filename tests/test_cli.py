@@ -616,8 +616,8 @@ class TestScale:
         assert [r["label"] for r in report["residuals"]] == ["min_eig(J - inv(Cov))_rel"]
 
     def test_component_spectrum_wider_than_1e14_verifies(self, tmp_path, capsys):
-        # J at zero noise is diag(1, 5e14): positive definite, though its
-        # eigenvalues spread past inv_pd's relative floor
+        # J at zero noise is diag(1, 5e14): positive definite, because its
+        # Cholesky factorization succeeds
         doc = {
             "channel": {"noise_covs": [np.eye(2).tolist(), (2.0 * np.eye(2)).tolist()],
                         "input_cap": (4.0 * np.eye(2)).tolist()},

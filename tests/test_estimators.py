@@ -130,7 +130,7 @@ class TestDensityAndScore:
         obs = estimators._ObservedLevel(src, noises)
         z = rng.standard_normal((7, n))
         F = estimators._features(z, *np.triu_indices(n))
-        logs = (obs.coefs(np.arange(3)) @ F).reshape(3, 2, 3, -1)
+        logs = (obs.coefs(np.arange(3)) @ F).reshape(3, 3, 2, -1)
         for u in range(3):
             for t, S in enumerate(noises):
                 y = src.means[u] + z @ np.linalg.cholesky(src.comp_covs[u] + S).T
@@ -141,7 +141,7 @@ class TestDensityAndScore:
                         n * math.log(2 * math.pi) + np.linalg.slogdet(C)[1]
                         + np.einsum("Ni,ij,Nj->N", r, np.linalg.inv(C), r)
                     )
-                    assert np.allclose(logs[u, t, w], direct, rtol=0.0, atol=1e-12)
+                    assert np.allclose(logs[w, u, t], direct, rtol=0.0, atol=1e-12)
 
 
 class TestQuadrature:
@@ -340,6 +340,25 @@ class TestWhitenedKernel:
             tracemalloc.stop()
         assert peak <= 1_000_000
 
+    @pytest.mark.parametrize("quad", [mixture_fisher_quad, mixture_entropy_quad, mixture_level_quad])
+    def test_blocked_walk_caps_transient_memory_on_a_noise_stack(self, quad):
+        # the line integral's field at 15 noises: n = m = 3 and two symbols,
+        # mixing components {0, 1} and {1, 2}, so up to U = m grids at once
+        rng = rng_for(305, 3, 15)
+        src = random_mixture(rng, 3, 3)
+        noises = np.stack([random_spd(rng, 3, 0.5, 1.5) for _ in range(15)])
+        joint = np.column_stack([src.weights * [1.0, 0.5, 0.0], src.weights * [0.0, 0.5, 1.0]])
+        quad(src, noises, joint=joint)  # build the cached grid outside the measurement
+        tracemalloc.start()
+        try:
+            quad(src, noises, joint=joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # five live (m, U <= m, T, B) block arrays of float64
+        m, T = src.num_components, len(noises)
+        assert peak <= 5 * m * m * T * estimators._BLOCK * 8
+
     def test_cached_grid_is_shared_and_read_only(self):
         z, wt = estimators._gh_grid(2, 56)
         assert estimators._gh_grid(2, 56)[0] is z
@@ -347,6 +366,14 @@ class TestWhitenedKernel:
             z[0, 0] = 0.0
         with pytest.raises(ValueError):
             wt[0] = 0.0
+        # the features [1; z; z_i z_j] are cached with the grid, and the
+        # nodes are the view of their rows 1..n
+        F = z.base
+        assert estimators._gh_grid(2, 56)[0].base is F
+        i, j = np.triu_indices(2)
+        assert np.array_equal(F, np.vstack([np.ones((1, len(wt))), z.T, (z[:, i] * z[:, j]).T]))
+        with pytest.raises(ValueError):
+            F[0, 0] = 0.0
 
 
 def _per_symbol_reference(src, joint, noise, order):
@@ -508,7 +535,7 @@ def _log_space_reference(src, joint, noise, order):
     obs = estimators._ObservedLevel(src, noise)
     n, m = src.dim, src.num_components
     z, wt = estimators._gh_grid(n, order)
-    # logs[u, w] = ln N(y; mu_w, C_w) at the nodes y = mu_u + L_u z of u's grid
+    # logs[w, u] = ln N(y; mu_w, C_w) at the nodes y = mu_u + L_u z of u's grid
     logs = obs.coefs(np.arange(m)) @ estimators._features(z, *np.triu_indices(n))
     logs = logs.reshape(m, m, -1)
     precs = np.swapaxes(obs.inv_chols[0], 1, 2) @ obs.inv_chols[0]
@@ -521,7 +548,7 @@ def _log_space_reference(src, joint, noise, order):
             h += col[idx[0]] * (0.5 * n * LOG_2PI_E + hl[idx[0]])
             continue
         for u in idx:
-            lp = logs[u, idx] + np.log(col[idx] / col.sum())[:, None]
+            lp = logs[idx, u] + np.log(col[idx] / col.sum())[:, None]
             top = lp.max(axis=0)
             post = np.exp(lp - top)
             total = post.sum(axis=0)

@@ -1,5 +1,6 @@
-"""Smoke tests: the demo scripts run end to end and exit 0."""
+"""Smoke tests: the scripts run end to end and exit 0."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,20 @@ def test_demo_script_runs(argv):
         capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert res.returncode == 0, res.stderr
+
+
+def test_bench_script_writes_its_json(tmp_path):
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"),
+         "--label", "smoke", "--repeats", "1", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    assert doc["label"] == "smoke" and doc["repeats"] == 1
+    assert set(doc["median_s"]) == {
+        "stage_walk", "field_walk", "fixed_point", "line_integral",
+        "walkthrough", "boundary_point", "grid_oracle",
+    }
+    assert all(t > 0.0 for t in doc["median_s"].values())
+    assert {"nproc", "python", "numpy", "blas_threads"} <= set(doc["machine"])

@@ -348,6 +348,23 @@ class TestFixedPoint:
                 exact = gaussian_entropy((1.0 - t) * lower + t * cap + sigma)
                 assert abs(r(t) - exact) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pencil_entropy_is_the_numpy_sum_bit_for_bit(self, n):
+        # an equal r(t) at every step is an equal bisection path, so the
+        # scalar pencil cannot move t_star
+        for seed in range(5):
+            rng = rng_for(313, n, seed)
+            sigma = random_spd(rng, n, 0.5, 1.5)
+            lower = random_spd(rng, n, 0.1, 1.0)
+            cap = lower + random_spd(rng, n, 0.01, 3.0)
+            r = verifier._pencil_entropy(lower, sigma, cap)
+            L = np.linalg.cholesky(lower + sigma)
+            X = np.linalg.solve(L, cap - lower)
+            lam = np.linalg.eigvalsh(np.linalg.solve(L, X.T))
+            r0 = 0.5 * (n * LOG_2PI_E + 2.0 * float(np.sum(np.log(np.diag(L)))))
+            for t in np.linspace(0.0, 1.0, 11):
+                assert r(t) == r0 + 0.5 * float(np.sum(np.log1p(t * lam)))
+
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_same_t_star_as_the_logdet_bisection(self, seed):
         for c in range(3):
