@@ -7,15 +7,21 @@ Each item is timed ``--repeats`` times with ``time.perf_counter`` after one
 untimed warm-up call (which builds the cached quadrature grids), and its
 median is reported in seconds:
 
-- ``stage_walk``: one converse stage walk, ``mixture_level_quad`` on the
-  two noises of the top stage;
-- ``field_walk``: the line integral's field, ``mixture_fisher_quad`` on a
-  15-noise stack between those two noises;
+- ``stage_walk``: the top converse stage's one walk, ``mixture_level_quad``
+  on its two noises with the 15 nodes of the line integral's first G7/K15
+  rule as the field stack;
 - ``fixed_point``: one ``solve_fixed_point``;
 - ``line_integral``: one ``matrix_line_integral`` of the field;
 - ``walkthrough``: one full ``converse_walkthrough``;
 - ``boundary_point``: one ``trace_boundary`` weight vector;
-- ``grid_oracle``: ``grid_oracle`` at resolution 21.
+- ``grid_oracle``: ``grid_oracle`` at resolution 21;
+- ``control``: fixed NumPy work that does not use the package (a 256 x 256
+  matmul, an elementwise exponential and a Cholesky factorization).
+
+The speed of one process drifts on a shared machine: an unchanged item has
+read 1.7x faster in one process than in the next. So the output also gives
+each median divided by the control's (``relative_to_control``), and two
+files are compared by those ratios, not by their raw medians.
 
 The converse inputs are the first instance of the ``converse`` benchmark
 workload at seed 11 (K = 3, n = 3, two-value auxiliaries); the region inputs
@@ -54,8 +60,9 @@ def items() -> dict:
     ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
     joint = coarsen(h, 3)
     sigma_prev, sigma = ch.noise_covs[1], ch.noise_covs[2]
-    path = np.linspace(0.0, 1.0, 15)[:, None, None]
-    field_stack = sigma_prev + path * (sigma - sigma_prev)
+    stages = np.stack([sigma, sigma_prev])
+    nodes = matrices._kronrod_rule()[0][:, None, None]
+    field_stack = sigma_prev + nodes * (sigma - sigma_prev)
 
     def field(sigmas):
         return mixture_fisher_quad(h.base, sigmas, joint=joint)
@@ -63,15 +70,25 @@ def items() -> dict:
     region_ch = random_channel(rng_for(1002, 0), 2, 2)
     weights = [np.array([0.6, 0.8])]
     return {
-        "stage_walk": lambda: mixture_level_quad(h.base, np.stack([sigma, sigma_prev]), joint),
-        "field_walk": lambda: field(field_stack),
+        "stage_walk": lambda: mixture_level_quad(h.base, stages, joint, field=field_stack),
         "fixed_point": lambda: verifier.solve_fixed_point(h.base, ch, 3, ch.input_cap),
         "line_integral": lambda: matrices.matrix_line_integral(
             field, sigma_prev, sigma, verifier._INTEGRAL_TOL),
         "walkthrough": lambda: verifier.converse_walkthrough(h, ch),
         "boundary_point": lambda: trace_boundary(region_ch, weights, OptimizerConfig(seed=42)),
         "grid_oracle": lambda: grid_oracle(region_ch, 21),
+        "control": control,
     }
+
+
+_CONTROL = np.random.default_rng(0).standard_normal((256, 256))
+
+
+def control() -> np.ndarray:
+    """Fixed NumPy work of the kinds the package spends its time on."""
+    x = _CONTROL @ _CONTROL.T
+    np.exp(x / 256.0, out=x)
+    return np.linalg.cholesky(x @ x.T + 256.0 * np.eye(256))
 
 
 def machine() -> dict:
@@ -107,7 +124,8 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
     doc = {"label": args.label, "repeats": args.repeats, "machine": machine(),
-           "median_s": medians}
+           "median_s": medians,
+           "relative_to_control": {k: t / medians["control"] for k, t in medians.items()}}
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0

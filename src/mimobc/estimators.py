@@ -14,13 +14,17 @@ cover a whole auxiliary level at a whole stack of noise covariances in one
 pass. Given a joint table P(u_2 = u, U_k = g) over the source's components
 (``model.coarsen``), they return J(Y | U_k) and h(Y | U_k); with no table,
 the unconditional J(Y) and h(Y). ``mixture_level_quad`` returns J(Y | U_k),
-h(Y | U_k) and h(Y) together, from one walk of the grids. Every symbol's law
-mixes the same base components, so one walk of a component's grid serves
-every symbol, every noise covariance and both quantities: only the posterior
-differs between symbols, and the Fisher correction and the entropies read
-the same scaled densities. All three are calls of one walker (``_walk``),
-which walks only the grids each quantity needs; the unconditional h(Y) is
-one more symbol, the source's weights.
+h(Y | U_k) and h(Y) together, from one walk of the grids, and can add J at a
+further stack of noise covariances (a line integral's nodes) to that walk.
+Every symbol's law mixes the same base components, so one walk of a
+component's grid serves every symbol, every noise covariance and both
+quantities: only the posterior differs between symbols, and the Fisher
+correction and the entropies read the same scaled densities. All three are
+calls of one walker (``_walk``), whose rows are (grid, noise) pairs: each
+quantity walks only the grids it needs, at the noises it is asked for, so
+J at many noises and the entropies at a few share one walk without the
+entropies' grids being walked at every noise. The unconditional h(Y) is one
+more symbol, the source's weights.
 
 The grids are tensor Gauss-Hermite grids for the small dimensions (n <= 3)
 this package targets, pruned of the nodes whose weight is at most
@@ -34,8 +38,8 @@ coefficients with the per-node features [1, z, z_i z_j] (see
 it, and the nodes are a view of their rows (``_gh_grid``); at the default
 orders they take 1.8 KB (n = 1), 71 KB (n = 2) and 1.1 MB (n = 3). Each
 node's m log-densities are shifted by their largest and exponentiated
-once per component. A block's scaled densities are laid out (m, U, T, B),
-component first, then grid, noise covariance and node, so every symbol's
+once per component. A block's scaled densities are laid out (m, R, B),
+component first, then (grid, noise) row and node, so every symbol's
 mixture density, the Fisher pair weights and their moments are each one
 2-D matmul per block: no per-symbol log-posterior is formed and the
 posterior costs m exponentials per node, not G m.
@@ -148,44 +152,44 @@ class _ObservedLevel:
         (T, S) for weights (m, S) with one column per symbol."""
         return (0.5 * self.n * LOG_2PI_E + self.half_logdet) @ weights
 
-    def coefs(self, grids: np.ndarray) -> np.ndarray:
-        """(m*U*T, F) coefficients: row (w, u, t) times the features of z
-        (``_features``) is ln N(mu_u + L_tu z; mu_w, C_tw), for the
-        components u of ``grids``."""
+    def coefs(self, grids: np.ndarray, noises: np.ndarray) -> np.ndarray:
+        """(m*R, F) coefficients of the R (grid, noise) rows (u_r, t_r) =
+        (``grids[r]``, ``noises[r]``): row (w, r) times the features of z
+        (``_features``) is ln N(mu_u + L_tu z; mu_w, C_tw) at (u, t) = (u_r, t_r)."""
         n = self.n
-        # (m, 1, T, n, n): L_tw^{-1}, component axis first
-        inv_chols = np.swapaxes(self.inv_chols, 0, 1)[:, None]
-        A = inv_chols @ np.swapaxes(self.chols[:, grids], 0, 1)[None]
-        gaps = self.means[None, grids] - self.means[:, None]
-        o = (inv_chols @ gaps[:, :, None, :, None])[..., 0]
+        # (m, R, n, n): L_tw^{-1} at each row's noise, component axis first
+        inv_chols = np.swapaxes(self.inv_chols[noises], 0, 1)
+        A = inv_chols @ self.chols[noises, grids]
+        gaps = self.means[grids] - self.means[:, None]
+        o = (inv_chols @ gaps[..., None])[..., 0]
         i, j = np.triu_indices(n)
-        coef = np.empty(A.shape[:3] + (1 + n + i.size,))
+        coef = np.empty(A.shape[:2] + (1 + n + i.size,))
         coef[..., 0] = (
-            -0.5 * n * _LOG_2PI - self.half_logdet.T[:, None] - 0.5 * np.square(o).sum(axis=-1)
+            -0.5 * n * _LOG_2PI - self.half_logdet[noises].T - 0.5 * np.square(o).sum(axis=-1)
         )
-        coef[..., 1:1 + n] = -np.einsum("wutji,wutj->wuti", A, o)
-        Q = np.swapaxes(A, 3, 4) @ A
+        coef[..., 1:1 + n] = -np.einsum("wrji,wrj->wri", A, o)
+        Q = np.swapaxes(A, 2, 3) @ A
         coef[..., 1 + n:] = np.where(i == j, -0.5, -1.0) * Q[..., i, j]
         return coef.reshape(-1, coef.shape[-1])
 
-    def blocks(self, grids: np.ndarray, order: int):
+    def blocks(self, grids: np.ndarray, noises: np.ndarray, order: int):
         """Walk the pruned grid (``_gh_grid``) in blocks of at most
-        ``_BLOCK`` nodes for the U components ``grids`` at once, yielding
-        (features (F, B), weights (B,), top (U, T, B), densities
-        (m, U, T, B)). At y = mu_u + L_tu z, entry (w, u, t) of the
-        densities is N(y; mu_w, C_tw) e^{-top}, with top the largest of the
-        m log-densities: one exponential per component, none of them
-        overflowing. The component axis comes first, so every product with
-        the (m, G) joint table is one 2-D matmul over the block; the
-        densities take m U T B 8 bytes, 0.55 MB at m = U = 3 and T = 15. The
-        features are slices of those cached with the grid (``_gh_grid``:
-        1.8 KB, 71 KB and 1.1 MB at the default orders for n = 1, 2, 3),
-        not rebuilt per block."""
-        coef = self.coefs(grids)
+        ``_BLOCK`` nodes for the R (grid, noise) rows (``grids[r]``,
+        ``noises[r]``) at once, yielding (features (F, B), weights (B,),
+        top (R, B), densities (m, R, B)). At y = mu_u + L_tu z of row
+        r = (u, t), entry (w, r) of the densities is N(y; mu_w, C_tw) e^{-top},
+        with top the largest of the m log-densities: one exponential per
+        component, none of them overflowing. The component axis comes first,
+        so every product with the (m, G) joint table is one 2-D matmul over
+        the block; the densities take m R B 8 bytes, 0.55 MB at m = 3 and
+        R = 45. The features are slices of those cached with the grid
+        (``_gh_grid``), not rebuilt per block. A block's arrays are dropped
+        before the next block is computed, so the caller drops them too."""
+        coef = self.coefs(grids, noises)
         z, wt = _gh_grid(self.n, order)
         # the features cached with the grid, whose rows 1..n the nodes view
         F = z.base
-        shape = (self.m, len(grids), self.T, -1)
+        shape = (self.m, len(grids), -1)
         for start in range(0, len(wt), _BLOCK):
             Fb = F[:, start:start + _BLOCK]
             e = (coef @ Fb).reshape(shape)
@@ -193,13 +197,16 @@ class _ObservedLevel:
             e -= top
             np.exp(e, out=e)
             yield Fb, wt[start:start + _BLOCK], top, e
+            del e, top
 
 
-def _pair_weights(e: np.ndarray, P: np.ndarray, P_grids: np.ndarray) -> np.ndarray:
-    """(m U T, B) node weights, row (v, u, t) w_uv = sum_g P[u, g]
-    pi^g_v(y), on the grids of ``_ObservedLevel.blocks``, from its scaled
-    densities ``e`` (m, U, T, B), the symbols' joint table P (m, G) and its
-    rows ``P_grids`` (U, G) of the grids' components.
+def _pair_weights(e: np.ndarray, P: np.ndarray, P_rows: np.ndarray, broad: slice) -> np.ndarray:
+    """(V R, B) node weights, row (v, r) w_uv = sum_g P[u, g] pi^g_v(y) for
+    the V components v of ``broad`` on row r's grid u, from the scaled
+    densities ``e`` (m, R, B) of ``_ObservedLevel.blocks``, the symbols'
+    joint table P (m, G) and its rows ``P_rows`` (R, G) of the rows' grids.
+    ``broad`` spans the components that are the broad member of some pair,
+    so the others' weights, which no pair uses, are not formed.
 
     With s_g = sum_w P[w, g] e_w, the posterior is pi^g_v = P[v, g] e_v / s_g,
     so w_uv = e_v sum_g P[v, g] P[u, g] / s_g. The component axis of ``e``
@@ -212,9 +219,9 @@ def _pair_weights(e: np.ndarray, P: np.ndarray, P_grids: np.ndarray) -> np.ndarr
     flat = e.reshape(m, -1)
     s = (P.T @ flat).reshape((G,) + e.shape[1:])
     np.maximum(s, _TINY, out=s)
-    np.divide(P_grids.T[:, :, None, None], s, out=s)
-    w = P @ s.reshape(G, -1)
-    w *= flat
+    np.divide(P_rows.T[:, :, None], s, out=s)
+    w = P[broad] @ s.reshape(G, -1)
+    w *= flat[broad]
     return w.reshape(-1, e.shape[-1])
 
 
@@ -250,9 +257,9 @@ _DEFAULT_QUAD_ORDER = {1: 160, 2: 56, 3: 28}
 _PRUNE_REL = 1e-20
 
 # Grids are walked in blocks of at most this many nodes, which caps the
-# per-node arrays of a quadrature call: each holds one value per grid,
-# noise covariance, symbol and component of a node (about 0.25 MB at 15
-# noise covariances, two symbols and two components).
+# per-node arrays of a quadrature call: each holds one value per (grid,
+# noise) row and component or symbol of a node (0.55 MB at 45 rows and
+# three components).
 _BLOCK = 512
 
 
@@ -295,27 +302,32 @@ def _quad_order(n: int, order: int | None) -> int:
 
 
 def _walk(
-    obs: _ObservedLevel, order: int, P: np.ndarray | None, Q: np.ndarray | None
+    obs: _ObservedLevel, order: int, P: np.ndarray | None, Q: np.ndarray | None, T_h: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """J(Y | U) of the joint table P (m, G) and the entropy terms
-    h_s = -sum_u Q[u, s] E_u[ln f_s] of the symbol columns Q (m, S), with
+    """J(Y | U) of the joint table P (m, G) at every noise covariance of
+    ``obs`` and the entropy terms h_s = -sum_u Q[u, s] E_u[ln f_s] of the
+    symbol columns Q (m, S) at its first ``T_h``, with
     f_s = sum_w Q[w, s] N_w / sum_w Q[w, s], from one walk of the grids
-    (``_ObservedLevel.blocks``): (J (T, n, n), H (T, S)), each None when
+    (``_ObservedLevel.blocks``): (J (T, n, n), H (T_h, S)), each None when
     its table is.
 
-    Each part walks only the grids it needs: the Fisher correction those
-    of the narrower member of each pair some symbol of P mixes (see
-    ``mixture_fisher_quad``), the entropy those of the components of every
-    symbol of Q that mixes several; a symbol with one component has its
-    exact Gaussian entropy. Both parts read the same scaled densities
-    (m, U, T, B) of each block, whose U grids are the Fisher grids first,
-    then the others. With the component axis first, the pair weights
-    (``_pair_weights``), their moments against the block's slice of the
+    The walk's rows are (grid, noise) pairs, and each part walks only the
+    rows it needs: the Fisher correction the grid of the narrower member of
+    each pair some symbol of P mixes, at each noise where it is the
+    narrower (see ``mixture_fisher_quad``); the entropy the grids of the
+    components of every symbol of Q that mixes several, at the first T_h
+    noises. A symbol with one component has its exact Gaussian entropy.
+    The rows are ordered Fisher only, both, entropy only, so each part
+    reads a contiguous slice of the same scaled densities (m, R, B) of each
+    block. With the component axis first, the pair weights
+    (``_pair_weights``, formed only for the span of the components that are
+    the broad member of some pair), their moments against the block's slice of the
     grid's cached features and the entropy's mixture densities are each
     one 2-D matmul per block."""
-    m = obs.m
+    m, T = obs.m, obs.T
     J = H = None
-    fisher = walked = np.zeros(m, dtype=bool)
+    fisher = np.zeros((m, T), dtype=bool)  # [u, t]: u's grid at noise t serves J
+    entropy = np.zeros((m, T), dtype=bool)  # [u, t]: u's grid at noise t serves H
     if P is not None:
         J, _ = obs.given_label(P.sum(axis=1))
         Pm = P[:, np.count_nonzero(P > 0.0, axis=0) > 1]
@@ -327,72 +339,89 @@ def _walk(
         lower = np.arange(m)[:, None] < np.arange(m)[None, :]
         narrow = (hl[:, :, None] < hl[:, None, :]) | ((hl[:, :, None] == hl[:, None, :]) & lower)
         use = narrow & paired[None]
-        fisher = use.any(axis=(0, 2))
+        fisher = use.any(axis=2).T
+        # the span of the components that are the broad member of some
+        # pair: the pair weights of those below or above it are never used
+        v = np.flatnonzero(use.any(axis=(0, 1)))
+        broad = slice(v[0], v[-1] + 1) if v.size else None
     if Q is not None:
         size = np.count_nonzero(Q > 0.0, axis=0)
-        H = obs.entropies(Q * (size == 1))
+        H = obs.entropies(Q * (size == 1))[:T_h]
         mixed = np.flatnonzero(size > 1)
         Qm = Q[:, mixed]
         cond_T = (Qm / Qm.sum(axis=0)).T
-        walked = np.any(Qm > 0.0, axis=1)
-    grids = np.concatenate([np.flatnonzero(fisher), np.flatnonzero(walked & ~fisher)])
+        entropy[np.any(Qm > 0.0, axis=1), :T_h] = True
+    kinds = (fisher & ~entropy, fisher & entropy, entropy & ~fisher)
+    grids, noises = np.concatenate([np.nonzero(kind) for kind in kinds], axis=1)
     if not grids.size:
         return J, H
-    U = np.count_nonzero(fisher)
-    P_grids = Pm[grids[:U]] if U else None
-    # moments[v, u, t] = sum_nodes w_uv [1, z, z_i z_j] on Fisher grid u at noise t
+    # rows [0, R_f) serve J and rows [R_0, R) serve H
+    R_0 = np.count_nonzero(kinds[0])
+    R_f = R_0 + np.count_nonzero(kinds[1])
+    P_rows = Pm[grids[:R_f]] if R_f else None
+    # moments[v, r] = sum_nodes w_uv [1, z, z_i z_j] for v in broad, on row r
     moments = 0.0
-    # acc[s, u, t] = E_u[ln f_s] at noise t
+    # acc[s, r] = E_u[ln f_s] on row r
     acc = 0.0
-    for F, wt, top, e in obs.blocks(grids, order):
-        if U:
-            moments = moments + _pair_weights(e[:, :U], Pm, P_grids) @ (F * wt).T
+    for F, wt, top, e in obs.blocks(grids, noises, order):
+        if R_f:
+            moments = moments + _pair_weights(e[:, :R_f], Pm, P_rows, broad) @ (F * wt).T
         if Q is not None:
             # ln f_s = top + ln sum_w p(w | s) e_w. Where u is in s, the sum
             # is at least p(u | s) e_u > 0 and ``_TINY`` leaves it as it is;
             # elsewhere it may underflow to 0, and its weight Q[u, s] is 0
-            f = cond_T @ e.reshape(m, -1)
+            f = cond_T @ e[:, R_0:].reshape(m, -1)
             np.maximum(f, _TINY, out=f)
             np.log(f, out=f)
-            f += top.reshape(-1)
+            f += top[R_0:].reshape(-1)
             acc = acc + f.reshape(-1, wt.size) @ wt
-            # freed before the next block's densities are computed
             del f
+        # freed before the next block's densities are computed
+        del top, e
     if Q is not None:
-        acc = acc.reshape(mixed.size, grids.size, obs.T)
-        H[:, mixed] -= np.einsum("us,sut->ts", Qm[grids], acc)
-    if U:
-        moments = moments.reshape(m, U, obs.T, -1)
-        moments *= np.transpose(use[:, grids[:U]], (2, 1, 0))[..., None]
-        J -= _fisher_correction(obs, grids[:U], moments)
+        acc = acc.reshape(mixed.size, -1)
+        at_noise = np.arange(T_h)[:, None] == noises[R_0:]
+        H[:, mixed] -= at_noise @ (Qm[grids[R_0:]] * acc.T)
+    if R_f:
+        moments = moments.reshape(broad.stop - broad.start, R_f, -1)
+        moments *= use[noises[:R_f], grids[:R_f]][:, broad].T[..., None]
+        corr = _fisher_correction(obs, grids[:R_f], noises[:R_f], broad, moments)
+        at_noise = np.arange(T)[:, None] == noises[:R_f]
+        J -= (at_noise @ corr.reshape(R_f, -1)).reshape(J.shape)
         J = (J + np.swapaxes(J, 1, 2)) / 2.0
     return J, H
 
 
-def _fisher_correction(obs: _ObservedLevel, grids: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """(T, n, n) sum over the pairs of E_u[w_uv d_uv d_uv^T] from the weighted
-    moments (m, U, T, F), entry (v, u, t) on the grid of the pair's narrower
-    member u, with d_uv = g_u - g_v, the gap of the component scores, affine
-    in the nodes: at y = mu_u + L_tu z it is M z + c."""
+def _fisher_correction(
+    obs: _ObservedLevel, grids: np.ndarray, noises: np.ndarray, broad: slice,
+    moments: np.ndarray,
+) -> np.ndarray:
+    """(R, n, n) sum over the components v of ``broad`` of
+    E_u[w_uv d_uv d_uv^T] on each (grid u, noise t) row (``grids[r]``,
+    ``noises[r]``), u being the pair's narrower member at t, from the
+    weighted moments (V, R, F), entry (v, r), with d_uv = g_u - g_v, the
+    gap of the component scores, affine in the nodes: at y = mu_u + L_tu z
+    it is M z + c."""
     n = obs.n
-    L = np.swapaxes(obs.chols[:, grids], 0, 1)[None]
-    L_inv_T = np.swapaxes(np.swapaxes(obs.inv_chols[:, grids], 0, 1), 2, 3)[None]
-    precs = np.swapaxes(obs.precs, 0, 1)[:, None]
+    L = obs.chols[noises, grids]
+    L_inv_T = np.swapaxes(obs.inv_chols[noises, grids], 1, 2)
+    # (V, R, n, n): C_tv^{-1} at each row's noise
+    precs = np.swapaxes(obs.precs[noises][:, broad], 0, 1)
     M = precs @ L - L_inv_T
-    gaps = obs.means[None, grids] - obs.means[:, None]
-    c = (precs @ gaps[:, :, None, :, None])[..., 0]
+    gaps = obs.means[grids] - obs.means[broad][:, None]
+    c = (precs @ gaps[..., None])[..., 0]
     i, j = np.triu_indices(n)
-    S2 = np.empty(moments.shape[:3] + (n, n))
+    S2 = np.empty(moments.shape[:2] + (n, n))
     S2[..., i, j] = moments[..., 1 + n:]
     S2[..., j, i] = moments[..., 1 + n:]
     Ms1 = (M @ moments[..., 1:1 + n, None])[..., 0]
     corr = (
-        M @ S2 @ np.swapaxes(M, 3, 4)
+        M @ S2 @ np.swapaxes(M, 2, 3)
         + Ms1[..., :, None] * c[..., None, :]
         + c[..., :, None] * Ms1[..., None, :]
         + moments[..., 0, None, None] * c[..., :, None] * c[..., None, :]
     )
-    return corr.sum(axis=(0, 1))
+    return corr.sum(axis=0)
 
 
 def mixture_entropy_quad(
@@ -419,7 +448,7 @@ def mixture_entropy_quad(
     """
     P = _joint_table(src, joint)
     obs = _ObservedLevel(src, noise_cov)
-    _, H = _walk(obs, _quad_order(obs.n, order), None, P)
+    _, H = _walk(obs, _quad_order(obs.n, order), None, P, obs.T)
     h = H.sum(axis=1)
     return h if obs.stacked else float(h[0])
 
@@ -450,26 +479,33 @@ def mixture_fisher_quad(
     """
     P = _joint_table(src, joint)
     obs = _ObservedLevel(src, noise_cov)
-    J, _ = _walk(obs, _quad_order(obs.n, order), P, None)
+    J, _ = _walk(obs, _quad_order(obs.n, order), P, None, obs.T)
     return J if obs.stacked else J[0]
 
 
 def mixture_level_quad(
-    src: MixtureSource, noise_cov, joint
+    src: MixtureSource, noise_cov, joint, field=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(J(Y | U_k), h(Y | U_k), h(Y)) of one auxiliary level at a (T, n, n)
     stack of noise covariances, from one walk of the grids (n <= 3):
     (T, n, n), (T,) and (T,); one (n, n) covariance is a stack of one.
+    ``field``, a (T_f, n, n) stack of further noise covariances, adds J
+    there to the same walk: J is then (T + T_f, n, n), ``noise_cov``'s
+    first, and the entropies stay at ``noise_cov``.
 
     Each equals ``mixture_fisher_quad``, ``mixture_entropy_quad`` with the
     same ``joint`` and ``mixture_entropy_quad`` with none (the source's own
     weights) on the same stack, at the default order. All three read the
     same scaled component densities: the Fisher correction on the narrower
-    member of each mixed pair, and the entropies with the weights p(u) as
-    one more symbol, on the grid of every component that a symbol mixes
-    with another.
+    member of each mixed pair, at every noise, and the entropies with the
+    weights p(u) as one more symbol, on the grid of every component that a
+    symbol mixes with another, at ``noise_cov`` only.
     """
     P = _joint_table(src, joint)
-    obs = _ObservedLevel(src, noise_cov)
-    J, H = _walk(obs, _quad_order(obs.n, None), P, np.column_stack([P, src.weights]))
+    stages = np.asarray(noise_cov, dtype=float)
+    if stages.ndim == 2:
+        stages = stages[None]
+    noises = stages if field is None else np.concatenate([stages, field])
+    obs = _ObservedLevel(src, noises)
+    J, H = _walk(obs, _quad_order(obs.n, None), P, np.column_stack([P, src.weights]), len(stages))
     return J, H[:, :-1].sum(axis=1), H[:, -1]

@@ -31,7 +31,7 @@ class CovarianceSplit:
 
     The parts are symmetrized and kept as one read-only (K, n, n) stack,
     which holds a split in about half the memory of K separate arrays;
-    ``parts`` hands them out one by one.
+    ``parts`` hands them out one by one, ``stack`` all at once.
     """
 
     __slots__ = ("_stack",)
@@ -55,6 +55,11 @@ class CovarianceSplit:
     @property
     def parts(self) -> tuple[np.ndarray, ...]:
         return tuple(self._stack)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The parts as one read-only (K, n, n) array."""
+        return self._stack
 
     def __repr__(self) -> str:
         return f"CovarianceSplit(parts={self.parts!r})"

@@ -81,7 +81,7 @@ class WalkthroughReport:
     stages: tuple[WalkthroughStage, ...]
     achieved_rates: tuple[float, ...]
     region_rates: tuple[float, ...]
-    split: tuple  # recovered covariance split, one ndarray per user
+    split: object  # recovered covariance split: a read-only (K, n, n) ndarray, one part per user
     passed: bool
     reports: tuple[VerificationReport, ...] = field(default_factory=tuple)
 

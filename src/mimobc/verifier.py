@@ -5,22 +5,25 @@ walkthrough that replays the proof chain on a concrete input distribution.
 The law of X given one symbol of an auxiliary U_k is a Gaussian mixture of
 the base components. ``model.coarsen`` gives a whole level as one joint
 table P(u_2 = u, U_k = g), and ``estimators.mixture_fisher_quad`` and
-``mixture_entropy_quad`` turn it into J(Y | U_k) and h(Y | U_k) in one call,
-at one noise covariance or a stack of them; ``mixture_level_quad`` gives
-J(Y | U_k), h(Y | U_k) and h(Y) from one walk of the quadrature grids, so
-a walkthrough stage reads J and both of its entropies off the same
-component densities. Given the mixture label X + N is Gaussian, and
-``fisher_conditional`` and ``entropy_conditional`` give its closed forms,
-also at a stack of noise covariances; the kernels share that code for the
-finest auxiliary (a diagonal table), whose every symbol has one component.
-Given a coarser auxiliary the kernels use the deterministic Gauss-Hermite
-quadrature: a pruned tensor grid whose dropped nodes carry under 1e-19 of
-the weight at the default orders. The error of the quadrature order itself
-is not estimated and does not enter any tolerance. On a badly conditioned
-mixture it is about 1e-9 in Fisher information but reaches about 5e-4 in
-entropy at the default order (see ``estimators.mixture_entropy_quad``),
-more than the 1e-6 to 1e-10 the walkthrough's identities are judged at, so
-a pass does not bound it.
+``mixture_entropy_quad`` turn it into J(Y | U_k) and h(Y | U_k) in one
+call, at one noise covariance or a stack of them; ``mixture_level_quad``
+gives J(Y | U_k), h(Y | U_k) and h(Y) from one walk of the quadrature
+grids, and J at a further stack of noises in the same walk. A walkthrough
+stage on a coarser auxiliary walks the grids once: J and both of its
+entropies at its two noises, and J at the 15 nodes of its line integral's
+first G7/K15 rule, come from the same component densities. Given the
+mixture label X + N is Gaussian, and ``fisher_conditional`` and
+``entropy_conditional`` give its closed forms, also at a stack of noise
+covariances; the kernels share that code for the finest auxiliary (a
+diagonal table), whose every symbol has one component. Given a coarser
+auxiliary the kernels use the deterministic Gauss-Hermite quadrature: a
+pruned tensor grid whose dropped nodes carry under 1e-19 of the weight at
+the default orders. The error of the quadrature order itself is not
+estimated and does not enter any tolerance. On a badly conditioned mixture
+it is about 1e-9 in Fisher information but reaches about 5e-4 in entropy
+at the default order (see ``estimators.mixture_entropy_quad``), more than
+the 1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass
+does not bound it.
 
 Each inequality check passes all of its noise covariances to a closed form
 as one stack: de Bruijn's perturbed noises, f_epsilon's eps * sigma and
@@ -420,12 +423,15 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
 
     Every entropy is deterministic: closed form given the finest auxiliary,
     Gauss-Hermite quadrature given a coarser one and for the unconditional
-    h(Y_K). A stage with a coarser auxiliary walks the grids once
-    (``mixture_level_quad`` on [Sigma_k, Sigma_{k-1}]) for J(Y_k | U_k),
-    h(Y_k | U_k) and h(Y_{k-1} | U_k), and at the top stage also h(Y_K);
-    only the line integral's field walks them again, at its own nodes. Each
-    entropy is computed once, and the achieved rates are differences of the
-    stored values.
+    h(Y_K). A stage with a coarser auxiliary walks the grids once in all:
+    the line integral's field, on its first call (the rule on the whole
+    path, which ``matrices.matrix_line_integral`` always evaluates first),
+    calls ``mixture_level_quad`` on [Sigma_k, Sigma_{k-1}] with the rule's
+    15 nodes as its field stack, for J there and J(Y_k | U_k),
+    h(Y_k | U_k), h(Y_{k-1} | U_k) and at the top stage h(Y_K). Only an
+    integral that bisects walks again, one ``mixture_fisher_quad`` per
+    further interval. Each entropy is computed once, and the achieved rates
+    are differences of the stored values.
     """
     if isinstance(source, MixtureSource):
         hierarchy = MarkovHierarchy(base=source)
@@ -454,15 +460,28 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         sigma_prev = ch.noise_covs[k - 2]
         joint = coarsen(hierarchy, k)
         stack = np.stack([sigma, sigma_prev])
-        if k == 2 < K:
-            # U_2 is the mixture label: its table is diagonal, so both are
-            # closed forms and walk no grid, and h(Y_2) is not needed
+        # U_2 below the top is the mixture label: its table is diagonal, so
+        # J and h are closed forms that walk no grid, and h(Y_2) is unused
+        label = k == 2 < K
+        level = []
+
+        def field(sigmas):
+            # on a coarser auxiliary the rule's first call, on [0, 1], is
+            # the stage's one walk (``mixture_level_quad`` with the rule's
+            # nodes as its field stack); a bisected interval walks again
+            if label or level:
+                return mixture_fisher_quad(base, sigmas, joint=joint)
+            level.extend(mixture_level_quad(base, stack, joint, field=sigmas))
+            return level[0][2:]
+
+        integral, integral_err = mat.matrix_line_integral(field, sigma_prev, sigma, _INTEGRAL_TOL)
+        if label:
             J = mixture_fisher_quad(base, sigma, joint=joint)
             h, h_prev[k] = mixture_entropy_quad(base, stack, joint=joint).tolist()
         else:
             # J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and at the top
-            # stage h(Y_K) = h(Y_K | U_{K+1}), from one walk of the grids
-            Js, hs, h_y = mixture_level_quad(base, stack, joint)
+            # stage h(Y_K) = h(Y_K | U_{K+1}), from the stage's walk
+            Js, hs, h_y = level
             J = Js[0]
             h, h_prev[k] = hs.tolist()
             if k == K:
@@ -471,11 +490,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         fp = _solve_fixed_point_core(J, h, sigma, A[k + 1])
         A[k] = fp.A
 
-        def field(sigmas):
-            return mixture_fisher_quad(base, sigmas, joint=joint)
-
         # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
-        integral, integral_err = mat.matrix_line_integral(field, sigma_prev, sigma, _INTEGRAL_TOL)
         integral_residual = (h_prev[k] - h) - (-0.5 * integral)
         entropy_bound_residual = gaussian_entropy(fp.A + sigma_prev) - h_prev[k]
         stages.append(
@@ -546,7 +561,7 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         stages=tuple(stages),
         achieved_rates=tuple(achieved),
         region_rates=tuple(region_rates),
-        split=split.parts,
+        split=split.stack,
         passed=all(rep.passed for rep in reports),
         reports=tuple(reports),
     )

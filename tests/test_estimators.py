@@ -12,7 +12,7 @@ from mimobc.estimators import (
     mixture_fisher_quad,
     mixture_level_quad,
 )
-from mimobc import estimators
+from mimobc import estimators, matrices
 from mimobc.fixtures import (
     admissible_channel_for,
     gaussian_source,
@@ -43,7 +43,7 @@ def _kernel_log_densities(src, noise_cov, y):
     y = np.atleast_2d(np.asarray(y, dtype=float))
     z = np.linalg.solve(obs.chols[0, 0], (y - src.means[0]).T).T
     F = estimators._features(z, *np.triu_indices(src.dim))
-    return (obs.coefs(np.array([0])) @ F).reshape(src.num_components, -1)
+    return (obs.coefs(np.array([0]), np.array([0])) @ F).reshape(src.num_components, -1)
 
 
 def mixture_logpdf(src, noise_cov, y):
@@ -130,7 +130,9 @@ class TestDensityAndScore:
         obs = estimators._ObservedLevel(src, noises)
         z = rng.standard_normal((7, n))
         F = estimators._features(z, *np.triu_indices(n))
-        logs = (obs.coefs(np.arange(3)) @ F).reshape(3, 3, 2, -1)
+        # rows (u, t): every grid at both noises
+        rows = np.repeat(np.arange(3), 2), np.tile(np.arange(2), 3)
+        logs = (obs.coefs(*rows) @ F).reshape(3, 3, 2, -1)
         for u in range(3):
             for t, S in enumerate(noises):
                 y = src.means[u] + z @ np.linalg.cholesky(src.comp_covs[u] + S).T
@@ -355,9 +357,14 @@ class TestWhitenedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # five live (m, U <= m, T, B) block arrays of float64
+        # a block's arrays have R <= m T (grid, noise) rows of B nodes: the
+        # densities (m rows of R B), their top (1 row), and either the table
+        # sums and pair weights (G = 2 and V <= 2 rows) or the entropy's
+        # mixture densities (S <= 3 rows), so at most m + 1 + 4 rows of R B
+        # float64 are live at once; the previous block's are dropped before
+        # the next is computed
         m, T = src.num_components, len(noises)
-        assert peak <= 5 * m * m * T * estimators._BLOCK * 8
+        assert peak <= (m + 1 + 4) * (m * T) * estimators._BLOCK * 8
 
     def test_cached_grid_is_shared_and_read_only(self):
         z, wt = estimators._gh_grid(2, 56)
@@ -491,13 +498,16 @@ class TestLevelQuad:
     calls on the same stack of noise covariances."""
 
     @staticmethod
-    def _assert_matches_separate_calls(src, joint, noises):
-        J, h_cond, h = mixture_level_quad(src, noises, joint)
-        J_ref = mixture_fisher_quad(src, noises, joint=joint)
+    def _assert_matches_separate_calls(src, joint, noises, field=None):
+        # with a field stack, J there joins the same walk; the entropies
+        # stay at ``noises``
+        J, h_cond, h = mixture_level_quad(src, noises, joint, field=field)
+        J_noises = noises if field is None else np.concatenate([noises, field])
+        J_ref = mixture_fisher_quad(src, J_noises, joint=joint)
         h_cond_ref = mixture_entropy_quad(src, noises, joint=joint)
         h_ref = mixture_entropy_quad(src, noises)
-        assert J.shape == noises.shape and h_cond.shape == h.shape == noises.shape[:1]
-        for t in range(len(noises)):
+        assert J.shape == J_ref.shape and h_cond.shape == h.shape == noises.shape[:1]
+        for t in range(len(J_ref)):
             assert np.max(np.abs(J[t] - J_ref[t])) <= 1e-12 * np.max(np.abs(J_ref[t]))
         assert np.all(np.abs(h_cond - h_cond_ref) <= 1e-12 * np.abs(h_cond_ref))
         assert np.all(np.abs(h - h_ref) <= 1e-12 * np.abs(h_ref))
@@ -525,6 +535,55 @@ class TestLevelQuad:
         self._assert_matches_separate_calls(h.base, coarsen(h, 2), np.stack(ch.noise_covs))
 
 
+    @staticmethod
+    def _field(stages):
+        """The 15 nodes of the line integral's first G7/K15 rule from the
+        second stage noise to the first."""
+        t = matrices._kronrod_rule()[0][:, None, None]
+        return stages[1] + t * (stages[0] - stages[1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_folded_field(self, n, m):
+        rng = rng_for(312, n, m)
+        src = random_mixture(rng, n, m)
+        # m = 2: one symbol mixes both components; m = 3: two symbols mix
+        # {0, 1} and {1, 2}
+        joint = (src.weights[:, None] if m == 2 else
+                 np.column_stack([src.weights * [1.0, 0.5, 0.0], src.weights * [0.0, 0.5, 1.0]]))
+        low = random_spd(rng, n, 0.5, 1.5)
+        stages = np.stack([low + random_spd(rng, n, 0.5, 1.5), low])
+        self._assert_matches_separate_calls(src, joint, stages, self._field(stages))
+
+    def test_narrower_member_flips_along_the_field(self):
+        # |C_0 + s I| < |C_1 + s I| at s = 0.01 and > at s = 1, so the pair's
+        # grid is component 0's at some noises and component 1's at others
+        src = MixtureSource(weights=[0.4, 0.6], means=[[0.0, 0.0], [0.3, -0.2]],
+                            comp_covs=[np.diag([4.0, 0.01]), np.diag([1.0, 0.1])])
+        stages = np.stack([np.eye(2), 0.01 * np.eye(2)])
+        field = self._field(stages)
+        hl = estimators._ObservedLevel(src, np.concatenate([stages, field])).half_logdet
+        assert np.any(hl[:, 0] < hl[:, 1]) and np.any(hl[:, 0] > hl[:, 1])
+        joint = src.weights[:, None]
+        self._assert_matches_separate_calls(src, joint, stages, field)
+        TestLevelKernel._assert_matches(src, joint, np.concatenate([stages, field]))
+
+    def test_component_that_is_no_pairs_broad_member(self):
+        # symbol 0 mixes components 0 and 1, symbol 1 is component 2 alone:
+        # component 2 is in no pair, and the narrower of 0 and 1 is the
+        # pair's grid at every noise, so only the other forms pair weights
+        rng = rng_for(313)
+        src = random_mixture(rng, 2, 3)
+        joint = np.array([[0.2, 0.0], [0.3, 0.0], [0.0, 0.5]])
+        low = random_spd(rng, 2, 0.5, 1.5)
+        stages = np.stack([low + random_spd(rng, 2, 0.5, 1.5), low])
+        field = self._field(stages)
+        hl = estimators._ObservedLevel(src, np.concatenate([stages, field])).half_logdet
+        assert np.all(hl[:, 0] < hl[:, 1]) or np.all(hl[:, 0] > hl[:, 1])
+        self._assert_matches_separate_calls(src, joint, stages, field)
+        TestLevelKernel._assert_matches(src, joint, np.concatenate([stages, field]))
+
+
 def _log_space_reference(src, joint, noise, order):
     """(J, h) of Y = X + N given U_k at one noise covariance, with the
     kernel's log-densities but every symbol's posterior taken as a softmax
@@ -536,7 +595,8 @@ def _log_space_reference(src, joint, noise, order):
     n, m = src.dim, src.num_components
     z, wt = estimators._gh_grid(n, order)
     # logs[w, u] = ln N(y; mu_w, C_w) at the nodes y = mu_u + L_u z of u's grid
-    logs = obs.coefs(np.arange(m)) @ estimators._features(z, *np.triu_indices(n))
+    logs = obs.coefs(np.arange(m), np.zeros(m, dtype=int)) @ estimators._features(
+        z, *np.triu_indices(n))
     logs = logs.reshape(m, m, -1)
     precs = np.swapaxes(obs.inv_chols[0], 1, 2) @ obs.inv_chols[0]
     hl = obs.half_logdet[0]

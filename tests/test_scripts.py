@@ -32,9 +32,10 @@ def test_bench_script_writes_its_json(tmp_path):
     assert res.returncode == 0, res.stderr
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
     assert doc["label"] == "smoke" and doc["repeats"] == 1
-    assert set(doc["median_s"]) == {
-        "stage_walk", "field_walk", "fixed_point", "line_integral",
-        "walkthrough", "boundary_point", "grid_oracle",
+    assert set(doc["median_s"]) == set(doc["relative_to_control"]) == {
+        "stage_walk", "fixed_point", "line_integral",
+        "walkthrough", "boundary_point", "grid_oracle", "control",
     }
     assert all(t > 0.0 for t in doc["median_s"].values())
+    assert doc["relative_to_control"]["control"] == 1.0
     assert {"nproc", "python", "numpy", "blas_threads"} <= set(doc["machine"])

@@ -463,26 +463,30 @@ class TestConverseWalkthrough:
         assert len(rep.achieved_rates) == 3
 
     def test_one_grid_walk_per_mixed_stage(self, monkeypatch):
-        # a mixed stage's J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and, at
-        # the top, h(Y_K) come from one walk of the grids; the line integral's
-        # field walks once per call on a mixed table; and no noise covariance
-        # is walked twice with the same table
+        # a mixed stage walks the grids once in total: J(Y_k | U_k),
+        # h(Y_k | U_k), h(Y_{k-1} | U_k), at the top h(Y_K), and J at the 15
+        # nodes of the line integral's first G7/K15 rule come from one
+        # ``mixture_level_quad`` walk, made by the field's first call; and no
+        # noise covariance is walked twice with the same table
         rng = rng_for(11, 2, 0)
         h = random_hierarchy(rng, 3, (2, 2))
         ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
         context = []  # the calls in progress, innermost last
-        calls, walks = [], []
+        rules, walks = [], []
 
         def tracking(name, quad):
             def call(src, noise_cov, *args, **kwargs):
                 bound = inspect.signature(quad).bind(src, noise_cov, *args, **kwargs)
-                joint = bound.arguments.get("joint")
+                args_ = bound.arguments
+                joint = args_.get("joint")
                 table = src.weights[:, None] if joint is None else np.asarray(joint)
-                tables = [table, src.weights[:, None]] if name == "mixture_level_quad" else [table]
-                noises = np.reshape(noise_cov, (-1,) + src.comp_covs.shape[1:])
-                mixed = bool(np.any(np.count_nonzero(table > 0.0, axis=0) > 1))
-                context.append((name, noises, tables))
-                calls.append((context[0][0], name, mixed))
+                noises = list(np.reshape(noise_cov, (-1,) + src.comp_covs.shape[1:]))
+                # the (noise covariance, table) pairs the call evaluates
+                pairs = [(S, table) for S in noises]
+                if name == "mixture_level_quad":
+                    pairs += [(S, table) for S in args_.get("field", [])]
+                    pairs += [(S, src.weights[:, None]) for S in noises]
+                context.append((name, args_, pairs))
                 try:
                     return quad(src, noise_cov, *args, **kwargs)
                 finally:
@@ -492,17 +496,20 @@ class TestConverseWalkthrough:
         line_integral = matrices.matrix_line_integral
 
         def integrating(field, a, b, tol):
-            context.append(("field", None, None))
-            try:
-                return line_integral(field, a, b, tol)
-            finally:
-                context.pop()
+            def traced(sigmas):
+                rules.append((a, b, sigmas))
+                context.append(("field", len(rules) - 1, None))
+                try:
+                    return field(sigmas)
+                finally:
+                    context.pop()
+            return line_integral(traced, a, b, tol)
 
         blocks = estimators._ObservedLevel.blocks
 
-        def walking(obs, grids, order):
-            walks.append((context[0][0],) + context[-1])
-            return blocks(obs, grids, order)
+        def walking(obs, *args):
+            walks.append(list(context))
+            return blocks(obs, *args)
 
         for name in ("mixture_level_quad", "mixture_fisher_quad", "mixture_entropy_quad"):
             monkeypatch.setattr(verifier, name, tracking(name, getattr(verifier, name)))
@@ -515,15 +522,22 @@ class TestConverseWalkthrough:
             if np.any(np.count_nonzero(coarsen(h, k) > 0.0, axis=0) > 1)
         ]
         assert mixed_stages == [3]
-        staged = [name for outer, name, _, _ in walks if outer != "field"]
-        assert staged == ["mixture_level_quad"] * len(mixed_stages)
-        in_field = [name for outer, name, _, _ in walks if outer == "field"]
-        field_calls = [c for c in calls if c[0] == "field" and c[2]]
-        assert in_field == ["mixture_fisher_quad"] * len(field_calls)
-        assert field_calls
+        # one rule per stage: neither line integral bisects on this input
+        assert len(rules) == 2
+        assert len(walks) == len(mixed_stages)
+        t = matrices._kronrod_rule()[0][:, None, None]
+        for k, walk in zip(mixed_stages, walks):
+            (outer, rule, _), (name, args_, _) = walk
+            assert (outer, name) == ("field", "mixture_level_quad")
+            sigma, sigma_prev = ch.noise_covs[k - 1], ch.noise_covs[k - 2]
+            a, b, nodes = rules[rule]
+            # the field's first call is the rule on [0, 1] of its integral
+            assert a is sigma_prev and b is sigma
+            assert np.array_equal(nodes, sigma_prev + t * (sigma - sigma_prev))
+            assert args_["field"] is nodes
+            assert np.array_equal(args_["noise_cov"], np.stack([sigma, sigma_prev]))
         pairs = [
-            (S.tobytes(), P.tobytes())
-            for _, _, noises, tables in walks for S in noises for P in tables
+            (S.tobytes(), P.tobytes()) for walk in walks for S, P in walk[-1][2]
         ]
         assert len(set(pairs)) == len(pairs)
 
