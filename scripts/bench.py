@@ -13,7 +13,11 @@ median is reported in seconds:
 - ``fixed_point``: one ``solve_fixed_point``;
 - ``line_integral``: one ``matrix_line_integral`` of the field;
 - ``walkthrough``: one full ``converse_walkthrough``;
-- ``boundary_point``: one ``trace_boundary`` weight vector;
+- ``boundary_point``: one ``trace_boundary`` weight vector, w = (0.6, 0.8),
+  where both users get power and the ascent runs;
+- ``closed_form_point``: one ``trace_boundary`` weight vector, w = (0.8, 0.6),
+  where user 1 takes the whole cap and no ascent runs;
+- ``rate_tuple``: one ``rate_tuple`` of the split traced at w = (0.6, 0.8);
 - ``grid_oracle``: ``grid_oracle`` at resolution 21;
 - ``control``: fixed NumPy work that does not use the package (a 256 x 256
   matmul, an elementwise exponential and a Cholesky factorization).
@@ -25,7 +29,8 @@ files are compared by those ratios, not by their raw medians.
 
 The converse inputs are the first instance of the ``converse`` benchmark
 workload at seed 11 (K = 3, n = 3, two-value auxiliaries); the region inputs
-are its first 2-user 2x2 channel. The output also records the machine:
+are the first 2-user 2x2 channel of the ``region`` workload, with its
+optimizer seed 42. The output also records the machine:
 nproc, Python, NumPy and the BLAS thread settings of the environment, which
 the timings depend on. To compare two checkouts, run this script from each
 with ``PYTHONPATH`` at that checkout's ``src``.
@@ -48,7 +53,7 @@ from mimobc import matrices, verifier
 from mimobc.estimators import mixture_fisher_quad, mixture_level_quad
 from mimobc.fixtures import admissible_channel_for, random_channel, random_hierarchy, rng_for
 from mimobc.model import aggregate_covariance, coarsen
-from mimobc.region import OptimizerConfig, grid_oracle, trace_boundary
+from mimobc.region import OptimizerConfig, grid_oracle, rate_tuple, trace_boundary
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -68,14 +73,19 @@ def items() -> dict:
         return mixture_fisher_quad(h.base, sigmas, joint=joint)
 
     region_ch = random_channel(rng_for(1002, 0), 2, 2)
+    opt = OptimizerConfig(seed=42)
     weights = [np.array([0.6, 0.8])]
+    closed_form = [np.array([0.8, 0.6])]
+    (split, _), = trace_boundary(region_ch, weights, opt)
     return {
         "stage_walk": lambda: mixture_level_quad(h.base, stages, joint, field=field_stack),
         "fixed_point": lambda: verifier.solve_fixed_point(h.base, ch, 3, ch.input_cap),
         "line_integral": lambda: matrices.matrix_line_integral(
             field, sigma_prev, sigma, verifier._INTEGRAL_TOL),
         "walkthrough": lambda: verifier.converse_walkthrough(h, ch),
-        "boundary_point": lambda: trace_boundary(region_ch, weights, OptimizerConfig(seed=42)),
+        "boundary_point": lambda: trace_boundary(region_ch, weights, opt),
+        "closed_form_point": lambda: trace_boundary(region_ch, closed_form, opt),
+        "rate_tuple": lambda: rate_tuple(region_ch, split),
         "grid_oracle": lambda: grid_oracle(region_ch, 21),
         "control": control,
     }
@@ -119,7 +129,7 @@ def main() -> int:
             call()
             times.append(time.perf_counter() - t0)
         medians[name] = statistics.median(times)
-        print(f"{name:16s} {medians[name] * 1e3:10.3f} ms")
+        print(f"{name:18s} {medians[name] * 1e3:10.3f} ms")
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"

@@ -111,18 +111,23 @@ def rate_tuple(ch: BroadcastChannel, split: CovarianceSplit) -> tuple[float, ...
     R_k = 0.5 [ln|sum_{i<=k} K_i + Sigma_k| - ln|sum_{i<k} K_i + Sigma_k|];
     a rate in [-1e-9, 0) is round-off and reads 0, and one below -1e-9
     raises ``NumericalError``.
+
+    All 2K log-dets come from one stacked ``matrices.cholesky`` factorization
+    and are bit-identical to K pairs of ``matrices.logdet`` calls: the
+    partial sums add the parts in the same order, and each log-det sums its
+    factor's log-diagonal in the same order.
     """
     if len(split.parts) != ch.num_users:
         raise DimensionMismatchError("split has wrong number of parts")
     split.validate(ch.input_cap)
-    rates = []
-    cum = np.zeros((ch.dim, ch.dim))
-    for k in range(ch.num_users):
-        below = cum
-        cum = cum + split.parts[k]
-        r = 0.5 * (mat.logdet(cum + ch.noise_covs[k]) - mat.logdet(below + ch.noise_covs[k]))
-        rates.append(_clamped_rate(r))
-    return tuple(rates)
+    stack = split.stack
+    cum = np.cumsum(stack, axis=0)
+    below = np.concatenate([np.zeros_like(stack[:1]), cum[:-1]])
+    noise = np.stack(ch.noise_covs)
+    L = mat.cholesky(np.concatenate([cum + noise, below + noise]))
+    logdets = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    K = ch.num_users
+    return tuple(_clamped_rate(float(r)) for r in 0.5 * (logdets[:K] - logdets[K:]))
 
 
 def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> float:
@@ -150,7 +155,12 @@ def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> 
 # raising C_k to C_{k+1} never lowers f: user k+1 gets no power and drops out.
 # The users left (the "active" ones) have strictly increasing weights. The
 # ascent runs on their chain in whitened coordinates C_i = S^{1/2} Q_i S^{1/2},
-# 0 <= Q_1 <= ... <= Q_{m-1} <= I, where the gradient is S^{1/2} df/dC_i S^{1/2}.
+# 0 <= Q_1 <= ... <= Q_{m-1} <= I. The noises are whitened once per chain,
+# N_k = S^{-1/2} Sigma_k S^{-1/2}, so that ln|C_i + Sigma_k| = ln|S| +
+# ln|Q_i + N_k|: the objective drops the constant ln|S| terms, and its
+# gradient S^{1/2} df/dC_i S^{1/2} = 1/2 [w_i (Q_i + N_i)^-1 - w_{i+1}
+# (Q_i + N_{i+1})^-1] needs no product with the root until the final chain
+# is mapped back to parts.
 
 
 def _active_users(w: np.ndarray) -> list[int]:
@@ -216,7 +226,10 @@ def _project_chain(Q: np.ndarray) -> np.ndarray:
     """
     if Q.shape[0] == 1:
         lam, V = np.linalg.eigh(Q)
-        return (V * np.clip(lam, 0.0, 1.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
+        # minimum/maximum, not np.clip: the clip's wrapper costs a large
+        # share of a 2 x 2 projection
+        lam = np.minimum(np.maximum(lam, 0.0), 1.0)
+        return (V * lam[..., None, :]) @ np.swapaxes(V, -1, -2)
     x = _dykstra(Q)
     if float(np.linalg.norm(Q)) > _FAR:
         x = _dykstra(x)
@@ -235,33 +248,49 @@ def _dykstra(Q: np.ndarray) -> np.ndarray:
         q = y + q - x_next
         moved = float(np.linalg.norm(x_next - x))
         x = x_next
-        if moved <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
+        # the sums x + p and y + q round at the scale of their largest
+        # terms, so a move below 1e-13 of the run's own magnitudes is
+        # round-off, however far the input lies from the set
+        scale = 1.0 + sum(float(np.linalg.norm(a)) for a in (x, p, q))
+        if moved <= 1e-13 * scale:
             break
     return x[1:-1]
 
 
 class _ActiveChain:
     """Weighted sum rate of the active users, up to a constant, and its
-    gradient, as functions of the whitened chain Q of shape (m-1, n, n)."""
+    whitened gradient, as functions of the whitened chain Q of shape
+    (m-1, n, n).
+
+    The active noises are whitened once, with the cap's root S^{1/2}:
+    ``noise`` stacks N_lo and N_hi, N = S^{-1/2} Sigma S^{-1/2}, for the
+    lower and the upper user of each link. The channel rule
+    lambda_min(S) > 1e-9 lambda_max(Sigma) bounds |N| below 1e9. ``root``
+    maps the final chain back to parts.
+    """
 
     def __init__(self, ch: BroadcastChannel, w: np.ndarray, active: list[int]):
         self.root = mat.sqrt_psd(ch.input_cap)
-        sig = [ch.noise_covs[k] for k in active]
-        self.noise = np.stack(sig[:-1] + sig[1:])
+        sig = np.stack([ch.noise_covs[k] for k in active])
+        half = np.linalg.solve(self.root, sig)
+        white = np.linalg.solve(self.root, np.swapaxes(half, -1, -2))
+        white = (white + np.swapaxes(white, -1, -2)) / 2.0
+        self.noise = np.concatenate([white[:-1], white[1:]])
         self.w_lo = w[active[:-1]]
         self.w_hi = w[active[1:]]
 
     def value_and_grad(self, Q: np.ndarray) -> tuple[float, np.ndarray]:
+        """f = 1/2 sum_i [w_lo ln|Q_i + N_lo| - w_hi ln|Q_i + N_hi|] and its
+        gradient in Q, from one ``eigh`` of the stack [Q; Q] + noise."""
         c = Q.shape[0]
-        C = self.root @ Q @ self.root
-        lam, V = np.linalg.eigh(np.concatenate([C, C]) + self.noise)
+        lam, V = np.linalg.eigh(np.concatenate([Q, Q]) + self.noise)
         if not lam.min() > 0.0:
             raise NumericalError("objective is non-finite on the feasible set")
         logdets = np.log(lam).sum(axis=-1)
         inv = (V / lam[..., None, :]) @ np.swapaxes(V, -1, -2)
         f = 0.5 * float(self.w_lo @ logdets[:c] - self.w_hi @ logdets[c:])
         G = 0.5 * (self.w_lo[:, None, None] * inv[:c] - self.w_hi[:, None, None] * inv[c:])
-        return f, self.root @ G @ self.root
+        return f, G
 
 
 def _ascend(chain: _ActiveChain, Q: np.ndarray):
@@ -281,10 +310,11 @@ def _ascend(chain: _ActiveChain, Q: np.ndarray):
         t = step
         while True:
             d = _project_chain(Q + t * g) - Q
-            if float(np.linalg.norm(d)) < _GRAD_TOL * min(t, 1.0):
+            dd = float(np.vdot(d, d))
+            if math.sqrt(dd) < _GRAD_TOL * min(t, 1.0):
                 return Q, f
             fc, gc = chain.value_and_grad(Q + d)
-            if fc >= f + _ARMIJO * float(np.sum(g * d)):
+            if fc >= f + _ARMIJO * float(np.vdot(g, d)):
                 break
             t *= 0.5
             if t <= 1e-14:
@@ -292,11 +322,11 @@ def _ascend(chain: _ActiveChain, Q: np.ndarray):
         # the objective is smooth, so once gains fall to round-off the
         # iterate has converged to working precision
         stalled = stalled + 1 if fc - f <= 1e-15 * (1.0 + abs(fc)) else 0
-        curvature = -float(np.sum(d * (gc - g)))
+        curvature = -float(np.vdot(d, gc - g))
         Q, f, g = Q + d, fc, gc
         if stalled >= 3:
             break
-        step = float(np.sum(d * d)) / curvature if curvature > 0.0 else 2.0 * t
+        step = dd / curvature if curvature > 0.0 else 2.0 * t
         step = min(max(step, 1e-10), 1e10)
     return Q, f
 

@@ -569,6 +569,31 @@ class TestFuzz:
         assert header == "w_1,w_2,R_1,R_2" and len(rows) == 3
         assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
+    def test_noises_near_singular_against_the_cap_exit_0(self, tmp_path, capsys):
+        # noise eigenvalues 1.7e-8 and 2.6e-8 under a cap with eigenvalues
+        # 8.0e7 and 1.6e9: the tracer's objective, taken in the cap's
+        # coordinates C + Sigma, met round-off of C larger than Sigma and
+        # the run exited 1 with a non-finite objective; with the noises
+        # whitened once per chain it evaluates Q + N with Q in [0, I]
+        doc = {
+            "noise_covs": [
+                [[2.5945184665204644e-08, -8.081493212322914e-10],
+                 [-8.081493212322911e-10, 1.7493770604790035e-08]],
+                [[2.5952149139173675e-08, -8.197434072286576e-10],
+                 [-8.197434072286573e-10, 1.752436755201745e-08]],
+            ],
+            "input_cap": [[1532196422.3441863, -385984963.756763],
+                          [-385984963.7567629, 182777334.40501267]],
+        }
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["region", str(path), "--grid", "5", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = out.read_text().strip().splitlines()
+        assert header == "w_1,w_2,R_1,R_2" and len(rows) == 5
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @_pinned
