@@ -32,7 +32,9 @@ workload at seed 11 (K = 3, n = 3, two-value auxiliaries); the region inputs
 are the first 2-user 2x2 channel of the ``region`` workload, with its
 optimizer seed 42. The output also records the machine:
 nproc, Python, NumPy and the BLAS thread settings of the environment, which
-the timings depend on. To compare two checkouts, run this script from each
+the timings depend on, and ``grid_nodes``: the nodes of the pruned
+quadrature grid at the default order for n = 1, 2, 3, which the quadrature
+items' times scale with. To compare two checkouts, run this script from each
 with ``PYTHONPATH`` at that checkout's ``src``.
 """
 
@@ -49,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mimobc import matrices, verifier
+from mimobc import estimators, matrices, verifier
 from mimobc.estimators import mixture_fisher_quad, mixture_level_quad
 from mimobc.fixtures import admissible_channel_for, random_channel, random_hierarchy, rng_for
 from mimobc.model import aggregate_covariance, coarsen
@@ -111,6 +113,11 @@ def machine() -> dict:
     }
 
 
+def grid_nodes() -> dict:
+    """n -> nodes of the pruned grid at the default quadrature order."""
+    return {n: len(estimators._gh_grid(n, order)[1]) for n, order in estimators._DEFAULT_QUAD_ORDER.items()}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -134,7 +141,7 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
     doc = {"label": args.label, "repeats": args.repeats, "machine": machine(),
-           "median_s": medians,
+           "grid_nodes": grid_nodes(), "median_s": medians,
            "relative_to_control": {k: t / medians["control"] for k, t in medians.items()}}
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")

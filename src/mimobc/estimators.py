@@ -27,22 +27,27 @@ entropies' grids being walked at every noise. The unconditional h(Y) is one
 more symbol, the source's weights.
 
 The grids are tensor Gauss-Hermite grids for the small dimensions (n <= 3)
-this package targets, pruned of the nodes whose weight is at most
-``_PRUNE_REL`` times the largest (at the default orders the dropped nodes
-carry under 1e-19 of the weight) and walked in blocks of at most ``_BLOCK``
-nodes. On component u's grid, y = mu_u + L_u z, every component's
-log-density is a quadratic in the standard node z, so the log-densities of
-all components at all noise covariances are one matmul of their
-coefficients with the per-node features [1, z, z_i z_j] (see
-``_ObservedLevel``). The features are built once per grid and cached with
-it, and the nodes are a view of their rows (``_gh_grid``); at the default
-orders they take 1.8 KB (n = 1), 71 KB (n = 2) and 1.1 MB (n = 3). Each
+this package targets, of order at most ``_MAX_ORDER``. Each is pruned at its
+own summation round-off: the nodes of the smallest weights are dropped as
+long as their second-moment mass sum w (1 + |z|^2) stays within sqrt(N) eps
+(N the tensor nodes, eps the double-precision epsilon), which keeps 68,
+1,200 and 10,600 nodes at the default orders (n = 1, 2, 3). On component
+u's grid, y = mu_u + L_u z, every component's log-density is a quadratic in
+the standard node z, so the log-densities of all components at all noise
+covariances are one matmul of their coefficients with the per-node
+features [1, z, z_i z_j] (see ``_ObservedLevel``). The features are built
+once per grid and cached with it, and the nodes are a view of their rows
+(``_gh_grid``); at the default orders they take 1.6 KB (n = 1), 58 KB
+(n = 2) and 848 KB (n = 3). Each
 node's m log-densities are shifted by their largest and exponentiated
 once per component. A block's scaled densities are laid out (m, R, B),
 component first, then (grid, noise) row and node, so every symbol's
 mixture density, the Fisher pair weights and their moments are each one
 2-D matmul per block: no per-symbol log-posterior is formed and the
-posterior costs m exponentials per node, not G m.
+posterior costs m exponentials per node, not G m. The block's node count
+B is chosen per call so that its densities take at most ``_BLOCK_BYTES``,
+so a block's memory does not grow with the component count m until one
+node's densities exceed the budget; the time still grows as m^2.
 
 The entropy of a symbol with one component is its exact Gaussian entropy;
 for the others -ln f is integrated over every component's grid. The Fisher
@@ -173,16 +178,17 @@ class _ObservedLevel:
         return coef.reshape(-1, coef.shape[-1])
 
     def blocks(self, grids: np.ndarray, noises: np.ndarray, order: int):
-        """Walk the pruned grid (``_gh_grid``) in blocks of at most
-        ``_BLOCK`` nodes for the R (grid, noise) rows (``grids[r]``,
-        ``noises[r]``) at once, yielding (features (F, B), weights (B,),
-        top (R, B), densities (m, R, B)). At y = mu_u + L_tu z of row
-        r = (u, t), entry (w, r) of the densities is N(y; mu_w, C_tw) e^{-top},
-        with top the largest of the m log-densities: one exponential per
-        component, none of them overflowing. The component axis comes first,
-        so every product with the (m, G) joint table is one 2-D matmul over
-        the block; the densities take m R B 8 bytes, 0.55 MB at m = 3 and
-        R = 45. The features are slices of those cached with the grid
+        """Walk the pruned grid (``_gh_grid``) in blocks of B nodes for the R
+        (grid, noise) rows (``grids[r]``, ``noises[r]``) at once, yielding
+        (features (F, B), weights (B,), top (R, B), densities (m, R, B)). At
+        y = mu_u + L_tu z of row r = (u, t), entry (w, r) of the densities is
+        N(y; mu_w, C_tw) e^{-top}, with top the largest of the m
+        log-densities: one exponential per component, none of them
+        overflowing. The component axis comes first, so every product with
+        the (m, G) joint table is one 2-D matmul over the block. B =
+        max(1, ``_BLOCK_BYTES`` // (m R 8)), so the densities take at most
+        ``_BLOCK_BYTES`` whatever m and R are (unless one node's exceed
+        it). The features are slices of those cached with the grid
         (``_gh_grid``), not rebuilt per block. A block's arrays are dropped
         before the next block is computed, so the caller drops them too."""
         coef = self.coefs(grids, noises)
@@ -190,13 +196,14 @@ class _ObservedLevel:
         # the features cached with the grid, whose rows 1..n the nodes view
         F = z.base
         shape = (self.m, len(grids), -1)
-        for start in range(0, len(wt), _BLOCK):
-            Fb = F[:, start:start + _BLOCK]
+        size = max(1, _BLOCK_BYTES // (self.m * len(grids) * 8))
+        for start in range(0, len(wt), size):
+            Fb = F[:, start:start + size]
             e = (coef @ Fb).reshape(shape)
             top = e.max(axis=0)
             e -= top
             np.exp(e, out=e)
-            yield Fb, wt[start:start + _BLOCK], top, e
+            yield Fb, wt[start:start + size], top, e
             del e, top
 
 
@@ -251,16 +258,15 @@ def entropy_conditional(src: MixtureSource, noise_cov) -> float | np.ndarray:
 
 _DEFAULT_QUAD_ORDER = {1: 160, 2: 56, 3: 28}
 
-# Tensor nodes whose weight is at most this fraction of the largest are
-# dropped; at the default orders the dropped weight is 3.3e-22 (n = 1),
-# 6.4e-21 (n = 2) and 4.0e-20 (n = 3), and n = 3 keeps 13,824 of 21,952.
-_PRUNE_REL = 1e-20
+# ``hermgauss`` overflows past order 370, so orders are capped below that
+_MAX_ORDER = 360
 
-# Grids are walked in blocks of at most this many nodes, which caps the
-# per-node arrays of a quadrature call: each holds one value per (grid,
-# noise) row and component or symbol of a node (0.55 MB at 45 rows and
-# three components).
-_BLOCK = 512
+# Grids are walked in blocks of as many nodes as keep a block's (m, R, B)
+# scaled densities within this many bytes. On a 2-core Xeon with 2 MiB of
+# L2 cache per core, the top converse stage's walk ran within 7% of one
+# speed at 192-512 KiB per such array, 26% slower at 64 KiB and twice as
+# slow at 1 MiB.
+_BLOCK_BYTES = 256 * 1024
 
 
 @functools.lru_cache(maxsize=16)
@@ -269,20 +275,34 @@ def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     dimensions: (nodes (N, n), weights (N,)), both read-only because every
     caller shares them.
 
+    Every node of weight at most tau is dropped, with tau the largest weight
+    at which the dropped second-moment mass sum w (1 + |z|^2) stays within
+    sqrt(N_full) eps, N_full = order^n tensor nodes: the rule's own
+    summation round-off. Mirror nodes have equal weights, so the pruned grid
+    stays symmetric under z_i -> -z_i. At the default orders it keeps 68,
+    1,200 and 10,600 nodes (n = 1, 2, 3).
+
     The grid's features [1; z; z_i z_j] (``_features``, (1 + n + n(n+1)/2,
     N)) are built here, once per grid, and the nodes are the view of their
     rows 1..n (``nodes.base`` is the features), so nothing is stored twice.
-    At the default orders the features take 1.8 KB (n = 1), 71 KB (n = 2)
-    and 1.1 MB (n = 3)."""
+    At the default orders the features take 1.6 KB (n = 1), 58 KB (n = 2)
+    and 848 KB (n = 3)."""
     x, w = hermgauss(order)
     z1 = math.sqrt(2.0) * x
     w1 = w / math.sqrt(math.pi)
-    # the tensor weights first, then only the kept nodes, so the full
-    # tensor of nodes is never built
-    wt = w1
+    # the tensor weights and |z|^2 first, then only the kept nodes, so the
+    # full tensor of nodes is never built
+    wt, r2 = w1, np.square(z1)
     for _ in range(n - 1):
         wt = np.multiply.outer(wt, w1)
-    keep = np.nonzero(wt > _PRUNE_REL * wt.max())
+        r2 = np.add.outer(r2, np.square(z1))
+    # the cumulative mass of the nodes from the lightest up: the first
+    # ``dropped`` fit the budget, and every node as light as the next one
+    # is kept with it
+    rank = np.argsort(wt, axis=None, kind="stable")
+    mass = np.cumsum((wt * (1.0 + r2)).ravel()[rank])
+    dropped = np.searchsorted(mass, math.sqrt(wt.size) * np.finfo(float).eps, side="right")
+    keep = np.nonzero(wt >= wt.ravel()[rank[dropped]])
     wt = wt[keep]
     z = np.empty((wt.size, n))
     for d, idx in enumerate(keep):
@@ -295,6 +315,8 @@ def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _quad_order(n: int, order: int | None) -> int:
     if order is not None:
+        if not 1 <= order <= _MAX_ORDER:
+            raise ValueError(f"quadrature order must be in 1..{_MAX_ORDER}, got {order}")
         return order
     if n not in _DEFAULT_QUAD_ORDER:
         raise ValueError("quadrature supports dimensions 1..3 only")
@@ -438,8 +460,10 @@ def mixture_entropy_quad(
     A symbol with one component has its exact Gaussian entropy. For the
     others, h(Y | U_k = g) = -sum_u p(u | g) E_u[ln f_g] with
     f_g = sum_w p(w | g) N_w, and each component's grid serves every
-    symbol that mixes it. The grids are pruned (``_gh_grid``); their
-    dropped nodes carry under 1e-19 of the weight at the default orders.
+    symbol that mixes it. The grids are pruned at their own summation
+    round-off (``_gh_grid``): the dropped nodes' second-moment mass is at
+    most sqrt(N) eps for N tensor nodes, 3.3e-14 at the default n = 3 grid.
+    ``order`` must be in 1..360.
     The error of the order itself is not estimated: it is negligible on
     well separated mixtures but reaches about 5e-4 at the default order on
     a badly conditioned one (weights (0.3, 0.7), covariances 0.05 I and

@@ -17,9 +17,10 @@ mixture label X + N is Gaussian, and ``fisher_conditional`` and
 covariances; the kernels share that code for the finest auxiliary (a
 diagonal table), whose every symbol has one component. Given a coarser
 auxiliary the kernels use the deterministic Gauss-Hermite quadrature: a
-pruned tensor grid whose dropped nodes carry under 1e-19 of the weight at
-the default orders. The error of the quadrature order itself is not
-estimated and does not enter any tolerance. On a badly conditioned mixture
+tensor grid pruned at its own summation round-off (the dropped nodes'
+second-moment mass is at most sqrt(N) eps for N tensor nodes). The error
+of the quadrature order itself is not estimated and does not enter any
+tolerance. On a badly conditioned mixture
 it is about 1e-9 in Fisher information but reaches about 5e-4 in entropy
 at the default order (see ``estimators.mixture_entropy_quad``), more than
 the 1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass

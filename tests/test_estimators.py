@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestQuadrature:
         h2 = mixture_entropy_quad(src, np.eye(1), order=200)
         assert h1 == pytest.approx(h2, abs=1e-11)
 
+    @pytest.mark.parametrize("order", [361, 400])
+    def test_order_past_the_cap_is_rejected_before_the_rule_is_built(self, order):
+        # ``hermgauss`` overflows from order 371 on; an order past the cap
+        # is refused with the range, without a warning from the rule
+        src = two_component_scalar_source()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"1\.\.360"):
+                mixture_entropy_quad(src, np.eye(1), order=order)
+
+    def test_order_at_the_cap_still_works(self):
+        src = two_component_scalar_source()
+        h = mixture_entropy_quad(src, np.eye(1), order=360)
+        assert h == pytest.approx(mixture_entropy_quad(src, np.eye(1), order=200), abs=1e-11)
+
     def test_entropy_bracketed_by_theory(self):
         # conditional entropy <= mixture entropy <= Gaussian with same covariance
         for seed in range(5):
@@ -283,21 +299,57 @@ BADLY_CONDITIONED = (
 CONVERGED_ORDER = {1: 300, 2: 112, 3: 48}
 
 
+def _walk_memory_bound(m, n, T, G):
+    """Bytes a walk of m components at T noises with G symbols holds at
+    once, from the block budget ``_BLOCK_BYTES``.
+
+    A block's densities (m, R, B) take at most the budget, so each row of
+    R B float64 takes at most budget / m. At once a block holds the
+    densities, a copy of the slice of them one part reads, and the pair
+    weights (V <= m rows): three budgets; plus the top, the table sums (G
+    rows) or the entropy's mixture densities (S <= G + 1 rows): G + 2 rows;
+    and the features times the weights, F rows of B nodes, B <= budget /
+    (8 m) since R >= 1. Apart from the blocks, the walk holds one value per
+    component, (grid, noise) row and feature or matrix entry, with at most
+    R = m T rows: at most four (m, R, F) arrays (the coefficients, the
+    moments and their update) and eight (m, R, n, n) arrays in the Fisher
+    correction."""
+    F = 1 + n + n * (n + 1) // 2
+    blocks = (3 + (G + 2 + F) / m) * estimators._BLOCK_BYTES
+    rows = m * (m * T) * (4 * F + 8 * n * n) * 8
+    return blocks + rows
+
+
 class TestWhitenedKernel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pruned_grid_drops_negligible_weight(self, n):
-        order = estimators._DEFAULT_QUAD_ORDER[n]
-        z, wt = estimators._gh_grid(n, order)
-        full_z, full_wt = _full_grid(n, order)
-        keep = full_wt > estimators._PRUNE_REL * full_wt.max()
-        assert np.array_equal(z, full_z[keep])
-        assert np.allclose(wt, full_wt[keep], rtol=1e-14, atol=0.0)
-        assert full_wt[~keep].sum() < 1e-18
-        assert abs(wt.sum() - 1.0) <= 1e-14
+        # the grid keeps the full grid's nodes of weight above a threshold
+        # tau, the largest at which the dropped mass sum w (1 + |z|^2) stays
+        # within the rule's summation round-off sqrt(N) eps
+        for order in (estimators._DEFAULT_QUAD_ORDER[n], CONVERGED_ORDER[n]):
+            z, wt = estimators._gh_grid(n, order)
+            full_z, full_wt = _full_grid(n, order)
+            budget = math.sqrt(full_wt.size) * np.finfo(float).eps
+            tau = full_wt[full_wt < wt.min()].max()
+            keep = full_wt > tau
+            assert np.array_equal(z, full_z[keep])
+            assert np.allclose(wt, full_wt[keep], rtol=1e-14, atol=0.0)
+            mass = full_wt * (1.0 + np.square(full_z).sum(axis=1))
+            assert mass[~keep].sum() <= budget
+            # tau is the largest such weight: dropping the lightest kept
+            # nodes too would exceed the budget
+            assert mass[full_wt <= wt.min()].sum() > budget
+            assert abs(wt.sum() - 1.0) <= 1e-14
+            # mirror nodes have equal weights, so pruning keeps them together
+            kept = {tuple(node) for node in z}
+            for i in range(n):
+                mirrored = z.copy()
+                mirrored[:, i] = -mirrored[:, i]
+                assert {tuple(node) for node in mirrored} == kept
 
     def test_pruning_shrinks_the_three_dimensional_grid(self):
         z, _ = estimators._gh_grid(3, estimators._DEFAULT_QUAD_ORDER[3])
-        assert z.shape == (13824, 3)
+        assert z.shape == (10600, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 3])
@@ -340,7 +392,7 @@ class TestWhitenedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1_000_000
+        assert peak <= _walk_memory_bound(m=3, n=3, T=1, G=1)
 
     @pytest.mark.parametrize("quad", [mixture_fisher_quad, mixture_entropy_quad, mixture_level_quad])
     def test_blocked_walk_caps_transient_memory_on_a_noise_stack(self, quad):
@@ -357,14 +409,28 @@ class TestWhitenedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a block's arrays have R <= m T (grid, noise) rows of B nodes: the
-        # densities (m rows of R B), their top (1 row), and either the table
-        # sums and pair weights (G = 2 and V <= 2 rows) or the entropy's
-        # mixture densities (S <= 3 rows), so at most m + 1 + 4 rows of R B
-        # float64 are live at once; the previous block's are dropped before
-        # the next is computed
-        m, T = src.num_components, len(noises)
-        assert peak <= (m + 1 + 4) * (m * T) * estimators._BLOCK * 8
+        assert peak <= _walk_memory_bound(m=3, n=3, T=15, G=2)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_level_walk_memory_does_not_grow_with_the_block_at_many_components(self, n):
+        # a converse stage's two noises, m = 64 components and two symbols
+        # mixing half of them each: blocks of a fixed 512 nodes, whose
+        # densities take up to m^2 T 512 8 bytes, peaked at 10.3 MB (n = 1)
+        # and 68.4 MB (n = 2) here; blocks sized by bytes stay in the bound
+        m = 64
+        rng = rng_for(306, n, m)
+        src = random_mixture(rng, n, m)
+        noises = np.stack([random_spd(rng, n, 0.5, 1.5) for _ in range(2)])
+        half = np.arange(m) < m // 2
+        joint = np.column_stack([src.weights * half, src.weights * ~half])
+        mixture_level_quad(src, noises, joint)  # build the cached grid outside the measurement
+        tracemalloc.start()
+        try:
+            mixture_level_quad(src, noises, joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _walk_memory_bound(m=m, n=n, T=2, G=2)
 
     def test_cached_grid_is_shared_and_read_only(self):
         z, wt = estimators._gh_grid(2, 56)

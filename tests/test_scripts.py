@@ -40,3 +40,4 @@ def test_bench_script_writes_its_json(tmp_path):
     assert all(t > 0.0 for t in doc["median_s"].values())
     assert doc["relative_to_control"]["control"] == 1.0
     assert {"nproc", "python", "numpy", "blas_threads"} <= set(doc["machine"])
+    assert doc["grid_nodes"] == {"1": 68, "2": 1200, "3": 10600}
