@@ -29,7 +29,7 @@ def main() -> None:
 
     thetas = np.linspace(0.0, np.pi / 2.0, args.grid)
     weights = [(float(np.cos(t)), float(np.sin(t))) for t in thetas]
-    results = trace_boundary(ch, weights, OptimizerConfig(seed=args.seed, restarts=4))
+    results = trace_boundary(ch, weights, OptimizerConfig(seed=args.seed))
     oracle = grid_oracle(ch, args.oracle_resolution)
 
     print(f"\n{'w_1':>8} {'w_2':>8} {'R_1':>12} {'R_2':>12} {'oracle gap':>12}")

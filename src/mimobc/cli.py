@@ -21,8 +21,9 @@ quadrature does not support (n > 3) or other than the channel's, and
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
 input or configuration, which includes every ``errors.DomainError`` an
 input leads to (a singular or indefinite matrix, a dimension mismatch, a
-broken Loewner order). Outputs are byte-identical for identical inputs,
-seeds and flags.
+broken Loewner order) and a ``MemoryError``: an input too large for the
+machine's memory. Outputs are byte-identical for identical inputs, seeds
+and flags.
 """
 
 from __future__ import annotations
@@ -306,6 +307,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

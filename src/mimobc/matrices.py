@@ -67,9 +67,9 @@ def min_eig(M) -> float:
 
 
 def psd_tol(w: np.ndarray) -> float:
-    """PSD slack 1e-9 * (1 + largest |eigenvalue|), from the eigenvalues w
-    of one matrix: relative above unit scale, absolute (1e-9) below it."""
-    return 1e-9 * (1.0 + float(np.max(np.abs(w))))
+    """PSD slack 1e-9 * largest |eigenvalue|, from the eigenvalues w of one
+    matrix: relative, so a verdict reads the same at every scale."""
+    return 1e-9 * float(np.max(np.abs(w)))
 
 
 def is_psd(M) -> bool:

@@ -66,16 +66,16 @@ class CovarianceSplit:
 
     def validate(self, input_cap: np.ndarray) -> None:
         """Raise unless the parts sum to a channel's cap, taken as given, and
-        each is PSD within ``matrices.is_psd``'s slack (one stacked eigvalsh).
-        The sum may miss the cap by 1e-9 times its largest entry in any
-        entry, which reads the same at every scale and squares nothing."""
+        each is PSD. Both slacks are 1e-9 times the cap's largest |entry|:
+        a part's smallest eigenvalue (one stacked eigvalsh) may fall that far
+        below 0, and the sum may miss the cap by that much in any entry. The
+        rule reads the same at every scale and squares nothing."""
         if self._stack.shape[1:] != input_cap.shape:
             raise DimensionMismatchError("split part dimension mismatch")
-        lam = np.linalg.eigvalsh(self._stack)
-        if np.any(lam[:, 0] < -1e-9 * (1.0 + np.max(np.abs(lam), axis=1))):
+        slack = 1e-9 * np.max(np.abs(input_cap))
+        if np.any(np.linalg.eigvalsh(self._stack)[:, 0] < -slack):
             raise ValueError("split part is not PSD")
-        gap = np.max(np.abs(self._stack.sum(axis=0) - input_cap))
-        if gap > 1e-9 * np.max(np.abs(input_cap)):
+        if np.max(np.abs(self._stack.sum(axis=0) - input_cap)) > slack:
             raise ValueError("split parts do not sum to the input cap")
 
 
@@ -86,23 +86,32 @@ _MAX_ITERS = 5000
 _ARMIJO = 1e-4
 
 
+# Random starts per weight vector. Restart r draws from the sub-seed
+# (seed, weight index, r), so a smaller count would try a subset of these.
+_RESTARTS = 8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Boundary-tracer settings: random starts per weight vector and the
-    seed of the starts."""
+    """Boundary-tracer settings: the seed of the random starts."""
 
-    restarts: int = 8
     seed: int = 0
 
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
-
-def _clamped_rate(r: float) -> float:
-    if r < -1e-9:
-        raise NumericalError(f"negative rate {r} beyond round-off")
-    return max(r, 0.0)
+def _rates(noise: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """The rates of ``rate_tuple`` for a (..., K, n, n) stack of splits,
+    taken as given, against the (K, n, n) noises: a (..., K) array, from one
+    stacked ``matrices.cholesky`` factorization of all 2K matrices of every
+    split."""
+    cum = np.cumsum(splits, axis=-3)
+    below = np.concatenate([np.zeros_like(cum[..., :1, :, :]), cum[..., :-1, :, :]], axis=-3)
+    L = mat.cholesky(np.concatenate([cum + noise, below + noise], axis=-3))
+    logdets = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    K = noise.shape[0]
+    rates = 0.5 * (logdets[..., :K] - logdets[..., K:])
+    if np.any(rates < -1e-9):
+        raise NumericalError(f"negative rate {rates.min()} beyond round-off")
+    return np.maximum(rates, 0.0)
 
 
 def rate_tuple(ch: BroadcastChannel, split: CovarianceSplit) -> tuple[float, ...]:
@@ -110,24 +119,17 @@ def rate_tuple(ch: BroadcastChannel, split: CovarianceSplit) -> tuple[float, ...
 
     R_k = 0.5 [ln|sum_{i<=k} K_i + Sigma_k| - ln|sum_{i<k} K_i + Sigma_k|];
     a rate in [-1e-9, 0) is round-off and reads 0, and one below -1e-9
-    raises ``NumericalError``.
+    raises ``NumericalError``. The split is validated against the cap, and
+    its rates come from ``_rates``.
 
-    All 2K log-dets come from one stacked ``matrices.cholesky`` factorization
-    and are bit-identical to K pairs of ``matrices.logdet`` calls: the
-    partial sums add the parts in the same order, and each log-det sums its
-    factor's log-diagonal in the same order.
+    All 2K log-dets are bit-identical to K pairs of ``matrices.logdet``
+    calls: the partial sums add the parts in the same order, and each
+    log-det sums its factor's log-diagonal in the same order.
     """
-    if len(split.parts) != ch.num_users:
+    if len(split.stack) != ch.num_users:
         raise DimensionMismatchError("split has wrong number of parts")
     split.validate(ch.input_cap)
-    stack = split.stack
-    cum = np.cumsum(stack, axis=0)
-    below = np.concatenate([np.zeros_like(stack[:1]), cum[:-1]])
-    noise = np.stack(ch.noise_covs)
-    L = mat.cholesky(np.concatenate([cum + noise, below + noise]))
-    logdets = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-    K = ch.num_users
-    return tuple(_clamped_rate(float(r)) for r in 0.5 * (logdets[:K] - logdets[K:]))
+    return tuple(_rates(np.stack(ch.noise_covs), split.stack).tolist())
 
 
 def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> float:
@@ -352,7 +354,7 @@ def trace_boundary(
     construction. Users whose weight does not exceed an earlier user's get
     no power. With one active user the split is closed-form (all of S to
     it); otherwise the chain of active users is ascended from
-    ``opt.restarts`` random starts, drawn from sub-seeds of (opt.seed,
+    ``_RESTARTS`` random starts, drawn from sub-seeds of (opt.seed,
     weight index, restart index), and the best KKT point is kept.
     """
     if opt is None:
@@ -372,7 +374,7 @@ def trace_boundary(
         else:
             chain = _ActiveChain(ch, w, active)
             best_Q, best_f = None, -np.inf
-            for r in range(opt.restarts):
+            for r in range(_RESTARTS):
                 rng = np.random.Generator(
                     np.random.Philox(np.random.SeedSequence([opt.seed, widx, r]))
                 )
@@ -396,22 +398,22 @@ def trace_boundary(
 
 def grid_oracle(
     ch: BroadcastChannel, resolution: int
-) -> list[tuple[CovarianceSplit, tuple[float, ...]]]:
-    """Exhaustive grid of splits for K=2 at n <= 2.
+) -> list[tuple[np.ndarray, tuple[float, ...]]]:
+    """Exhaustive grid of splits for K=2 at n <= 2, as (split, rates) pairs.
 
     K_1 = S^{1/2} Q S^{1/2} with 0 <= Q <= I swept over eigenvalue grids
     (and a rotation-angle grid at n=2); every boundary point has a grid
-    point within grid spacing.
+    point within grid spacing. K_2 = S - K_1 with its round-off's negative
+    eigenvalues clipped. Each split is a read-only (2, n, n) view of one
+    stack of all grid points, which ``CovarianceSplit(split)`` wraps for
+    ``rate_tuple``; the rates of every point come from one ``_rates`` call.
     """
     if ch.num_users != 2 or ch.dim > 2:
         raise ValueError("grid_oracle supports K=2 and n<=2 only")
     root = mat.sqrt_psd(ch.input_cap)
     qs = np.linspace(0.0, 1.0, resolution)
-    S = ch.input_cap
-    sig1, sig2 = ch.noise_covs
-
     if ch.dim == 1:
-        K1s = (qs * float(S[0, 0])).reshape(-1, 1, 1)
+        Q = qs.reshape(-1, 1, 1)
     else:
         thetas = np.linspace(0.0, math.pi, resolution)
         q1, q2, th = [a.ravel() for a in np.meshgrid(qs, qs, thetas, indexing="ij")]
@@ -420,25 +422,15 @@ def grid_oracle(
             [np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2
         )  # (M, 2, 2)
         Q = np.einsum("mik,mk,mjk->mij", V, np.stack([q1, q2], axis=-1), V)
-        K1s = np.einsum("ik,mkl,lj->mij", root, Q, root)
-    K1s = (K1s + np.transpose(K1s, (0, 2, 1))) / 2.0
-
-    def _logdet_batch(A):
-        if ch.dim == 1:
-            return np.log(A[:, 0, 0])
-        return np.log(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
-
-    r1 = 0.5 * (_logdet_batch(K1s + sig1) - mat.logdet(sig1))
-    r2 = 0.5 * (mat.logdet(S + sig2) - _logdet_batch(K1s + sig2))
-    r1 = np.clip(r1, 0.0, None)
-    r2 = np.clip(r2, 0.0, None)
-    # K_2 = S - K_1, with round-off's tiny negative eigenvalues clipped
-    lam, U = np.linalg.eigh(S - K1s)
-    K2s = (U * np.clip(lam, 0.0, None)[:, None, :]) @ np.transpose(U, (0, 2, 1))
-    return [
-        (CovarianceSplit(parts=(K1, K2)), (a, b))
-        for K1, K2, a, b in zip(K1s, K2s, r1.tolist(), r2.tolist())
-    ]
+    K1s = root @ Q @ root
+    lam, U = np.linalg.eigh(ch.input_cap - K1s)
+    K2s = (U * np.clip(lam, 0.0, None)[:, None, :]) @ np.swapaxes(U, -1, -2)
+    # both products are symmetric only to round-off
+    splits = np.stack([K1s, K2s], axis=1)
+    splits = (splits + np.swapaxes(splits, -1, -2)) / 2.0
+    splits.flags.writeable = False
+    rates = _rates(np.stack(ch.noise_covs), splits)
+    return list(zip(splits, map(tuple, rates.tolist())))
 
 
 # --- scalar closed form --------------------------------------------------------

@@ -91,7 +91,7 @@ def test_criterion_02_oracle_optimizer_agreement():
         rng = rng_for(1002, trial)
         ch = random_channel(rng, 2, 2)
         oracle = np.array([r for _, r in grid_oracle(ch, 41)])
-        results = trace_boundary(ch, weights, OptimizerConfig(restarts=6, seed=trial))
+        results = trace_boundary(ch, weights, OptimizerConfig(seed=trial))
         for w, (_, rates) in zip(weights, results):
             best = float(np.max(oracle @ np.asarray(w)))
             worst = min(worst, float(np.dot(w, rates)) - best)

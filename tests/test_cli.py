@@ -262,6 +262,18 @@ class TestWalkthrough:
         res = run_cli("walkthrough", str(tmp_path / "missing.json"))
         assert res.returncode == 2
 
+    def test_input_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        def too_large(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("mimobc.verifier.converse_walkthrough", too_large)
+        path = write(tmp_path, "in.json", MIXTURE_INPUT)
+        assert cli.main(["walkthrough", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "memory" in err
+        assert "Traceback" not in err
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("command", ["verify", "walkthrough"])

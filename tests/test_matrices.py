@@ -33,9 +33,19 @@ def test_is_psd_examples():
     assert mat.is_psd(np.eye(2)) and _min_eig(np.eye(2)) >= 0.0
     assert not mat.is_psd(np.diag([1.0, -1.0])) and _min_eig(np.diag([1.0, -1.0])) < -1e-12
     assert mat.is_psd(np.zeros((3, 3))) and _min_eig(np.zeros((3, 3))) >= 0.0
-    # the default slack is 1e-9 (1 + largest |eigenvalue|)
-    assert mat.is_psd(np.diag([-1e-9, 0.5]))
-    assert not mat.is_psd(np.diag([-2e-9, 0.5]))
+    # the slack is 1e-9 times the largest |eigenvalue|, 5e-10 here
+    assert mat.is_psd(np.diag([-4e-10, 0.5]))
+    assert not mat.is_psd(np.diag([-6e-10, 0.5]))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12, 1e300])
+def test_psd_slack_is_relative_at_every_scale(scale):
+    # an absolute slack of 1e-9 accepted both matrices below unit scale
+    assert mat.is_psd(scale * np.diag([-4e-10, 0.5]))
+    assert not mat.is_psd(scale * np.diag([-6e-10, 0.5]))
+    mat.sqrt_psd(scale * np.diag([-4e-10, 0.5]))
+    with pytest.raises(NotPsdError):
+        mat.sqrt_psd(scale * np.diag([-6e-10, 0.5]))
 
 
 def test_loewner_examples():

@@ -114,6 +114,15 @@ class TestCovarianceSplit:
         with pytest.raises(ValueError, match="finite"):
             CovarianceSplit((np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_part_slack_is_relative_to_the_cap(self, scale):
+        # parts (S + D, -D) sum to S; -D may fall 1e-9 max|S| below 0. An
+        # absolute slack of 1e-9 accepted D = 2e-9 S below unit scale
+        S = scale * np.eye(2)
+        CovarianceSplit((S + 4e-10 * S, -4e-10 * S)).validate(S)
+        with pytest.raises(ValueError, match="not PSD"):
+            CovarianceSplit((S + 2e-9 * S, -2e-9 * S)).validate(S)
+
 
 class TestWeightedSumRate:
     def test_matches_manual_dot(self):
@@ -155,8 +164,7 @@ class TestTraceBoundary:
     def test_scalar_matches_exhaustive(self):
         ch = scalar_channel()
         weights = [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.3, 0.7), (0.0, 1.0)]
-        opt = OptimizerConfig(restarts=3)
-        results = trace_boundary(ch, weights, opt)
+        results = trace_boundary(ch, weights)
         fine = scalar_region(1.0, (1.0, 2.0), 4001)
         for w, (_, rates) in zip(weights, results):
             best = max(np.dot(w, p) for p in fine)
@@ -164,7 +172,7 @@ class TestTraceBoundary:
 
     def test_deterministic(self):
         ch = scalar_channel()
-        opt = OptimizerConfig(restarts=2, seed=7)
+        opt = OptimizerConfig(seed=7)
         a = trace_boundary(ch, [(0.6, 0.4)], opt)[0][1]
         b = trace_boundary(ch, [(0.6, 0.4)], opt)[0][1]
         assert a == b
@@ -172,8 +180,7 @@ class TestTraceBoundary:
     def test_split_is_valid(self):
         rng = rng_for(55)
         ch = random_channel(rng, 2, 2)
-        opt = OptimizerConfig(restarts=2)
-        split, rates = trace_boundary(ch, [(0.5, 0.5)], opt)[0]
+        split, rates = trace_boundary(ch, [(0.5, 0.5)])[0]
         split.validate(ch.input_cap)
         assert rate_tuple(ch, split) == rates
 
@@ -444,11 +451,11 @@ class TestProjectChain:
         monkeypatch.setattr(region, "_dykstra", counted)
         ch = random_channel(rng_for(123), 2, 2)
         weights = [(0.6, 0.8), (0.3, 0.95), (0.0, 1.0)]
-        trace_boundary(ch, weights, OptimizerConfig(restarts=2))
+        trace_boundary(ch, weights)
         assert calls == []
         # a three-user weight vector with every user active does reach it
         ch3 = random_channel(rng_for(123, 3), 2, 3)
-        trace_boundary(ch3, [(0.25, 0.35, 0.4)], OptimizerConfig(restarts=1))
+        trace_boundary(ch3, [(0.25, 0.35, 0.4)])
         assert calls and set(calls) == {2}
 
 
@@ -488,11 +495,24 @@ class TestGridOracle:
             assert p == pytest.approx(q, abs=1e-12)
 
     def test_matrix_points_match_rate_tuple(self):
+        # both take their rates from region._rates, so they agree exactly
         rng = rng_for(56)
         ch = random_channel(rng, 2, 2)
         results = grid_oracle(ch, 5)
         for split, rates in results[:: max(1, len(results) // 7)]:
-            assert rate_tuple(ch, split) == pytest.approx(rates, abs=1e-11)
+            assert rate_tuple(ch, CovarianceSplit(split)) == rates
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_splits_are_read_only_views_of_valid_parts(self, n):
+        ch = random_channel(rng_for(59, n), n, 2)
+        results = grid_oracle(ch, 5)
+        assert len(results) == (5 if n == 1 else 125)
+        for split, rates in results:
+            assert isinstance(split, np.ndarray) and split.shape == (2, n, n)
+            assert not split.flags.writeable
+            assert all(mat.is_psd(part) for part in split)
+            CovarianceSplit(split).validate(ch.input_cap)
+            assert len(rates) == 2 and min(rates) >= 0.0
 
     def test_rejects_three_users(self):
         rng = rng_for(57)
@@ -504,7 +524,7 @@ class TestGridOracle:
         rng = rng_for(58)
         ch = random_channel(rng, 2, 2)
         weights = [(0.5, 0.5), (0.8, 0.2)]
-        results = trace_boundary(ch, weights, OptimizerConfig(restarts=4))
+        results = trace_boundary(ch, weights)
         oracle = grid_oracle(ch, 31)
         for w, (_, rates) in zip(weights, results):
             best = max(np.dot(w, r) for _, r in oracle)
