@@ -17,6 +17,9 @@ median is reported in seconds:
   where both users get power and the ascent runs;
 - ``closed_form_point``: one ``trace_boundary`` weight vector, w = (0.8, 0.6),
   where user 1 takes the whole cap and no ascent runs;
+- ``interior_point``: one ``trace_boundary`` weight vector on the second
+  channel of the ``region`` workload, w = (cos 54 deg, sin 54 deg), whose
+  maximum is interior, so the ascent takes Newton steps there;
 - ``rate_tuple``: one ``rate_tuple`` of the split traced at w = (0.6, 0.8);
 - ``grid_oracle``: ``grid_oracle`` at resolution 21;
 - ``control``: fixed NumPy work that does not use the package (a 256 x 256
@@ -29,8 +32,8 @@ files are compared by those ratios, not by their raw medians.
 
 The converse inputs are the first instance of the ``converse`` benchmark
 workload at seed 11 (K = 3, n = 3, two-value auxiliaries); the region inputs
-are the first 2-user 2x2 channel of the ``region`` workload, with its
-optimizer seed 42. The output also records the machine:
+are the first 2-user 2x2 channel of the ``region`` workload (the second for
+``interior_point``), with its optimizer seed 42. The output also records the machine:
 nproc, Python, NumPy and the BLAS thread settings of the environment, which
 the timings depend on, and ``grid_nodes``: the nodes of the pruned
 quadrature grid at the default order for n = 1, 2, 3, which the quadrature
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -78,6 +82,8 @@ def items() -> dict:
     opt = OptimizerConfig(seed=42)
     weights = [np.array([0.6, 0.8])]
     closed_form = [np.array([0.8, 0.6])]
+    interior_ch = random_channel(rng_for(1002, 1), 2, 2)
+    interior = [np.array([math.cos(math.radians(54.0)), math.sin(math.radians(54.0))])]
     (split, _), = trace_boundary(region_ch, weights, opt)
     return {
         "stage_walk": lambda: mixture_level_quad(h.base, stages, joint, field=field_stack),
@@ -87,6 +93,7 @@ def items() -> dict:
         "walkthrough": lambda: verifier.converse_walkthrough(h, ch),
         "boundary_point": lambda: trace_boundary(region_ch, weights, opt),
         "closed_form_point": lambda: trace_boundary(region_ch, closed_form, opt),
+        "interior_point": lambda: trace_boundary(interior_ch, interior, opt),
         "rate_tuple": lambda: rate_tuple(region_ch, split),
         "grid_oracle": lambda: grid_oracle(region_ch, 21),
         "control": control,

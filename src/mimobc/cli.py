@@ -18,12 +18,13 @@ quadrature does not support (n > 3) or other than the channel's, and
 ``walkthrough`` one whose hierarchy depth is not the channel's user count
 (a plain source has depth 2; ``verifier.converse_walkthrough`` checks it).
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 invalid
-input or configuration, which includes every ``errors.DomainError`` an
-input leads to (a singular or indefinite matrix, a dimension mismatch, a
-broken Loewner order) and a ``MemoryError``: an input too large for the
-machine's memory. Outputs are byte-identical for identical inputs, seeds
-and flags.
+Exit codes: 0 all checks pass, 1 a mathematical check failed or the
+numerics diverged (``region`` when the tracer's best start was capped at
+its iteration cap), 2 invalid input or configuration, which includes every
+``errors.DomainError`` an input leads to (a singular or indefinite matrix,
+a dimension mismatch, a broken Loewner order) and a ``MemoryError``: an
+input too large for the machine's memory. Outputs are byte-identical for
+identical inputs, seeds and flags.
 """
 
 from __future__ import annotations

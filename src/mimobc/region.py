@@ -1,7 +1,8 @@
 """Capacity region of the degraded Gaussian vector broadcast channel:
 exact rate tuples for a covariance split, weighted-sum-rate boundary
-tracing by projected gradient ascent, brute-force grid oracles at small
-dimension, and the scalar closed form.
+tracing by projected ascent (gradient steps, and Newton steps at interior
+iterates), brute-force grid oracles at small dimension, and the scalar
+closed form.
 """
 
 from __future__ import annotations
@@ -80,7 +81,10 @@ class CovarianceSplit:
 
 
 # Each ascent stops at a projected-gradient (KKT) residual below _GRAD_TOL,
-# or after _MAX_ITERS iterations; _ARMIJO is its sufficient-increase constant.
+# where round-off hides any further gain (see ``_ascend``), or capped after
+# _MAX_ITERS iterations, which ``trace_boundary`` reports as an error when
+# it caps the kept restart; _ARMIJO is the sufficient-increase constant of
+# its steps.
 _GRAD_TOL = 1e-8
 _MAX_ITERS = 5000
 _ARMIJO = 1e-4
@@ -163,6 +167,27 @@ def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> 
 # gradient S^{1/2} df/dC_i S^{1/2} = 1/2 [w_i (Q_i + N_i)^-1 - w_{i+1}
 # (Q_i + N_{i+1})^-1] needs no product with the root until the final chain
 # is mapped back to parts.
+#
+# The ascent takes Barzilai-Borwein gradient steps, except on a one-link
+# chain (two active users) after a step whose eigenvalue clip left its trial
+# point unchanged. There no constraint binds, and where the chain is also
+# locally concave the next step is a Newton step (projected Newton,
+# Bertsekas 1982), which converges quadratically where the gradient steps
+# crawl. The second derivative of ln|Q + N| along E is -tr(A E A E),
+# A = (Q + N)^-1, so the Hessian is -M, one block per link:
+#
+#     M = 1/2 [w_lo (A_lo (x) A_lo) - w_hi (A_hi (x) A_hi)],
+#
+# taken on the n(n+1)/2 symmetric unknowns of each link; "locally concave"
+# means M positive definite. Where M is indefinite a Newton direction can
+# still point uphill, but it overshoots to the boundary and backtracking
+# then costs more evaluations than the gradient step saves. Longer chains
+# keep gradient steps only: their maxima had some constraint binding, and
+# on 64 points with 3 and 4 users all active, Newton steps there saved 1 of
+# 6,748 evaluations. Only a gradient step stops the ascent (``_ascend``):
+# a short Newton step certifies nothing, because |M| reaches about 1e12 on
+# ill-conditioned chains. An ascent that reaches the iteration cap is not a
+# boundary point.
 
 
 def _active_users(w: np.ndarray) -> list[int]:
@@ -215,7 +240,9 @@ def _project_chain(Q: np.ndarray) -> np.ndarray:
     For one matrix (two active users) the two constraints share its
     eigenvectors, so the projection is the eigenvalue clip to [0, 1]:
     one ``eigh``, and a result V clip(lam) V^T within round-off of the set
-    whatever the norm of Q.
+    whatever the norm of Q. A feasible Q comes back as the same array, so
+    the ascent reads "nothing clipped" as ``_project_chain(Q) is Q``; a
+    longer chain always comes back as a new array.
 
     Longer chains alternate between the even and the odd pairwise
     constraints with Dykstra's corrections (Boyle & Dykstra 1986), which
@@ -228,6 +255,8 @@ def _project_chain(Q: np.ndarray) -> np.ndarray:
     """
     if Q.shape[0] == 1:
         lam, V = np.linalg.eigh(Q)
+        if lam[0, 0] >= 0.0 and lam[0, -1] <= 1.0:
+            return Q
         # minimum/maximum, not np.clip: the clip's wrapper costs a large
         # share of a 2 x 2 projection
         lam = np.minimum(np.maximum(lam, 0.0), 1.0)
@@ -267,8 +296,10 @@ class _ActiveChain:
     The active noises are whitened once, with the cap's root S^{1/2}:
     ``noise`` stacks N_lo and N_hi, N = S^{-1/2} Sigma S^{-1/2}, for the
     lower and the upper user of each link. The channel rule
-    lambda_min(S) > 1e-9 lambda_max(Sigma) bounds |N| below 1e9. ``root``
-    maps the final chain back to parts.
+    lambda_min(S) > 1e-9 lambda_max(Sigma) bounds |N| below 1e9. ``h``
+    holds the weights 1/2 [w_lo; -w_hi] of the stack's log-dets, ``dup``
+    the duplication matrix (vec E = dup vech E for symmetric E), and
+    ``root`` maps the final chain back to parts.
     """
 
     def __init__(self, ch: BroadcastChannel, w: np.ndarray, active: list[int]):
@@ -278,59 +309,108 @@ class _ActiveChain:
         white = np.linalg.solve(self.root, np.swapaxes(half, -1, -2))
         white = (white + np.swapaxes(white, -1, -2)) / 2.0
         self.noise = np.concatenate([white[:-1], white[1:]])
-        self.w_lo = w[active[:-1]]
-        self.w_hi = w[active[1:]]
+        self.h = 0.5 * np.concatenate([w[active[:-1]], -w[active[1:]]])
+        n = ch.dim
+        rows, cols = np.triu_indices(n)
+        self.dup = np.zeros((n * n, rows.size))
+        self.dup[rows * n + cols, np.arange(rows.size)] = 1.0
+        self.dup[cols * n + rows, np.arange(rows.size)] = 1.0
 
-    def value_and_grad(self, Q: np.ndarray) -> tuple[float, np.ndarray]:
-        """f = 1/2 sum_i [w_lo ln|Q_i + N_lo| - w_hi ln|Q_i + N_hi|] and its
-        gradient in Q, from one ``eigh`` of the stack [Q; Q] + noise."""
+    def value_and_grad(self, Q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """f = 1/2 sum_i [w_lo ln|Q_i + N_lo| - w_hi ln|Q_i + N_hi|], its
+        gradient G in Q, and the inverses (Q_i + N_b)^-1 of the stack
+        [Q; Q] + noise, from one ``eigh`` and one reconstruction of that
+        stack: f = sum_b h_b ln|Q_i + N_b| and G = X_lo + X_hi with
+        X = h (Q_i + N_b)^-1. Halving is exact, so G is bit for bit
+        1/2 [w_lo (Q_i + N_lo)^-1 - w_hi (Q_i + N_hi)^-1]."""
         c = Q.shape[0]
         lam, V = np.linalg.eigh(np.concatenate([Q, Q]) + self.noise)
         if not lam.min() > 0.0:
             raise NumericalError("objective is non-finite on the feasible set")
-        logdets = np.log(lam).sum(axis=-1)
         inv = (V / lam[..., None, :]) @ np.swapaxes(V, -1, -2)
-        f = 0.5 * float(self.w_lo @ logdets[:c] - self.w_hi @ logdets[c:])
-        G = 0.5 * (self.w_lo[:, None, None] * inv[:c] - self.w_hi[:, None, None] * inv[c:])
-        return f, G
+        X = self.h[:, None, None] * inv
+        return float(self.h @ np.log(lam).sum(axis=-1)), X[:c] + X[c:], inv
+
+    def newton(self, inv: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+        """Newton direction M^-1 G from the inverses and the gradient of one
+        ``value_and_grad`` call, or None unless M, minus the Hessian, is
+        positive definite (the chain is locally concave there).
+
+        M = sum_b h_b (A_b (x) A_b) with A_b = (Q_i + N_b)^-1; each link's
+        block D^T M D on the symmetric unknowns (D the duplication matrix)
+        comes from one stacked ``eigh``, which both tests and solves it.
+        ``_ascend`` asks for it on one-link chains only.
+        """
+        c, n = G.shape[0], G.shape[-1]
+        X = self.h[:, None, None] * inv
+        kron = (X[:, :, None, :, None] * inv[:, None, :, None, :]).reshape(2 * c, n * n, n * n)
+        lam, V = np.linalg.eigh(self.dup.T @ (kron[:c] + kron[c:]) @ self.dup)
+        if not lam.min() > 0.0:
+            return None
+        # vech(step) = (D^T M D)^-1 D^T vec(G), as <G, E> = vec(G)^T D vech(E)
+        y = (G.reshape(c, 1, n * n) @ self.dup @ V) / lam[:, None, :]
+        step = (y @ np.swapaxes(V, -1, -2) @ self.dup.T).reshape(c, n, n)
+        return step if np.isfinite(step).all() else None
 
 
-def _ascend(chain: _ActiveChain, Q: np.ndarray):
-    """Projected gradient ascent from the feasible chain Q, with
-    Barzilai-Borwein trial steps and Armijo backtracking along the
-    projection arc.
+def _ascend(chain: _ActiveChain, Q: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Projected ascent from the feasible chain Q, with Armijo
+    backtracking along the projection arc P(Q + t p): Barzilai-Borwein
+    steps along the gradient, and Newton steps from t = 1 after an accepted
+    step whose projection left its trial point unchanged (an interior
+    iterate of a one-link chain), where the chain is locally concave
+    (``_ActiveChain.newton``).
 
-    Stops at a KKT point: the trial ``P(Q + t grad)`` moved less than
-    ``_GRAD_TOL * min(t, 1)``, which bounds the projected-gradient
-    residual |P(Q + grad) - Q| by ``_GRAD_TOL``. Also stops when the gains
-    fall to round-off, when backtracking finds no ascent step, or after
-    ``_MAX_ITERS`` iterations.
+    Returns the chain, its objective and whether the ascent was capped.
+    It stops in one of four ways:
+
+    - at a KKT point: the gradient trial ``P(Q + t grad)`` moved less than
+      ``_GRAD_TOL * min(t, 1)``, which bounds the projected-gradient
+      residual |P(Q + grad) - Q| by ``_GRAD_TOL``;
+    - when the gains have fallen to round-off on three steps in a row;
+    - when backtracking the gradient trial to t <= 1e-14 finds no ascent
+      step;
+    - capped, after ``_MAX_ITERS`` iterations.
+
+    Only the first checks the residual; the next two stop where round-off
+    hides any further gain. A Newton trial never stops the ascent: one that
+    is too short, clipped to a non-ascent direction (<grad, d> <= 0), or
+    backtracked to t <= 1e-14 gives way to the gradient trial.
     """
-    f, g = chain.value_and_grad(Q)
-    step, stalled = 1.0, 0
+    f, g, inv = chain.value_and_grad(Q)
+    step, stalled, newton = 1.0, 0, None
     for _ in range(_MAX_ITERS):
-        t = step
+        p, t = (g, step) if newton is None else (newton, 1.0)
         while True:
-            d = _project_chain(Q + t * g) - Q
+            trial = Q + t * p
+            P = _project_chain(trial)
+            d = P - Q
             dd = float(np.vdot(d, d))
-            if math.sqrt(dd) < _GRAD_TOL * min(t, 1.0):
-                return Q, f
-            fc, gc = chain.value_and_grad(Q + d)
-            if fc >= f + _ARMIJO * float(np.vdot(g, d)):
-                break
-            t *= 0.5
-            if t <= 1e-14:
-                return Q, f
+            gain = float(np.vdot(g, d))
+            # a gradient trial ascends (<g, d> >= |d|^2 / t); a clipped
+            # Newton trial need not, and Armijo alone would accept it
+            if math.sqrt(dd) >= _GRAD_TOL * min(t, 1.0) and (p is g or gain > 0.0):
+                Qc = Q + d
+                fc, gc, inv_c = chain.value_and_grad(Qc)
+                if fc >= f + _ARMIJO * gain:
+                    break
+                t *= 0.5
+                if t > 1e-14:
+                    continue
+            if p is g:
+                return Q, f, False
+            p, t = g, step
         # the objective is smooth, so once gains fall to round-off the
         # iterate has converged to working precision
         stalled = stalled + 1 if fc - f <= 1e-15 * (1.0 + abs(fc)) else 0
         curvature = -float(np.vdot(d, gc - g))
-        Q, f, g = Q + d, fc, gc
+        Q, f, g, inv = Qc, fc, gc, inv_c
         if stalled >= 3:
-            break
+            return Q, f, False
         step = dd / curvature if curvature > 0.0 else 2.0 * t
         step = min(max(step, 1e-10), 1e10)
-    return Q, f
+        newton = chain.newton(inv, g) if P is trial else None
+    return Q, f, True
 
 
 def _random_chain(rng: np.random.Generator, c: int, n: int) -> np.ndarray:
@@ -355,7 +435,10 @@ def trace_boundary(
     no power. With one active user the split is closed-form (all of S to
     it); otherwise the chain of active users is ascended from
     ``_RESTARTS`` random starts, drawn from sub-seeds of (opt.seed,
-    weight index, restart index), and the best KKT point is kept.
+    weight index, restart index), and the best stopping point is kept: a
+    KKT point, or one where round-off hides any further gain (see
+    ``_ascend``). If the best restart was capped at ``_MAX_ITERS``,
+    ``NumericalError`` names the weight vector.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -373,14 +456,19 @@ def trace_boundary(
             parts[0] = ch.input_cap
         else:
             chain = _ActiveChain(ch, w, active)
-            best_Q, best_f = None, -np.inf
+            best_Q, best_f, best_capped = None, -np.inf, False
             for r in range(_RESTARTS):
                 rng = np.random.Generator(
                     np.random.Philox(np.random.SeedSequence([opt.seed, widx, r]))
                 )
-                Q, f = _ascend(chain, _random_chain(rng, len(active) - 1, n))
+                Q, f, capped = _ascend(chain, _random_chain(rng, len(active) - 1, n))
                 if f > best_f:
-                    best_Q, best_f = Q, f
+                    best_Q, best_f, best_capped = Q, f, capped
+            if best_capped:
+                raise NumericalError(
+                    f"boundary point at weights {w.tolist()} not converged "
+                    f"after {_MAX_ITERS} ascent iterations"
+                )
             # each part as B B^T, PSD by construction: the chain's steps
             # are PSD only to round-off, and on a badly conditioned cap
             # that round-off, mapped through the cap's root, is a rate

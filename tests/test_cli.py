@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mimobc import cli
+from mimobc import cli, region
 from mimobc.fixtures import admissible_mixture_for, random_channel, rng_for
 
 CLI = [sys.executable, "-m", "mimobc.cli"]
@@ -156,6 +156,20 @@ class TestRegion:
         res = run_cli("region", path, "--grid", "3")
         assert res.returncode == 2
         assert "validation failed" in res.stderr
+
+    def test_capped_boundary_point_exits_1(self, tmp_path, capsys, monkeypatch):
+        # an ascent stopped by the iteration cap is not a boundary point: the
+        # run names the weight vector and exits 1 instead of printing it
+        monkeypatch.setattr(region, "_MAX_ITERS", 2)
+        ch = random_channel(rng_for(1002, 1), 2, 2)
+        doc = {"noise_covs": [s.tolist() for s in ch.noise_covs], "input_cap": ch.input_cap.tolist()}
+        out = tmp_path / "out.csv"
+        assert cli.main(["region", write(tmp_path, "ch.json", doc), "--grid", "11",
+                         "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: boundary point at weights [") and "not converged" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_twelve_significant_digits(self, tmp_path):
         path = write(tmp_path, "ch.json", SCALAR_CHANNEL)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimobc.errors import DimensionMismatchError, NotPsdError
+from mimobc.errors import DimensionMismatchError, NotPsdError, NumericalError
 from mimobc import matrices as mat
 from mimobc import region
 from mimobc.fixtures import (
@@ -184,6 +184,18 @@ class TestTraceBoundary:
         split.validate(ch.input_cap)
         assert rate_tuple(ch, split) == rates
 
+    def test_capped_point_raises_naming_its_weights(self, monkeypatch):
+        # every restart at the interior point of channel (1002, 1) needs more
+        # than two iterations, so the kept one stops at the cap
+        monkeypatch.setattr(region, "_MAX_ITERS", 2)
+        ch = random_channel(rng_for(1002, 1), 2, 2)
+        t = math.radians(54.0)
+        with pytest.raises(NumericalError, match=r"weights \[0\.58778.*, 0\.80901.*\] not converged"):
+            trace_boundary(ch, [(1.0, 0.0), (math.cos(t), math.sin(t))], OptimizerConfig(seed=42))
+        # the closed-form point runs no ascent and is not affected
+        (_, rates), = trace_boundary(ch, [(1.0, 0.0)], OptimizerConfig(seed=42))
+        assert rates[1] == 0.0
+
     def test_rejects_non_degraded_channel(self):
         # a non-degraded channel cannot be built, so the tracer never sees one
         with pytest.raises(NotPsdError, match="channel validation failed"):
@@ -292,7 +304,7 @@ class TestWhitenedChain:
         _, _, chain = self._chain(c, n)
         rng = rng_for(131, c, n)
         Q = region._random_chain(rng, c, n)
-        _, G = chain.value_and_grad(Q)
+        _, G, _ = chain.value_and_grad(Q)
         h = 1e-6
         for _ in range(3):
             E = rng.standard_normal((c, n, n))
@@ -320,7 +332,7 @@ class TestWhitenedChain:
                 - w[i + 1] * np.linalg.slogdet(C[i] + sig[i + 1])[1]
                 for i in range(c)
             )
-            f, _ = chain.value_and_grad(Q)
+            f, _, _ = chain.value_and_grad(Q)
             assert f - cap_coordinates == pytest.approx(constant, abs=1e-11)
 
     @pytest.mark.parametrize("K", [2, 3, 4])
@@ -342,6 +354,118 @@ class TestWhitenedChain:
                 r = 0.5 * (mat.logdet(cum + sig) - mat.logdet(below + sig))
                 expected.append(max(r, 0.0))
             assert np.array(rate_tuple(ch, split)).tobytes() == np.array(expected).tobytes()
+
+    @staticmethod
+    def _hessian_fd(chain, Q, h=1e-5):
+        # central differences of the gradient along the symmetric basis
+        # E_kl = e_k e_l^T + e_l e_k^T (k < l) and e_k e_k^T of each link,
+        # the basis in which vech coordinates pair with D^T vec
+        c, n = Q.shape[0], Q.shape[-1]
+        rows, cols = np.triu_indices(n)
+        basis = []
+        for i in range(c):
+            for k, l in zip(rows, cols):
+                E = np.zeros((c, n, n))
+                E[i, k, l] = E[i, l, k] = 1.0
+                basis.append(E)
+        H = np.empty((len(basis), len(basis)))
+        for b, E in enumerate(basis):
+            dG = (chain.value_and_grad(Q + h * E)[1] - chain.value_and_grad(Q - h * E)[1]) / (2 * h)
+            H[:, b] = [float(np.sum(dG * F)) for F in basis]
+        return H, basis
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_newton_direction_solves_the_central_difference_hessian(self, c, n):
+        # weights within 5% of each other make -Hessian = 1/2 [w_lo A (x) A
+        # - w_hi B (x) B] positive definite, because A > B; there the Newton
+        # direction solves H x = -grad on the symmetric unknowns
+        ch = random_channel(rng_for(130, c, n), n, c + 1)
+        chain = region._ActiveChain(ch, np.linspace(1.0, 1.05, c + 1), list(range(c + 1)))
+        rng = rng_for(134, c, n)
+        for _ in range(3):
+            Q = region._random_chain(rng, c, n)
+            _, G, inv = chain.value_and_grad(Q)
+            H, basis = self._hessian_fd(chain, Q)
+            assert np.linalg.eigvalsh((H + H.T) / 2).max() < 0.0  # locally concave
+            grad = np.array([float(np.sum(G * E)) for E in basis])
+            expected = sum(x * E for x, E in zip(np.linalg.solve(-H, grad), basis))
+            step = chain.newton(inv, G)
+            assert step.shape == Q.shape
+            np.testing.assert_allclose(step, np.swapaxes(step, -1, -2), rtol=0, atol=0)
+            np.testing.assert_allclose(step, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+            assert float(np.sum(G * step)) > 0.0
+
+    def test_no_newton_direction_where_the_chain_is_not_concave(self):
+        # with the weights 0.3 and 1 the Hessian has a positive eigenvalue at
+        # these chains, and the ascent keeps its gradient step
+        ch = random_channel(rng_for(130, 1, 2), 2, 2)
+        chain = region._ActiveChain(ch, np.array([0.3, 1.0]), [0, 1])
+        rng = rng_for(134, 1, 2)
+        for _ in range(5):
+            Q = region._random_chain(rng, 1, 2)
+            _, G, inv = chain.value_and_grad(Q)
+            H, _ = self._hessian_fd(chain, Q)
+            assert np.linalg.eigvalsh((H + H.T) / 2).max() > 0.0
+            assert chain.newton(inv, G) is None
+
+    def test_interior_point_converges_in_a_few_newton_steps(self, monkeypatch):
+        # channel (1002, 1) of the region benchmark at w = (cos 54, sin 54):
+        # its maximum is interior (whitened eigenvalues 0.061 and 0.951),
+        # where gradient steps alone took 26-40 evaluations per restart
+        evals = []
+        value_and_grad, ascend = region._ActiveChain.value_and_grad, region._ascend
+        kept = []
+
+        def counted_eval(self, Q):
+            evals[-1] += 1
+            return value_and_grad(self, Q)
+
+        def counted_ascent(chain, Q):
+            evals.append(0)
+            kept.append(ascend(chain, Q))
+            return kept[-1]
+
+        monkeypatch.setattr(region._ActiveChain, "value_and_grad", counted_eval)
+        monkeypatch.setattr(region, "_ascend", counted_ascent)
+        ch = random_channel(rng_for(1002, 1), 2, 2)
+        t = math.radians(54.0)
+        w = (math.cos(t), math.sin(t))
+        (split, _), = trace_boundary(ch, [w], OptimizerConfig(seed=42))
+        assert len(evals) == region._RESTARTS
+        assert max(evals) <= 12, evals
+        # the projected-gradient residual |P(Q + grad) - Q| of the kept chain
+        Q, _, capped = max(kept, key=lambda out: out[1])
+        assert not capped
+        lam = np.linalg.eigvalsh(Q[0])
+        assert 0.05 < lam[0] and lam[1] < 0.96
+        chain = region._ActiveChain(ch, np.array(w), [0, 1])
+        _, G, _ = value_and_grad(chain, Q)
+        assert np.linalg.norm(region._project_chain(Q + G) - Q) <= region._GRAD_TOL
+        split.validate(ch.input_cap)
+
+    def test_newton_trial_that_does_not_ascend_gives_way_to_the_gradient_trial(self, monkeypatch):
+        # a direction d with <grad, d> <= 0 (here -grad itself) is never
+        # evaluated: the ascent takes the gradient trial at once, so it runs
+        # the evaluations and reaches the bytes of gradient steps alone
+        ch = random_channel(rng_for(1002, 1), 2, 2)
+        t = math.radians(54.0)
+        w = [(math.cos(t), math.sin(t))]
+        value_and_grad = region._ActiveChain.value_and_grad
+        evals = [0]
+
+        def counted_eval(self, Q):
+            evals[0] += 1
+            return value_and_grad(self, Q)
+
+        monkeypatch.setattr(region._ActiveChain, "value_and_grad", counted_eval)
+        runs = []
+        for newton in (lambda self, inv, G: None, lambda self, inv, G: -G):
+            monkeypatch.setattr(region._ActiveChain, "newton", newton)
+            evals[0] = 0
+            (split, rates), = trace_boundary(ch, w, OptimizerConfig(seed=42))
+            runs.append((evals[0], np.array(split.parts).tobytes(), rates))
+        assert runs[0] == runs[1]
 
 
 def _random_symmetric(rng, n, lam):

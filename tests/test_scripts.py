@@ -34,7 +34,7 @@ def test_bench_script_writes_its_json(tmp_path):
     assert doc["label"] == "smoke" and doc["repeats"] == 1
     assert set(doc["median_s"]) == set(doc["relative_to_control"]) == {
         "stage_walk", "fixed_point", "line_integral",
-        "walkthrough", "boundary_point", "closed_form_point", "rate_tuple",
+        "walkthrough", "boundary_point", "closed_form_point", "interior_point", "rate_tuple",
         "grid_oracle", "control",
     }
     assert all(t > 0.0 for t in doc["median_s"].values())
