@@ -8,8 +8,11 @@ untimed warm-up call (which builds the cached quadrature grids), and its
 median is reported in seconds:
 
 - ``stage_walk``: the top converse stage's one walk, ``mixture_level_quad``
-  on its two noises with the 15 nodes of the line integral's first G7/K15
-  rule as the field stack;
+  with J at its noise and the 15 nodes of the line integral's first G7/K15
+  rule, and the entropies, h(Y) included, at its two noises;
+- ``label_stage``: the label stage's one level, the same call on the
+  diagonal table of U_2 at the lower stage's 17 noises, without h(Y): closed
+  forms that walk no grid;
 - ``fixed_point``: one ``solve_fixed_point``;
 - ``line_integral``: one ``matrix_line_integral`` of the field;
 - ``walkthrough``: one full ``converse_walkthrough``;
@@ -69,11 +72,15 @@ def items() -> dict:
     rng = rng_for(11, 2, 0)
     h = random_hierarchy(rng, 3, (2, 2))
     ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
-    joint = coarsen(h, 3)
+    joint, label = coarsen(h, 3), coarsen(h, 2)
+    nodes = matrices._kronrod_rule()[0][:, None, None]
     sigma_prev, sigma = ch.noise_covs[1], ch.noise_covs[2]
     stages = np.stack([sigma, sigma_prev])
-    nodes = matrices._kronrod_rule()[0][:, None, None]
     field_stack = sigma_prev + nodes * (sigma - sigma_prev)
+    fisher_stack = np.concatenate([sigma[None], field_stack])
+    label_stages = np.stack([sigma_prev, ch.noise_covs[0]])
+    label_fisher = np.concatenate(
+        [sigma_prev[None], ch.noise_covs[0] + nodes * (sigma_prev - ch.noise_covs[0])])
 
     def field(sigmas):
         return mixture_fisher_quad(h.base, sigmas, joint=joint)
@@ -86,7 +93,9 @@ def items() -> dict:
     interior = [np.array([math.cos(math.radians(54.0)), math.sin(math.radians(54.0))])]
     (split, _), = trace_boundary(region_ch, weights, opt)
     return {
-        "stage_walk": lambda: mixture_level_quad(h.base, stages, joint, field=field_stack),
+        "stage_walk": lambda: mixture_level_quad(h.base, fisher_stack, stages, joint),
+        "label_stage": lambda: mixture_level_quad(
+            h.base, label_fisher, label_stages, label, unconditional=False),
         "fixed_point": lambda: verifier.solve_fixed_point(h.base, ch, 3, ch.input_cap),
         "line_integral": lambda: matrices.matrix_line_integral(
             field, sigma_prev, sigma, verifier._INTEGRAL_TOL),

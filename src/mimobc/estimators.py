@@ -2,20 +2,24 @@
 additive Gaussian noise: Fisher information matrices and differential
 entropies.
 
-Quantities conditional on the mixture label are exact closed forms
-(``fisher_conditional``, ``entropy_conditional``), at one noise covariance
-or a stack of them. They come from the Cholesky factors of the observed
-components that the quadrature kernels use (``_ObservedLevel.given_label``),
-which also give the kernels' one-component symbols and the closed-form part
-of their Fisher matrix.
+Quantities conditional on the mixture label are exact closed forms, at one
+noise covariance or a stack of them. ``given_label`` returns J and h
+together from one factorization of the observed components, J at one stack
+and h at another, so a caller that needs both builds one ``_ObservedLevel``;
+``fisher_conditional`` and ``entropy_conditional`` are its two halves. The
+same Cholesky factors serve the quadrature kernels, and give their
+one-component symbols and the closed-form part of their Fisher matrix.
 
 The quadrature kernels ``mixture_fisher_quad`` and ``mixture_entropy_quad``
 cover a whole auxiliary level at a whole stack of noise covariances in one
 pass. Given a joint table P(u_2 = u, U_k = g) over the source's components
 (``model.coarsen``), they return J(Y | U_k) and h(Y | U_k); with no table,
-the unconditional J(Y) and h(Y). ``mixture_level_quad`` returns J(Y | U_k),
-h(Y | U_k) and h(Y) together, from one walk of the grids, and can add J at a
-further stack of noise covariances (a line integral's nodes) to that walk.
+the unconditional J(Y) and h(Y). ``mixture_fisher_tables`` gives J for
+several tables from one factorization. ``mixture_level_quad`` returns
+J(Y | U_k), h(Y | U_k) and, if asked, h(Y) together, from one level and one
+walk of the grids: J at one stack of noise covariances (a stage's noise and
+a line integral's nodes) and the entropies at another (the stage's two
+noises), a noise in both being factorized and walked once.
 Every symbol's law mixes the same base components, so one walk of a
 component's grid serves every symbol, every noise covariance and both
 quantities: only the posterior differs between symbols, and the Fisher
@@ -38,8 +42,9 @@ covariances are one matmul of their coefficients with the per-node
 features [1, z, z_i z_j] (see ``_ObservedLevel``). The features are built
 once per grid and cached with it, and the nodes are a view of their rows
 (``_gh_grid``); at the default orders they take 1.6 KB (n = 1), 58 KB
-(n = 2) and 848 KB (n = 3). Each
-node's m log-densities are shifted by their largest and exponentiated
+(n = 2) and 848 KB (n = 3). The features times the node weights, which
+the Fisher moments are sums against, are cached as well and take as much
+(``_weighted_features``). Each node's m log-densities are shifted by their largest and exponentiated
 once per component. A block's scaled densities are laid out (m, R, B),
 component first, then (grid, noise) row and node, so every symbol's
 mixture density, the Fisher pair weights and their moments are each one
@@ -72,10 +77,12 @@ from .errors import DimensionMismatchError, SingularMatrixError
 from .model import LOG_2PI_E, MixtureSource
 
 __all__ = [
+    "given_label",
     "fisher_conditional",
     "entropy_conditional",
     "mixture_entropy_quad",
     "mixture_fisher_quad",
+    "mixture_fisher_tables",
     "mixture_level_quad",
 ]
 
@@ -109,6 +116,18 @@ def _features(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return F
 
 
+def _noise_stack(src: MixtureSource, noise_cov) -> tuple[np.ndarray, bool]:
+    """(the (T, n, n) stack, whether one was given): one (n, n) noise
+    covariance is a stack of one."""
+    S = np.asarray(noise_cov, dtype=float)
+    stacked = S.ndim == 3
+    if not stacked:
+        S = S[None]
+    if S.ndim != 3 or S.shape[1:] != (src.dim, src.dim):
+        raise DimensionMismatchError("noise covariance dimension mismatch")
+    return S, stacked
+
+
 class _ObservedLevel:
     """The components of a source observed through a stack of T noise
     covariances S_t: C_tw = Cov(X | w) + S_t = L_tw L_tw^T.
@@ -123,12 +142,7 @@ class _ObservedLevel:
     """
 
     def __init__(self, src: MixtureSource, noise_cov):
-        S = np.asarray(noise_cov, dtype=float)
-        self.stacked = S.ndim == 3
-        if not self.stacked:
-            S = S[None]
-        if S.ndim != 3 or S.shape[1:] != (src.dim, src.dim):
-            raise DimensionMismatchError("noise covariance dimension mismatch")
+        S, self.stacked = _noise_stack(src, noise_cov)
         self.means = src.means
         self.T = S.shape[0]
         self.m, self.n = src.means.shape
@@ -145,17 +159,19 @@ class _ObservedLevel:
         # ln |C_tw| / 2, (T, m)
         self.half_logdet = np.log(np.diagonal(self.chols, axis1=2, axis2=3)).sum(axis=2)
 
-    def given_label(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(J (T, n, n), h (T,)) given the label, with weight w_u on component
-        u: J = sum_u w_u C_tu^{-1} and h = ``entropies(weights)``, since given
-        the label Y is Gaussian."""
+    def fisher(self, weights: np.ndarray) -> np.ndarray:
+        """J = sum_u w_u C_tu^{-1} (T, n, n), with weight w_u on component u:
+        the Fisher matrix given the label, where Y is Gaussian."""
         J = np.einsum("u,tuij->tij", weights, self.precs)
-        return (J + np.swapaxes(J, 1, 2)) / 2.0, self.entropies(weights)
+        return (J + np.swapaxes(J, 1, 2)) / 2.0
 
-    def entropies(self, weights: np.ndarray) -> np.ndarray:
-        """h = sum_u w_u ln((2 pi e)^n |C_tu|) / 2: (T,) for weights (m,), or
-        (T, S) for weights (m, S) with one column per symbol."""
-        return (0.5 * self.n * LOG_2PI_E + self.half_logdet) @ weights
+    def entropies(self, weights: np.ndarray, T_h: int) -> np.ndarray:
+        """h = sum_u w_u ln((2 pi e)^n |C_tu|) / 2 at the first ``T_h``
+        noises: (T_h,) for weights (m,), or (T_h, S) for weights (m, S) with
+        one column per symbol. The product's round-off depends on its row
+        count, so the rows are taken before it: h is bit for bit that of a
+        level on those T_h noises alone."""
+        return (0.5 * self.n * LOG_2PI_E + self.half_logdet[:T_h]) @ weights
 
     def coefs(self, grids: np.ndarray, noises: np.ndarray) -> np.ndarray:
         """(m*R, F) coefficients of the R (grid, noise) rows (u_r, t_r) =
@@ -167,7 +183,7 @@ class _ObservedLevel:
         A = inv_chols @ self.chols[noises, grids]
         gaps = self.means[grids] - self.means[:, None]
         o = (inv_chols @ gaps[..., None])[..., 0]
-        i, j = np.triu_indices(n)
+        i, j = mat.triu_indices(n)
         coef = np.empty(A.shape[:2] + (1 + n + i.size,))
         coef[..., 0] = (
             -0.5 * n * _LOG_2PI - self.half_logdet[noises].T - 0.5 * np.square(o).sum(axis=-1)
@@ -180,7 +196,8 @@ class _ObservedLevel:
     def blocks(self, grids: np.ndarray, noises: np.ndarray, order: int):
         """Walk the pruned grid (``_gh_grid``) in blocks of B nodes for the R
         (grid, noise) rows (``grids[r]``, ``noises[r]``) at once, yielding
-        (features (F, B), weights (B,), top (R, B), densities (m, R, B)). At
+        (weighted features (F, B), weights (B,), top (R, B), densities
+        (m, R, B)), the weighted features being w [1; z; z_i z_j]. At
         y = mu_u + L_tu z of row r = (u, t), entry (w, r) of the densities is
         N(y; mu_w, C_tw) e^{-top}, with top the largest of the m
         log-densities: one exponential per component, none of them
@@ -188,22 +205,24 @@ class _ObservedLevel:
         the (m, G) joint table is one 2-D matmul over the block. B =
         max(1, ``_BLOCK_BYTES`` // (m R 8)), so the densities take at most
         ``_BLOCK_BYTES`` whatever m and R are (unless one node's exceed
-        it). The features are slices of those cached with the grid
-        (``_gh_grid``), not rebuilt per block. A block's arrays are dropped
+        it). The features and weighted features are slices of those cached
+        with the grid (``_gh_grid``, ``_weighted_features``), not rebuilt
+        per block or per walk. A block's arrays are dropped
         before the next block is computed, so the caller drops them too."""
         coef = self.coefs(grids, noises)
         z, wt = _gh_grid(self.n, order)
         # the features cached with the grid, whose rows 1..n the nodes view
         F = z.base
+        FW = _weighted_features(self.n, order)
         shape = (self.m, len(grids), -1)
         size = max(1, _BLOCK_BYTES // (self.m * len(grids) * 8))
         for start in range(0, len(wt), size):
-            Fb = F[:, start:start + size]
-            e = (coef @ Fb).reshape(shape)
+            block = slice(start, start + size)
+            e = (coef @ F[:, block]).reshape(shape)
             top = e.max(axis=0)
             e -= top
             np.exp(e, out=e)
-            yield Fb, wt[start:start + size], top, e
+            yield FW[:, block], wt[block], top, e
             del e, top
 
 
@@ -232,26 +251,61 @@ def _pair_weights(e: np.ndarray, P: np.ndarray, P_rows: np.ndarray, broad: slice
     return w.reshape(-1, e.shape[-1])
 
 
+def _joined(
+    src: MixtureSource, fisher_cov, entropy_cov
+) -> tuple[_ObservedLevel, np.ndarray, int]:
+    """(level, at, T_h): one ``_ObservedLevel`` on the T_h noise
+    covariances of ``entropy_cov`` followed by those of ``fisher_cov`` that
+    are not among them, and the index ``at`` of each of ``fisher_cov``'s in
+    that level. A noise equal to an entropy noise is factorized once; the
+    same object as both stacks is one stack."""
+    E, _ = _noise_stack(src, entropy_cov)
+    if fisher_cov is entropy_cov:
+        return _ObservedLevel(src, E), np.arange(len(E)), len(E)
+    F, _ = _noise_stack(src, fisher_cov)
+    same = np.all(F[:, None] == E[None], axis=(2, 3))
+    new = ~same.any(axis=1)
+    at = same.argmax(axis=1)
+    at[new] = len(E) + np.arange(np.count_nonzero(new))
+    return _ObservedLevel(src, np.concatenate([E, F[new]])), at, len(E)
+
+
 # --- exact conditional quantities -------------------------------------------
 
-def fisher_conditional(src: MixtureSource, noise_cov) -> np.ndarray:
-    """J(X+N | U): the weighted sum of inverse observed component covariances.
+def given_label(
+    src: MixtureSource, noise_cov, entropy_cov=None
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """(J(X+N | U), h(X+N | U)) given the mixture label U, from one
+    factorization of the observed components: J at ``noise_cov`` and h at
+    ``entropy_cov``, or at ``noise_cov`` when that is None.
 
-    Given the label, X + N is Gaussian, whose Fisher matrix is the inverse
-    of its covariance. ``noise_cov`` is one (n, n) covariance, giving
-    (n, n), or a (T, n, n) stack, giving (T, n, n).
+    Given the label, X + N is Gaussian: J = sum_u p_u (C_u + N)^{-1}, the
+    weighted sum of inverse observed component covariances, and
+    h = sum_u p_u * Gaussian entropy of component u. Each stack is one
+    (n, n) covariance, giving (n, n) and a float, or a (T, n, n) stack,
+    giving (T, n, n) and T values. Each value is bit for bit that of a call
+    on its own noise covariances alone (``_ObservedLevel.entropies``).
     """
-    obs = _ObservedLevel(src, noise_cov)
-    J, _ = obs.given_label(src.weights)
-    return J if obs.stacked else J[0]
+    if entropy_cov is None:
+        entropy_cov = noise_cov
+    obs, at, T_h = _joined(src, noise_cov, entropy_cov)
+    J = obs.fisher(src.weights)[at]
+    h = obs.entropies(src.weights, T_h)
+    if np.ndim(noise_cov) == 2:
+        J = J[0]
+    return J, (h if np.ndim(entropy_cov) == 3 else float(h[0]))
+
+
+def fisher_conditional(src: MixtureSource, noise_cov) -> np.ndarray:
+    """J(X+N | U), the Fisher matrix of ``given_label``: (n, n) for one
+    (n, n) noise covariance, (T, n, n) for a (T, n, n) stack."""
+    return given_label(src, noise_cov)[0]
 
 
 def entropy_conditional(src: MixtureSource, noise_cov) -> float | np.ndarray:
-    """h(X+N | U) = sum_u p_u * Gaussian entropy of component u, a float
-    for one (n, n) noise covariance or T values for a (T, n, n) stack."""
-    obs = _ObservedLevel(src, noise_cov)
-    _, h = obs.given_label(src.weights)
-    return h if obs.stacked else float(h[0])
+    """h(X+N | U), the entropy of ``given_label``: a float for one (n, n)
+    noise covariance, T values for a (T, n, n) stack."""
+    return given_label(src, noise_cov)[1]
 
 
 # --- deterministic quadrature -----------------------------------------------
@@ -307,10 +361,22 @@ def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     z = np.empty((wt.size, n))
     for d, idx in enumerate(keep):
         z[:, d] = z1[idx]
-    F = _features(z, *np.triu_indices(n))
+    F = _features(z, *mat.triu_indices(n))
     F.flags.writeable = False
     wt.flags.writeable = False
     return F[1:1 + n].T, wt
+
+
+@functools.lru_cache(maxsize=16)
+def _weighted_features(n: int, order: int) -> np.ndarray:
+    """The features of ``_gh_grid``'s nodes times their weights, (F, N) and
+    read-only: every walk's Fisher moments are sums against them, so they
+    are formed once per grid, not once per walk. They take as much as the
+    features: 848 KB at the default n = 3 grid."""
+    z, wt = _gh_grid(n, order)
+    FW = z.base * wt
+    FW.flags.writeable = False
+    return FW
 
 
 def _quad_order(n: int, order: int | None) -> int:
@@ -324,35 +390,45 @@ def _quad_order(n: int, order: int | None) -> int:
 
 
 def _walk(
-    obs: _ObservedLevel, order: int, P: np.ndarray | None, Q: np.ndarray | None, T_h: int
+    obs: _ObservedLevel, order: int, P: np.ndarray | None, Q: np.ndarray | None,
+    fisher_at: np.ndarray | None, T_h: int,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """J(Y | U) of the joint table P (m, G) at every noise covariance of
-    ``obs`` and the entropy terms h_s = -sum_u Q[u, s] E_u[ln f_s] of the
-    symbol columns Q (m, S) at its first ``T_h``, with
-    f_s = sum_w Q[w, s] N_w / sum_w Q[w, s], from one walk of the grids
-    (``_ObservedLevel.blocks``): (J (T, n, n), H (T_h, S)), each None when
-    its table is.
+    """J(Y | U) of the joint table P (m, G) at the noise covariances
+    ``fisher_at`` (indices into those of ``obs``) and the entropy terms
+    h_s = -sum_u Q[u, s] E_u[ln f_s] of the symbol columns Q (m, S) at its
+    first ``T_h``, with f_s = sum_w Q[w, s] N_w / sum_w Q[w, s], from one
+    walk of the grids (``_ObservedLevel.blocks``): (J (T_f, n, n),
+    H (T_h, S)), each None when its table is.
 
     The walk's rows are (grid, noise) pairs, and each part walks only the
     rows it needs: the Fisher correction the grid of the narrower member of
-    each pair some symbol of P mixes, at each noise where it is the
-    narrower (see ``mixture_fisher_quad``); the entropy the grids of the
+    each pair some symbol of P mixes, at each noise of ``fisher_at`` where
+    it is the narrower (see ``mixture_fisher_quad``); the entropy the grids of the
     components of every symbol of Q that mixes several, at the first T_h
     noises. A symbol with one component has its exact Gaussian entropy.
     The rows are ordered Fisher only, both, entropy only, so each part
     reads a contiguous slice of the same scaled densities (m, R, B) of each
     block. With the component axis first, the pair weights
     (``_pair_weights``, formed only for the span of the components that are
-    the broad member of some pair), their moments against the block's slice of the
-    grid's cached features and the entropy's mixture densities are each
-    one 2-D matmul per block."""
+    the broad member of some pair), their moments against the block's slice
+    of the grid's cached weighted features and the entropy's mixture
+    densities are each one 2-D matmul per block. A call in which no symbol
+    mixes components returns the closed forms and walks nothing."""
     m, T = obs.m, obs.T
     J = H = None
+    if P is not None:
+        J = obs.fisher(P.sum(axis=1))[fisher_at]
+        Pm = P[:, np.count_nonzero(P > 0.0, axis=0) > 1]
+    if Q is not None:
+        size = np.count_nonzero(Q > 0.0, axis=0)
+        H = obs.entropies(Q * (size == 1), T_h)
+        mixed = np.flatnonzero(size > 1)
+    # no symbol mixes components: the closed forms are all, and no grid is walked
+    if (P is None or not Pm.size) and (Q is None or not mixed.size):
+        return J, H
     fisher = np.zeros((m, T), dtype=bool)  # [u, t]: u's grid at noise t serves J
     entropy = np.zeros((m, T), dtype=bool)  # [u, t]: u's grid at noise t serves H
     if P is not None:
-        J, _ = obs.given_label(P.sum(axis=1))
-        Pm = P[:, np.count_nonzero(P > 0.0, axis=0) > 1]
         support = (Pm > 0.0).astype(float)
         paired = support @ support.T > 0.0
         np.fill_diagonal(paired, False)
@@ -360,16 +436,15 @@ def _walk(
         hl = obs.half_logdet
         lower = np.arange(m)[:, None] < np.arange(m)[None, :]
         narrow = (hl[:, :, None] < hl[:, None, :]) | ((hl[:, :, None] == hl[:, None, :]) & lower)
-        use = narrow & paired[None]
+        asked = np.zeros(T, dtype=bool)
+        asked[fisher_at] = True
+        use = narrow & paired[None] & asked[:, None, None]
         fisher = use.any(axis=2).T
         # the span of the components that are the broad member of some
         # pair: the pair weights of those below or above it are never used
         v = np.flatnonzero(use.any(axis=(0, 1)))
         broad = slice(v[0], v[-1] + 1) if v.size else None
     if Q is not None:
-        size = np.count_nonzero(Q > 0.0, axis=0)
-        H = obs.entropies(Q * (size == 1))[:T_h]
-        mixed = np.flatnonzero(size > 1)
         Qm = Q[:, mixed]
         cond_T = (Qm / Qm.sum(axis=0)).T
         entropy[np.any(Qm > 0.0, axis=1), :T_h] = True
@@ -385,9 +460,9 @@ def _walk(
     moments = 0.0
     # acc[s, r] = E_u[ln f_s] on row r
     acc = 0.0
-    for F, wt, top, e in obs.blocks(grids, noises, order):
+    for FW, wt, top, e in obs.blocks(grids, noises, order):
         if R_f:
-            moments = moments + _pair_weights(e[:, :R_f], Pm, P_rows, broad) @ (F * wt).T
+            moments = moments + _pair_weights(e[:, :R_f], Pm, P_rows, broad) @ FW.T
         if Q is not None:
             # ln f_s = top + ln sum_w p(w | s) e_w. Where u is in s, the sum
             # is at least p(u | s) e_u > 0 and ``_TINY`` leaves it as it is;
@@ -408,7 +483,7 @@ def _walk(
         moments = moments.reshape(broad.stop - broad.start, R_f, -1)
         moments *= use[noises[:R_f], grids[:R_f]][:, broad].T[..., None]
         corr = _fisher_correction(obs, grids[:R_f], noises[:R_f], broad, moments)
-        at_noise = np.arange(T)[:, None] == noises[:R_f]
+        at_noise = fisher_at[:, None] == noises[:R_f]
         J -= (at_noise @ corr.reshape(R_f, -1)).reshape(J.shape)
         J = (J + np.swapaxes(J, 1, 2)) / 2.0
     return J, H
@@ -432,7 +507,7 @@ def _fisher_correction(
     M = precs @ L - L_inv_T
     gaps = obs.means[grids] - obs.means[broad][:, None]
     c = (precs @ gaps[..., None])[..., 0]
-    i, j = np.triu_indices(n)
+    i, j = mat.triu_indices(n)
     S2 = np.empty(moments.shape[:2] + (n, n))
     S2[..., i, j] = moments[..., 1 + n:]
     S2[..., j, i] = moments[..., 1 + n:]
@@ -472,7 +547,7 @@ def mixture_entropy_quad(
     """
     P = _joint_table(src, joint)
     obs = _ObservedLevel(src, noise_cov)
-    _, H = _walk(obs, _quad_order(obs.n, order), None, P, obs.T)
+    _, H = _walk(obs, _quad_order(obs.n, order), None, P, None, obs.T)
     h = H.sum(axis=1)
     return h if obs.stacked else float(h[0])
 
@@ -501,35 +576,46 @@ def mixture_fisher_quad(
     conditioned mixture of ``mixture_entropy_quad`` the default order is
     about 1e-9 off.
     """
-    P = _joint_table(src, joint)
+    return mixture_fisher_tables(src, noise_cov, [joint], order)[0]
+
+
+def mixture_fisher_tables(
+    src: MixtureSource, noise_cov, joints, order: int | None = None
+) -> list[np.ndarray]:
+    """``mixture_fisher_quad`` for each joint table of ``joints`` (None for
+    the source's own weights), from one factorization of the observed
+    components: a list of J(Y | U), one per table, each (n, n) for one
+    noise covariance or (T, n, n) for a stack. Each table walks its own
+    pairs on the shared level."""
+    tables = [_joint_table(src, P) for P in joints]
     obs = _ObservedLevel(src, noise_cov)
-    J, _ = _walk(obs, _quad_order(obs.n, order), P, None, obs.T)
-    return J if obs.stacked else J[0]
+    order = _quad_order(obs.n, order)
+    Js = [_walk(obs, order, P, None, np.arange(obs.T), 0)[0] for P in tables]
+    return Js if obs.stacked else [J[0] for J in Js]
 
 
 def mixture_level_quad(
-    src: MixtureSource, noise_cov, joint, field=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J(Y | U_k), h(Y | U_k), h(Y)) of one auxiliary level at a (T, n, n)
-    stack of noise covariances, from one walk of the grids (n <= 3):
-    (T, n, n), (T,) and (T,); one (n, n) covariance is a stack of one.
-    ``field``, a (T_f, n, n) stack of further noise covariances, adds J
-    there to the same walk: J is then (T + T_f, n, n), ``noise_cov``'s
-    first, and the entropies stay at ``noise_cov``.
+    src: MixtureSource, fisher_cov, entropy_cov, joint, unconditional: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(J(Y | U_k), h(Y | U_k), h(Y)) of one auxiliary level from one walk
+    of the grids (n <= 3): J at the (T_f, n, n) stack ``fisher_cov``, as
+    (T_f, n, n), and the entropies at the (T_h, n, n) stack
+    ``entropy_cov``, as (T_h,) each; one (n, n) covariance is a stack of
+    one. h(Y) is None unless ``unconditional``.
 
     Each equals ``mixture_fisher_quad``, ``mixture_entropy_quad`` with the
     same ``joint`` and ``mixture_entropy_quad`` with none (the source's own
-    weights) on the same stack, at the default order. All three read the
-    same scaled component densities: the Fisher correction on the narrower
-    member of each mixed pair, at every noise, and the entropies with the
-    weights p(u) as one more symbol, on the grid of every component that a
-    symbol mixes with another, at ``noise_cov`` only.
+    weights) on its own stack, at the default order. The observed
+    components are factorized once, on the entropy stack followed by the
+    Fisher noises not in it (``_joined``), and all three read the same
+    scaled component densities: the Fisher correction on the narrower
+    member of each mixed pair, at the Fisher noises only, and the entropies
+    with the weights p(u) as one more symbol for h(Y), on the grid of every
+    component that a symbol mixes with another, at the entropy noises only.
+    A noise in both stacks is walked once for both.
     """
     P = _joint_table(src, joint)
-    stages = np.asarray(noise_cov, dtype=float)
-    if stages.ndim == 2:
-        stages = stages[None]
-    noises = stages if field is None else np.concatenate([stages, field])
-    obs = _ObservedLevel(src, noises)
-    J, H = _walk(obs, _quad_order(obs.n, None), P, np.column_stack([P, src.weights]), len(stages))
-    return J, H[:, :-1].sum(axis=1), H[:, -1]
+    obs, at, T_h = _joined(src, fisher_cov, entropy_cov)
+    Q = np.column_stack([P, src.weights]) if unconditional else P
+    J, H = _walk(obs, _quad_order(obs.n, None), P, Q, at, T_h)
+    return J, H[:, :P.shape[1]].sum(axis=1), H[:, -1] if unconditional else None

@@ -19,6 +19,7 @@ the quadrature kernel and the checks call it rather than factorize.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable
@@ -87,6 +88,16 @@ def loewner_leq(A, B) -> bool:
         raise DimensionMismatchError(f"shape mismatch: {np.shape(A)} vs {np.shape(B)}")
     w = np.linalg.eigvalsh(np.stack([np.subtract(B, A), A, B]))
     return float(w[0, 0]) >= -1e-9 * float(np.max(np.abs(w[1:])))
+
+
+@functools.cache
+def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, the (row, column) pairs i <= j of an n x n
+    matrix: built once per n and read-only, because every caller shares
+    them."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def cholesky(M) -> np.ndarray:

@@ -159,14 +159,16 @@ def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> 
 #
 # If w_k >= w_{k+1} that gradient is PSD, because Sigma_k <= Sigma_{k+1}, so
 # raising C_k to C_{k+1} never lowers f: user k+1 gets no power and drops out.
-# The users left (the "active" ones) have strictly increasing weights. The
-# ascent runs on their chain in whitened coordinates C_i = S^{1/2} Q_i S^{1/2},
-# 0 <= Q_1 <= ... <= Q_{m-1} <= I. The noises are whitened once per chain,
-# N_k = S^{-1/2} Sigma_k S^{-1/2}, so that ln|C_i + Sigma_k| = ln|S| +
-# ln|Q_i + N_k|: the objective drops the constant ln|S| terms, and its
-# gradient S^{1/2} df/dC_i S^{1/2} = 1/2 [w_i (Q_i + N_i)^-1 - w_{i+1}
-# (Q_i + N_{i+1})^-1] needs no product with the root until the final chain
-# is mapped back to parts.
+# If w_k = 0 < w_{k+1} the gradient is -w_{k+1}/2 (C_k + Sigma_{k+1})^-1,
+# negative definite, so C_k = 0: users before the first of positive weight
+# get no power either. The users left (the "active" ones) have strictly
+# increasing weights. The ascent runs on their chain in whitened
+# coordinates C_i = S^{1/2} Q_i S^{1/2}, 0 <= Q_1 <= ... <= Q_{m-1} <= I.
+# The noises are whitened once per chain, N_k = S^{-1/2} Sigma_k S^{-1/2}, so that
+# ln|C_i + Sigma_k| = ln|S| + ln|Q_i + N_k|: the objective drops the
+# constant ln|S| terms, and its gradient S^{1/2} df/dC_i S^{1/2} =
+# 1/2 [w_i (Q_i + N_i)^-1 - w_{i+1} (Q_i + N_{i+1})^-1] needs no product
+# with the root until the final chain is mapped back to parts.
 #
 # The ascent takes Barzilai-Borwein gradient steps, except on a one-link
 # chain (two active users) after a step whose eigenvalue clip left its trial
@@ -191,10 +193,12 @@ def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> 
 
 
 def _active_users(w: np.ndarray) -> list[int]:
-    """Users that can get power at weights w: the first user and every user
-    whose weight exceeds that of all users before it."""
-    active = [0]
-    for k in range(1, w.size):
+    """Users that can get power at weights w: the first user of positive
+    weight and every later user whose weight exceeds that of all users
+    before it. A user of zero weight gains nothing from power, which only
+    adds to the interference of the users after it."""
+    active = [int(np.flatnonzero(w > 0.0)[0])]
+    for k in range(active[0] + 1, w.size):
         if w[k] > w[active[-1]]:
             active.append(k)
     return active
@@ -311,7 +315,7 @@ class _ActiveChain:
         self.noise = np.concatenate([white[:-1], white[1:]])
         self.h = 0.5 * np.concatenate([w[active[:-1]], -w[active[1:]]])
         n = ch.dim
-        rows, cols = np.triu_indices(n)
+        rows, cols = mat.triu_indices(n)
         self.dup = np.zeros((n * n, rows.size))
         self.dup[rows * n + cols, np.arange(rows.size)] = 1.0
         self.dup[cols * n + rows, np.arange(rows.size)] = 1.0
@@ -431,11 +435,12 @@ def trace_boundary(
     """Locally maximal split for each weight vector, with multi-start.
 
     A ``BroadcastChannel`` is degraded (Sigma_1 <= ... <= Sigma_K) by
-    construction. Users whose weight does not exceed an earlier user's get
-    no power. With one active user the split is closed-form (all of S to
-    it); otherwise the chain of active users is ascended from
-    ``_RESTARTS`` random starts, drawn from sub-seeds of (opt.seed,
-    weight index, restart index), and the best stopping point is kept: a
+    construction. Users before the first of positive weight, and users
+    whose weight does not exceed an earlier user's, get no power. With one
+    active user the split is closed-form (all of S to it); otherwise the
+    chain of active users is ascended from ``_RESTARTS`` random starts,
+    drawn from sub-seeds of (opt.seed, weight index, restart index), and
+    the best stopping point is kept: a
     KKT point, or one where round-off hides any further gain (see
     ``_ascend``). If the best restart was capped at ``_MAX_ITERS``,
     ``NumericalError`` names the weight vector.
@@ -453,7 +458,7 @@ def trace_boundary(
         active = _active_users(w)
         parts = [np.zeros((n, n)) for _ in range(K)]
         if len(active) == 1:
-            parts[0] = ch.input_cap
+            parts[active[0]] = ch.input_cap
         else:
             chain = _ActiveChain(ch, w, active)
             best_Q, best_f, best_capped = None, -np.inf, False

@@ -7,15 +7,17 @@ the base components. ``model.coarsen`` gives a whole level as one joint
 table P(u_2 = u, U_k = g), and ``estimators.mixture_fisher_quad`` and
 ``mixture_entropy_quad`` turn it into J(Y | U_k) and h(Y | U_k) in one
 call, at one noise covariance or a stack of them; ``mixture_level_quad``
-gives J(Y | U_k), h(Y | U_k) and h(Y) from one walk of the quadrature
-grids, and J at a further stack of noises in the same walk. A walkthrough
-stage on a coarser auxiliary walks the grids once: J and both of its
-entropies at its two noises, and J at the 15 nodes of its line integral's
-first G7/K15 rule, come from the same component densities. Given the
-mixture label X + N is Gaussian, and ``fisher_conditional`` and
-``entropy_conditional`` give its closed forms, also at a stack of noise
-covariances; the kernels share that code for the finest auxiliary (a
-diagonal table), whose every symbol has one component. Given a coarser
+gives J(Y | U_k) at one stack of noises and h(Y | U_k) and h(Y) at another
+from one factorization and one walk of the quadrature grids. Every
+walkthrough stage builds one level, on [Sigma_k, Sigma_{k-1}, the 15 nodes
+of its line integral's first G7/K15 rule], in that rule's field call: J at
+Sigma_k and the nodes, both entropies at Sigma_k and Sigma_{k-1} and at the
+top stage h(Y_K). A stage on a coarser auxiliary walks the grids once for
+all of them, with no Fisher row at Sigma_{k-1}; the label stage (a diagonal
+table) walks none. Given the mixture label X + N is Gaussian, and
+``given_label`` gives its closed forms J and h from one factorization,
+also at a stack of noise covariances; the kernels share that code for the
+finest auxiliary, whose every symbol has one component. Given a coarser
 auxiliary the kernels use the deterministic Gauss-Hermite quadrature: a
 tensor grid pruned at its own summation round-off (the dropped nodes'
 second-moment mass is at most sqrt(N) eps for N tensor nodes). The error
@@ -26,10 +28,15 @@ at the default order (see ``estimators.mixture_entropy_quad``), more than
 the 1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass
 does not bound it.
 
-Each inequality check passes all of its noise covariances to a closed form
-as one stack: de Bruijn's perturbed noises, f_epsilon's eps * sigma and
-each sigma_a / sigma_b pair are one call of ``entropy_conditional`` or
-``fisher_conditional``, never a loop of calls.
+Each inequality check builds one observed level for all of its closed
+forms, and passes its noise covariances as one stack, never a loop of
+calls: de Bruijn's J and its perturbed noises, dembo's J and h, f_epsilon's
+J_0 and its eps * sigma, and the fixed point's J and h are one
+``given_label`` call each; each sigma_a / sigma_b pair is one
+``fisher_conditional`` call; the line integral's end entropies join its
+field's first call; and Fisher DPI's two tables share one level
+(``mixture_fisher_tables``). A suite run builds 8 levels, one more per
+further interval of a bisected line integral.
 
 The matrix line integrals of the Fisher field use the adaptive
 Gauss-Kronrod G7/K15 rule of ``matrices.matrix_line_integral``, which
@@ -60,10 +67,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .estimators import (
-    entropy_conditional,
     fisher_conditional,
-    mixture_entropy_quad,
+    given_label,
     mixture_fisher_quad,
+    mixture_fisher_tables,
     mixture_level_quad,
 )
 from .model import (
@@ -148,8 +155,9 @@ def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> Verifica
     matrix, by central differences along the symmetric basis E_ij (i <= j,
     ones at (i, j) and (j, i)).
 
-    All n (n + 1) perturbed noises noise_cov +- step E_ij go to
-    ``entropy_conditional`` as one stack. An off-diagonal direction moves
+    J at noise_cov and h at all n (n + 1) perturbed noises
+    noise_cov +- step E_ij come from one ``given_label`` call, the
+    perturbed noises as one stack. An off-diagonal direction moves
     both (i, j) and (j, i), so its derivative is twice the gradient entry.
     The step is min(0.1 * min_eig(noise_cov), 1e-4 * min_v min_eig(C_v +
     noise_cov)): both sides of every difference stay positive definite, and
@@ -162,13 +170,13 @@ def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> Verifica
         raise ValueError("noise covariance must be positive definite")
     observed = np.linalg.eigvalsh(src.comp_covs + noise_cov[None])[:, 0]
     fd_step = min(0.1 * lam, 1e-4 * float(observed.min()))
-    i, j = np.triu_indices(src.dim)
+    i, j = mat.triu_indices(src.dim)
     k = np.arange(i.size)
     E = np.zeros((i.size,) + noise_cov.shape)
     E[k, i, j] = E[k, j, i] = fd_step
-    h = entropy_conditional(src, noise_cov + np.concatenate([E, -E]))
+    J, h = given_label(src, noise_cov, noise_cov + np.concatenate([E, -E]))
     grad = (h[:i.size] - h[i.size:]) / (2.0 * fd_step)
-    half_J = 0.5 * fisher_conditional(src, noise_cov)
+    half_J = 0.5 * J
     gap = np.abs(grad - np.where(i == j, 1.0, 2.0) * half_J[i, j])
     return VerificationReport.from_residuals(
         "de_bruijn",
@@ -181,8 +189,7 @@ def check_debruijn(src: MixtureSource, noise_cov, tol: float = 1e-6) -> Verifica
 def check_dembo(src: MixtureSource, noise_cov, tol: float = 1e-8) -> VerificationReport:
     """Entropy lower bound h(Y|U) >= 0.5 ln((2 pi e)^n |J^{-1}(Y|U)|)."""
     n = src.dim
-    h = entropy_conditional(src, noise_cov)
-    J = fisher_conditional(src, noise_cov)
+    J, h = given_label(src, noise_cov)
     bound = 0.5 * (n * LOG_2PI_E - mat.logdet(J))
     residuals = [Residual("entropy_minus_bound", h - bound, "ineq")]
     if src.num_components == 1:
@@ -204,8 +211,9 @@ def check_fisher_dpi(
     larger Fisher matrix."""
     if not 2 <= level_fine <= level_coarse <= h.num_users:
         raise ValueError("need 2 <= level_fine <= level_coarse <= K")
-    J_fine = mixture_fisher_quad(h.base, noise_cov, joint=coarsen(h, level_fine))
-    J_coarse = mixture_fisher_quad(h.base, noise_cov, joint=coarsen(h, level_coarse))
+    J_fine, J_coarse = mixture_fisher_tables(
+        h.base, noise_cov, [coarsen(h, level_fine), coarsen(h, level_coarse)]
+    )
     return VerificationReport.from_residuals(
         "fisher_dpi",
         [Residual("min_eig(J_fine - J_coarse)", mat.min_eig(J_fine - J_coarse), "ineq")],
@@ -234,12 +242,20 @@ def check_line_integral_entropy(
 ) -> VerificationReport:
     """Entropy difference as a matrix line integral of the conditional
     Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J."""
-    # the field is the closed form at all of an interval's nodes in one call;
+    # the field is the closed form at all of an interval's nodes in one call,
+    # and its first call gives h at both ends from the same factorization;
     # the rule's error budget is tol on the integral, so tol / 2 on the gap
-    integral, err = mat.matrix_line_integral(
-        lambda sigmas: fisher_conditional(src, sigmas), sigma_a, sigma_b, tol
-    )
-    h_b, h_a = entropy_conditional(src, np.stack([sigma_b, sigma_a]))
+    ends = []
+
+    def field(sigmas):
+        if ends:
+            return fisher_conditional(src, sigmas)
+        J, h = given_label(src, sigmas, np.stack([sigma_b, sigma_a]))
+        ends.extend(h.tolist())
+        return J
+
+    integral, err = mat.matrix_line_integral(field, sigma_a, sigma_b, tol)
+    h_b, h_a = ends
     exact = float(h_b - h_a)
     return VerificationReport.from_residuals(
         "line_integral_entropy",
@@ -263,9 +279,10 @@ def check_f_epsilon(
     vanishing at the large end, and inside its eigenvalue envelope.
 
     All quantities are conditional on the finest auxiliary, hence exact:
-    the entropies at every eps * sigma come from one ``entropy_conditional``
-    call on their stack. With sigma = L L^T, lambda the eigenvalues of
-    L^{-1} J_0^{-1} L^{-T} (J_0 = J(X|U), at zero noise) and lambda_t those
+    J_0 at zero noise and the entropies at every eps * sigma come from one
+    ``given_label`` call, the entropies' noises as one stack. With
+    sigma = L L^T, lambda the eigenvalues of L^{-1} J_0^{-1} L^{-T}
+    (J_0 = J(X|U), at zero noise) and lambda_t those
     of L^{-1} Cov(X) L^{-T}, the matched Gaussian entropy is
     ``gaussian_entropy``(sigma) + sum_i ln(lambda_i + eps) / 2, and the
     envelope is sum_i ln(eps / (lambda_i + eps)) / 2 <= f(eps) <=
@@ -277,15 +294,15 @@ def check_f_epsilon(
     eps = [float(e) for e in eps_grid]
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_grid must be strictly increasing and positive")
-    J0 = fisher_conditional(src, 0.0 * sigma)
+    grid = np.array(eps)[:, None]
+    J0, h = given_label(src, 0.0 * sigma, grid[:, :, None] * sigma)
     mat.cholesky(J0)
     # L^{-1} M L^{-T} for M = J_0^{-1} and Cov(X), one stacked solve each way
     X = np.linalg.solve(L, np.stack([np.linalg.inv(J0), aggregate_covariance(src)]))
     lam, lam_t = np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(X, 1, 2)))
-    grid = np.array(eps)[:, None]
     h_sigma = 0.5 * src.dim * LOG_2PI_E + float(np.sum(np.log(np.diag(L))))
     matched = h_sigma + 0.5 * np.log(lam + grid).sum(axis=1)
-    vals = (entropy_conditional(src, grid[:, :, None] * sigma) - matched).tolist()
+    vals = (h - matched).tolist()
     env_lo = (0.5 * np.log(grid / (lam + grid)).sum(axis=1)).tolist()
     env_hi = (0.5 * np.log((lam_t + grid) / (lam + grid)).sum(axis=1)).tolist()
 
@@ -408,8 +425,7 @@ def solve_fixed_point(
     if not 1 <= user_index <= ch.num_users:
         raise ValueError("user_index out of range")
     sigma = ch.noise_covs[user_index - 1]
-    J = fisher_conditional(src, sigma)
-    h = entropy_conditional(src, sigma)
+    J, h = given_label(src, sigma)
     return _solve_fixed_point_core(J, h, sigma, upper_cap)
 
 
@@ -424,15 +440,18 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
 
     Every entropy is deterministic: closed form given the finest auxiliary,
     Gauss-Hermite quadrature given a coarser one and for the unconditional
-    h(Y_K). A stage with a coarser auxiliary walks the grids once in all:
-    the line integral's field, on its first call (the rule on the whole
-    path, which ``matrices.matrix_line_integral`` always evaluates first),
-    calls ``mixture_level_quad`` on [Sigma_k, Sigma_{k-1}] with the rule's
-    15 nodes as its field stack, for J there and J(Y_k | U_k),
-    h(Y_k | U_k), h(Y_{k-1} | U_k) and at the top stage h(Y_K). Only an
-    integral that bisects walks again, one ``mixture_fisher_quad`` per
-    further interval. Each entropy is computed once, and the achieved rates
-    are differences of the stored values.
+    h(Y_K). Each stage builds one observed level: the line integral's
+    field, on its first call (the rule on the whole path, which
+    ``matrices.matrix_line_integral`` always evaluates first), calls
+    ``mixture_level_quad`` with J at Sigma_k and the rule's 15 nodes and
+    the entropies at Sigma_k and Sigma_{k-1}, for the field there and
+    J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and, at the top stage
+    only, h(Y_K). A stage with a coarser auxiliary walks the grids once in
+    all; the label stage's diagonal table walks none. So a K = 3
+    walkthrough builds 2 levels. Only an integral that bisects factorizes
+    and walks again, one ``mixture_fisher_quad`` per further interval. Each
+    entropy is computed once, and the achieved rates are differences of
+    the stored values.
     """
     if isinstance(source, MixtureSource):
         hierarchy = MarkovHierarchy(base=source)
@@ -460,33 +479,29 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         sigma = ch.noise_covs[k - 1]
         sigma_prev = ch.noise_covs[k - 2]
         joint = coarsen(hierarchy, k)
-        stack = np.stack([sigma, sigma_prev])
-        # U_2 below the top is the mixture label: its table is diagonal, so
-        # J and h are closed forms that walk no grid, and h(Y_2) is unused
-        label = k == 2 < K
         level = []
 
         def field(sigmas):
-            # on a coarser auxiliary the rule's first call, on [0, 1], is
-            # the stage's one walk (``mixture_level_quad`` with the rule's
-            # nodes as its field stack); a bisected interval walks again
-            if label or level:
+            # the rule's first call, on [0, 1], is the stage's one level
+            # (``mixture_level_quad``): J at Sigma_k and the rule's nodes,
+            # the entropies at Sigma_k and Sigma_{k-1}, and h(Y_K) at the
+            # top; a bisected interval walks again
+            if level:
                 return mixture_fisher_quad(base, sigmas, joint=joint)
-            level.extend(mixture_level_quad(base, stack, joint, field=sigmas))
-            return level[0][2:]
+            level.extend(mixture_level_quad(
+                base, np.concatenate([sigma[None], sigmas]), np.stack([sigma, sigma_prev]),
+                joint, unconditional=k == K,
+            ))
+            return level[0][1:]
 
         integral, integral_err = mat.matrix_line_integral(field, sigma_prev, sigma, _INTEGRAL_TOL)
-        if label:
-            J = mixture_fisher_quad(base, sigma, joint=joint)
-            h, h_prev[k] = mixture_entropy_quad(base, stack, joint=joint).tolist()
-        else:
-            # J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and at the top
-            # stage h(Y_K) = h(Y_K | U_{K+1}), from the stage's walk
-            Js, hs, h_y = level
-            J = Js[0]
-            h, h_prev[k] = hs.tolist()
-            if k == K:
-                h_prev[K + 1] = float(h_y[0])
+        # J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and at the top stage
+        # h(Y_K) = h(Y_K | U_{K+1}), from the stage's level
+        Js, hs, h_y = level
+        J = Js[0]
+        h, h_prev[k] = hs.tolist()
+        if k == K:
+            h_prev[K + 1] = float(h_y[0])
         h_cond[k] = h
         fp = _solve_fixed_point_core(J, h, sigma, A[k + 1])
         A[k] = fp.A

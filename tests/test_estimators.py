@@ -9,8 +9,10 @@ import pytest
 from mimobc.estimators import (
     entropy_conditional,
     fisher_conditional,
+    given_label,
     mixture_entropy_quad,
     mixture_fisher_quad,
+    mixture_fisher_tables,
     mixture_level_quad,
 )
 from mimobc import estimators, matrices
@@ -106,6 +108,50 @@ class TestExactConditionals:
             J_ref, h_ref = _closed_form_reference(src, S)
             assert np.max(np.abs(J[t] - J_ref)) <= 1e-13
             assert abs(h[t] - h_ref) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 2, 17])
+    def test_given_label_is_both_conditionals_bit_for_bit(self, n, T):
+        # T = 1 is one (n, n) noise covariance, not a stack
+        for seed in range(4):
+            rng = rng_for(318, n, T, seed)
+            src = random_mixture(rng, n, 1 + seed)
+            noises = np.stack([random_spd(rng, n, 0.1, 2.0) for _ in range(T)])
+            if T == 1:
+                noises = noises[0]
+            J, h = given_label(src, noises)
+            assert np.array_equal(J, fisher_conditional(src, noises))
+            assert np.array_equal(h, entropy_conditional(src, noises))
+            assert type(h) is type(entropy_conditional(src, noises))
+            # J at one stack and h at another, one of whose noises is also
+            # in the first: each as its own wrapper call on its own stack
+            others = np.stack([random_spd(rng, n, 0.1, 2.0) for _ in range(2)])
+            others[1] = noises if T == 1 else noises[-1]
+            J2, h2 = given_label(src, noises, others)
+            assert np.array_equal(J2, fisher_conditional(src, noises))
+            assert np.array_equal(h2, entropy_conditional(src, others))
+            J3, h3 = given_label(src, others, noises)
+            assert np.array_equal(J3, fisher_conditional(src, others))
+            assert np.array_equal(h3, entropy_conditional(src, noises))
+
+    def test_shared_noise_is_factorized_once(self, monkeypatch):
+        rng = rng_for(319)
+        src = random_mixture(rng, 2, 3)
+        fisher = np.stack([random_spd(rng, 2, 0.5, 1.5) for _ in range(4)])
+        entropy = np.stack([fisher[2], random_spd(rng, 2, 0.5, 1.5)])
+        levels = []
+        init = estimators._ObservedLevel.__init__
+
+        def counting(obs, src, noise_cov):
+            levels.append(np.array(noise_cov))
+            init(obs, src, noise_cov)
+
+        monkeypatch.setattr(estimators._ObservedLevel, "__init__", counting)
+        J, h = given_label(src, fisher, entropy)
+        # the entropy noises, then the Fisher noises not among them
+        (level,) = levels
+        assert np.array_equal(level, np.concatenate([entropy, fisher[[0, 1, 3]]]))
+        assert J.shape == fisher.shape and h.shape == (2,)
 
 
 class TestDensityAndScore:
@@ -402,10 +448,12 @@ class TestWhitenedKernel:
         src = random_mixture(rng, 3, 3)
         noises = np.stack([random_spd(rng, 3, 0.5, 1.5) for _ in range(15)])
         joint = np.column_stack([src.weights * [1.0, 0.5, 0.0], src.weights * [0.0, 0.5, 1.0]])
-        quad(src, noises, joint=joint)  # build the cached grid outside the measurement
+        # the level's J and entropies both at the 15 noises
+        stacks = (noises, noises) if quad is mixture_level_quad else (noises,)
+        quad(src, *stacks, joint=joint)  # build the cached grid outside the measurement
         tracemalloc.start()
         try:
-            quad(src, noises, joint=joint)
+            quad(src, *stacks, joint=joint)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -423,10 +471,11 @@ class TestWhitenedKernel:
         noises = np.stack([random_spd(rng, n, 0.5, 1.5) for _ in range(2)])
         half = np.arange(m) < m // 2
         joint = np.column_stack([src.weights * half, src.weights * ~half])
-        mixture_level_quad(src, noises, joint)  # build the cached grid outside the measurement
+        # build the cached grid outside the measurement
+        mixture_level_quad(src, noises, noises, joint)
         tracemalloc.start()
         try:
-            mixture_level_quad(src, noises, joint)
+            mixture_level_quad(src, noises, noises, joint)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -447,6 +496,17 @@ class TestWhitenedKernel:
         assert np.array_equal(F, np.vstack([np.ones((1, len(wt))), z.T, (z[:, i] * z[:, j]).T]))
         with pytest.raises(ValueError):
             F[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_weighted_features_are_cached_read_only_and_exact(self, n):
+        order = estimators._DEFAULT_QUAD_ORDER[n]
+        z, wt = estimators._gh_grid(n, order)
+        FW = estimators._weighted_features(n, order)
+        assert estimators._weighted_features(n, order) is FW
+        with pytest.raises(ValueError):
+            FW[0, 0] = 0.0
+        # bit for bit the product a block would form from its own slice
+        assert np.array_equal(FW[:, 5:17], z.base[:, 5:17] * wt[5:17])
 
 
 def _per_symbol_reference(src, joint, noise, order):
@@ -517,6 +577,26 @@ class TestLevelKernel:
         for joint in tables:
             self._assert_matches(src, joint, noises)
 
+    @pytest.mark.parametrize("seed", [11, 907])
+    def test_tables_on_one_level_are_each_tables_call(self, monkeypatch, seed):
+        src, tables, noises = _converse_levels(seed, 0)
+        tables = tables + [None]
+        refs = [mixture_fisher_quad(src, noises, joint=P) for P in tables]
+        single = [mixture_fisher_quad(src, noises[0], joint=P) for P in tables]
+        levels = []
+        init = estimators._ObservedLevel.__init__
+
+        def counting(obs, *args):
+            levels.append(1)
+            init(obs, *args)
+
+        monkeypatch.setattr(estimators._ObservedLevel, "__init__", counting)
+        for J, ref in zip(mixture_fisher_tables(src, noises, tables), refs):
+            assert np.array_equal(J, ref)
+        for J, ref in zip(mixture_fisher_tables(src, noises[0], tables), single):
+            assert np.array_equal(J, ref)
+        assert len(levels) == 2
+
     def test_badly_conditioned_mixture(self):
         src, noise = BADLY_CONDITIONED
         # one symbol mixing both components, then two symbols mixing them
@@ -564,18 +644,21 @@ class TestLevelQuad:
     calls on the same stack of noise covariances."""
 
     @staticmethod
-    def _assert_matches_separate_calls(src, joint, noises, field=None):
-        # with a field stack, J there joins the same walk; the entropies
-        # stay at ``noises``
-        J, h_cond, h = mixture_level_quad(src, noises, joint, field=field)
-        J_noises = noises if field is None else np.concatenate([noises, field])
-        J_ref = mixture_fisher_quad(src, J_noises, joint=joint)
-        h_cond_ref = mixture_entropy_quad(src, noises, joint=joint)
-        h_ref = mixture_entropy_quad(src, noises)
-        assert J.shape == J_ref.shape and h_cond.shape == h.shape == noises.shape[:1]
-        for t in range(len(J_ref)):
-            assert np.max(np.abs(J[t] - J_ref[t])) <= 1e-12 * np.max(np.abs(J_ref[t]))
-        assert np.all(np.abs(h_cond - h_cond_ref) <= 1e-12 * np.abs(h_cond_ref))
+    def _assert_matches_separate_calls(src, joint, fisher, entropy):
+        # J at the Fisher stack and the entropies at the entropy stack, with
+        # h(Y) or without it
+        J_ref = mixture_fisher_quad(src, fisher, joint=joint)
+        h_cond_ref = mixture_entropy_quad(src, entropy, joint=joint)
+        h_ref = mixture_entropy_quad(src, entropy)
+        J, h_cond, h = mixture_level_quad(src, fisher, entropy, joint)
+        J_c, h_cond_c, none = mixture_level_quad(src, fisher, entropy, joint, unconditional=False)
+        assert none is None
+        assert J.shape == J_c.shape == J_ref.shape
+        assert h_cond.shape == h_cond_c.shape == h.shape == entropy.shape[:1]
+        for J_, h_cond_ in ((J, h_cond), (J_c, h_cond_c)):
+            for t in range(len(J_ref)):
+                assert np.max(np.abs(J_[t] - J_ref[t])) <= 1e-12 * np.max(np.abs(J_ref[t]))
+            assert np.all(np.abs(h_cond_ - h_cond_ref) <= 1e-12 * np.abs(h_cond_ref))
         assert np.all(np.abs(h - h_ref) <= 1e-12 * np.abs(h_ref))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -590,7 +673,7 @@ class TestLevelQuad:
         assert np.any(np.count_nonzero(coarsen(h, 3) > 0.0, axis=0) > 1)
         assert np.count_nonzero(coarsen(h, 2)) == h.base.num_components
         for level in (3, 2):
-            self._assert_matches_separate_calls(h.base, coarsen(h, level), noises)
+            self._assert_matches_separate_calls(h.base, coarsen(h, level), noises, noises)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_user_hierarchy(self, n):
@@ -598,15 +681,17 @@ class TestLevelQuad:
         h = random_hierarchy(rng, n, (3,))
         assert h.num_users == 2
         ch = admissible_channel_for(aggregate_covariance(h.base), rng, 2)
-        self._assert_matches_separate_calls(h.base, coarsen(h, 2), np.stack(ch.noise_covs))
+        noises = np.stack(ch.noise_covs)
+        self._assert_matches_separate_calls(h.base, coarsen(h, 2), noises, noises)
 
 
     @staticmethod
     def _field(stages):
-        """The 15 nodes of the line integral's first G7/K15 rule from the
+        """A walkthrough stage's Fisher stack: the first stage noise, then
+        the 15 nodes of the line integral's first G7/K15 rule from the
         second stage noise to the first."""
         t = matrices._kronrod_rule()[0][:, None, None]
-        return stages[1] + t * (stages[0] - stages[1])
+        return np.concatenate([stages[:1], stages[1] + t * (stages[0] - stages[1])])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 3])
@@ -619,7 +704,7 @@ class TestLevelQuad:
                  np.column_stack([src.weights * [1.0, 0.5, 0.0], src.weights * [0.0, 0.5, 1.0]]))
         low = random_spd(rng, n, 0.5, 1.5)
         stages = np.stack([low + random_spd(rng, n, 0.5, 1.5), low])
-        self._assert_matches_separate_calls(src, joint, stages, self._field(stages))
+        self._assert_matches_separate_calls(src, joint, self._field(stages), stages)
 
     def test_narrower_member_flips_along_the_field(self):
         # |C_0 + s I| < |C_1 + s I| at s = 0.01 and > at s = 1, so the pair's
@@ -628,11 +713,11 @@ class TestLevelQuad:
                             comp_covs=[np.diag([4.0, 0.01]), np.diag([1.0, 0.1])])
         stages = np.stack([np.eye(2), 0.01 * np.eye(2)])
         field = self._field(stages)
-        hl = estimators._ObservedLevel(src, np.concatenate([stages, field])).half_logdet
+        hl = estimators._ObservedLevel(src, np.concatenate([stages, field[1:]])).half_logdet
         assert np.any(hl[:, 0] < hl[:, 1]) and np.any(hl[:, 0] > hl[:, 1])
         joint = src.weights[:, None]
-        self._assert_matches_separate_calls(src, joint, stages, field)
-        TestLevelKernel._assert_matches(src, joint, np.concatenate([stages, field]))
+        self._assert_matches_separate_calls(src, joint, field, stages)
+        TestLevelKernel._assert_matches(src, joint, np.concatenate([stages, field[1:]]))
 
     def test_component_that_is_no_pairs_broad_member(self):
         # symbol 0 mixes components 0 and 1, symbol 1 is component 2 alone:
@@ -644,10 +729,10 @@ class TestLevelQuad:
         low = random_spd(rng, 2, 0.5, 1.5)
         stages = np.stack([low + random_spd(rng, 2, 0.5, 1.5), low])
         field = self._field(stages)
-        hl = estimators._ObservedLevel(src, np.concatenate([stages, field])).half_logdet
+        hl = estimators._ObservedLevel(src, np.concatenate([stages, field[1:]])).half_logdet
         assert np.all(hl[:, 0] < hl[:, 1]) or np.all(hl[:, 0] > hl[:, 1])
-        self._assert_matches_separate_calls(src, joint, stages, field)
-        TestLevelKernel._assert_matches(src, joint, np.concatenate([stages, field]))
+        self._assert_matches_separate_calls(src, joint, field, stages)
+        TestLevelKernel._assert_matches(src, joint, np.concatenate([stages, field[1:]]))
 
 
 def _log_space_reference(src, joint, noise, order):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimobc.errors import DimensionMismatchError, NotPsdError, NumericalError
+from mimobc import cli, region
 from mimobc import matrices as mat
-from mimobc import region
 from mimobc.fixtures import (
     admissible_mixture_for,
     random_channel,
@@ -195,6 +195,41 @@ class TestTraceBoundary:
         # the closed-form point runs no ascent and is not affected
         (_, rates), = trace_boundary(ch, [(1.0, 0.0)], OptimizerConfig(seed=42))
         assert rates[1] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_users_before_the_first_positive_weight_get_no_power(self, monkeypatch, n):
+        # the five weights with w_1 = 0 of ``mimobc region --grid 15`` for
+        # three users; user 1's power would only interfere with the others
+        ch = random_channel(rng_for(303, 0), n, 3)
+        weights = [w for w in cli._weight_sweep(3, 15) if w[0] == 0.0]
+        assert len(weights) == 5
+        chains = []
+        init = region._ActiveChain.__init__
+
+        def counting(chain, ch, w, active):
+            chains.append(tuple(w))
+            init(chain, ch, w, active)
+
+        monkeypatch.setattr(region._ActiveChain, "__init__", counting)
+        opt = OptimizerConfig(seed=42)
+        results = trace_boundary(ch, weights, opt)
+        # only (0, 1/4, 3/4) has two users of increasing positive weight
+        assert chains == [(0.0, 0.25, 0.75)]
+        for split, rates in results:
+            assert rates[0] == 0.0
+            assert np.array_equal(split.parts[0], np.zeros((n, n)))
+
+        def with_user_one(w):
+            # the active set that also kept user 1 at w_1 = 0
+            active = [0]
+            for k in range(1, w.size):
+                if w[k] > w[active[-1]]:
+                    active.append(k)
+            return active
+
+        monkeypatch.setattr(region, "_active_users", with_user_one)
+        for w, (_, rates), (_, ascended) in zip(weights, results, trace_boundary(ch, weights, opt)):
+            assert np.dot(w, rates) >= np.dot(w, ascended) - 1e-12
 
     def test_rejects_non_degraded_channel(self):
         # a non-degraded channel cannot be built, so the tracer never sees one

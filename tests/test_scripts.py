@@ -33,7 +33,7 @@ def test_bench_script_writes_its_json(tmp_path):
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
     assert doc["label"] == "smoke" and doc["repeats"] == 1
     assert set(doc["median_s"]) == set(doc["relative_to_control"]) == {
-        "stage_walk", "fixed_point", "line_integral",
+        "stage_walk", "label_stage", "fixed_point", "line_integral",
         "walkthrough", "boundary_point", "closed_form_point", "interior_point", "rate_tuple",
         "grid_oracle", "control",
     }

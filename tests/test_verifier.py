@@ -196,8 +196,8 @@ class TestFisherDpi:
         h = random_hierarchy(rng_for(seed), n, (3, 2))
         noise = 0.5 * np.eye(n)
         joint = coarsen(h, 2)
-        J = verifier.mixture_fisher_quad(h.base, noise, joint=joint)
-        h2 = verifier.mixture_entropy_quad(h.base, noise, joint=joint)
+        J = mixture_fisher_quad(h.base, noise, joint=joint)
+        h2 = mixture_entropy_quad(h.base, noise, joint=joint)
         # the closed forms one component at a time
         covs = h.base.comp_covs + noise[None]
         J_ref = np.einsum("u,uij->ij", h.base.weights, np.linalg.inv(covs))
@@ -466,8 +466,10 @@ class TestConverseWalkthrough:
         # a mixed stage walks the grids once in total: J(Y_k | U_k),
         # h(Y_k | U_k), h(Y_{k-1} | U_k), at the top h(Y_K), and J at the 15
         # nodes of the line integral's first G7/K15 rule come from one
-        # ``mixture_level_quad`` walk, made by the field's first call; and no
-        # noise covariance is walked twice with the same table
+        # ``mixture_level_quad`` walk, made by the field's first call, with
+        # J at Sigma_k and the nodes and the entropies at Sigma_k and
+        # Sigma_{k-1}; no quantity is walked twice at one noise covariance
+        # with the same table, and no Fisher row is walked at Sigma_{k-1}
         rng = rng_for(11, 2, 0)
         h = random_hierarchy(rng, 3, (2, 2))
         ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
@@ -480,12 +482,16 @@ class TestConverseWalkthrough:
                 args_ = bound.arguments
                 joint = args_.get("joint")
                 table = src.weights[:, None] if joint is None else np.asarray(joint)
-                noises = list(np.reshape(noise_cov, (-1,) + src.comp_covs.shape[1:]))
-                # the (noise covariance, table) pairs the call evaluates
-                pairs = [(S, table) for S in noises]
+                shape = (-1,) + src.comp_covs.shape[1:]
+                noises = list(np.reshape(noise_cov, shape))
+                # the (quantity, noise covariance, table) triples the call evaluates
                 if name == "mixture_level_quad":
-                    pairs += [(S, table) for S in args_.get("field", [])]
-                    pairs += [(S, src.weights[:, None]) for S in noises]
+                    entropy = list(np.reshape(args_["entropy_cov"], shape))
+                    pairs = [("J", S, table) for S in noises] + [("h", S, table) for S in entropy]
+                    if args_.get("unconditional", True):
+                        pairs += [("h", S, src.weights[:, None]) for S in entropy]
+                else:
+                    pairs = [("J", S, table) for S in noises]
                 context.append((name, args_, pairs))
                 try:
                     return quad(src, noise_cov, *args, **kwargs)
@@ -506,15 +512,22 @@ class TestConverseWalkthrough:
             return line_integral(traced, a, b, tol)
 
         blocks = estimators._ObservedLevel.blocks
+        correction = estimators._fisher_correction
+        fisher_rows = []  # the noise indices of each walk's Fisher rows
 
         def walking(obs, *args):
             walks.append(list(context))
             return blocks(obs, *args)
 
-        for name in ("mixture_level_quad", "mixture_fisher_quad", "mixture_entropy_quad"):
+        def correcting(obs, grids, noises, *args):
+            fisher_rows.append(noises)
+            return correction(obs, grids, noises, *args)
+
+        for name in ("mixture_level_quad", "mixture_fisher_quad"):
             monkeypatch.setattr(verifier, name, tracking(name, getattr(verifier, name)))
         monkeypatch.setattr(matrices, "matrix_line_integral", integrating)
         monkeypatch.setattr(estimators._ObservedLevel, "blocks", walking)
+        monkeypatch.setattr(estimators, "_fisher_correction", correcting)
         assert converse_walkthrough(h, ch).passed
 
         mixed_stages = [
@@ -524,9 +537,9 @@ class TestConverseWalkthrough:
         assert mixed_stages == [3]
         # one rule per stage: neither line integral bisects on this input
         assert len(rules) == 2
-        assert len(walks) == len(mixed_stages)
+        assert len(walks) == len(fisher_rows) == len(mixed_stages)
         t = matrices._kronrod_rule()[0][:, None, None]
-        for k, walk in zip(mixed_stages, walks):
+        for k, walk, rows in zip(mixed_stages, walks, fisher_rows):
             (outer, rule, _), (name, args_, _) = walk
             assert (outer, name) == ("field", "mixture_level_quad")
             sigma, sigma_prev = ch.noise_covs[k - 1], ch.noise_covs[k - 2]
@@ -534,12 +547,46 @@ class TestConverseWalkthrough:
             # the field's first call is the rule on [0, 1] of its integral
             assert a is sigma_prev and b is sigma
             assert np.array_equal(nodes, sigma_prev + t * (sigma - sigma_prev))
-            assert args_["field"] is nodes
-            assert np.array_equal(args_["noise_cov"], np.stack([sigma, sigma_prev]))
+            assert np.array_equal(args_["fisher_cov"], np.concatenate([sigma[None], nodes]))
+            assert np.array_equal(args_["entropy_cov"], np.stack([sigma, sigma_prev]))
+            assert args_["unconditional"] == (k == 3)
+            # the level holds [Sigma_k, Sigma_{k-1}, nodes]: Fisher rows at
+            # Sigma_k and at nodes, none at Sigma_{k-1}
+            assert 1 not in rows and 0 in rows and set(rows.tolist()) - {0}
         pairs = [
-            (S.tobytes(), P.tobytes()) for walk in walks for S, P in walk[-1][2]
+            (q, S.tobytes(), P.tobytes()) for walk in walks for q, S, P in walk[-1][2]
         ]
         assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_one_observed_level_per_stage(self, monkeypatch, K):
+        # each stage's field builds the stage's one ``_ObservedLevel`` on its
+        # first call, the label stage's included; no line integral bisects
+        # on these inputs, so a K = 3 walkthrough builds 2 levels and K = 2 one
+        rng = rng_for(11, 2, 0)
+        h = random_hierarchy(rng, 3, (2, 2) if K == 3 else (2,))
+        ch = admissible_channel_for(aggregate_covariance(h.base), rng, K)
+        levels, fields = [], []
+        init = estimators._ObservedLevel.__init__
+
+        def counting(obs, *args):
+            levels.append(len(fields))
+            init(obs, *args)
+
+        line_integral = matrices.matrix_line_integral
+
+        def integrating(field, a, b, tol):
+            def counted(sigmas):
+                fields.append(sigmas)
+                return field(sigmas)
+            return line_integral(counted, a, b, tol)
+
+        monkeypatch.setattr(estimators._ObservedLevel, "__init__", counting)
+        monkeypatch.setattr(matrices, "matrix_line_integral", integrating)
+        assert converse_walkthrough(h, ch).passed
+        assert len(fields) == K - 1
+        # each level is built inside a stage's one field call
+        assert levels == list(range(1, K))
 
     @pytest.mark.parametrize("bits", [False, True])
     def test_cli_report_keys(self, tmp_path, bits):
@@ -592,12 +639,14 @@ class TestStackedNoises:
     """Each check evaluates each closed form once, on the stack of every
     noise covariance it needs."""
 
-    # _ObservedLevel constructions per check; line_integral_entropy's
-    # field builds one more per call
+    # _ObservedLevel constructions per check, J and h from one level;
+    # line_integral_entropy's field builds one per call, and its first also
+    # gives h at both ends, so a suite run whose line integral does not
+    # bisect builds 8
     CONSTRUCTIONS = {
-        "cramer_rao": 1, "fisher_shift": 1, "debruijn": 2, "dembo": 2,
-        "fisher_dpi": 2, "fisher_convolution": 1, "line_integral_entropy": 1,
-        "f_epsilon": 2,
+        "cramer_rao": 1, "fisher_shift": 1, "debruijn": 1, "dembo": 1,
+        "fisher_dpi": 1, "fisher_convolution": 1, "line_integral_entropy": 0,
+        "f_epsilon": 1,
     }
 
     @pytest.mark.parametrize("n", [1, 2, 3])
