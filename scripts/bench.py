@@ -25,6 +25,11 @@ median is reported in seconds:
   maximum is interior, so the ascent takes Newton steps there;
 - ``rate_tuple``: one ``rate_tuple`` of the split traced at w = (0.6, 0.8);
 - ``grid_oracle``: ``grid_oracle`` at resolution 21;
+- ``decoupled_point``: one ``trace_boundary`` weight vector with all three
+  users getting power, w = (0.25, 0.33, 0.42), on the rotated 2x2 channel of
+  ``decoupled_channel(rng_for(11, 3, 5), 2, 3)``, whose exact boundary
+  ``decoupled_boundary`` gives: a two-link chain, which no ``region``
+  workload point ascends;
 - ``control``: fixed NumPy work that does not use the package (a 256 x 256
   matmul, an elementwise exponential and a Cholesky factorization).
 
@@ -60,7 +65,13 @@ import numpy as np
 
 from mimobc import estimators, matrices, verifier
 from mimobc.estimators import mixture_fisher_quad, mixture_level_quad
-from mimobc.fixtures import admissible_channel_for, random_channel, random_hierarchy, rng_for
+from mimobc.fixtures import (
+    admissible_channel_for,
+    decoupled_channel,
+    random_channel,
+    random_hierarchy,
+    rng_for,
+)
 from mimobc.model import aggregate_covariance, coarsen
 from mimobc.region import OptimizerConfig, grid_oracle, rate_tuple, trace_boundary
 
@@ -91,6 +102,8 @@ def items() -> dict:
     closed_form = [np.array([0.8, 0.6])]
     interior_ch = random_channel(rng_for(1002, 1), 2, 2)
     interior = [np.array([math.cos(math.radians(54.0)), math.sin(math.radians(54.0))])]
+    _, decoupled_ch = decoupled_channel(rng_for(11, 3, 5), 2, 3)
+    all_active = [np.array([0.25, 0.33, 0.42])]
     (split, _), = trace_boundary(region_ch, weights, opt)
     return {
         "stage_walk": lambda: mixture_level_quad(h.base, fisher_stack, stages, joint),
@@ -105,6 +118,7 @@ def items() -> dict:
         "interior_point": lambda: trace_boundary(interior_ch, interior, opt),
         "rate_tuple": lambda: rate_tuple(region_ch, split),
         "grid_oracle": lambda: grid_oracle(region_ch, 21),
+        "decoupled_point": lambda: trace_boundary(decoupled_ch, all_active, opt),
         "control": control,
     }
 

@@ -29,9 +29,9 @@ from .model import (
 from .region import (
     CovarianceSplit,
     OptimizerConfig,
+    decoupled_boundary,
     grid_oracle,
     rate_tuple,
-    scalar_region,
     trace_boundary,
     weighted_sum_rate,
 )

@@ -2,13 +2,14 @@
 
 Subcommands and the flags each one reads:
   region INPUT       boundary CSV of the superposition rate region for a
-                     channel; --seed --grid --bits --output
+                     channel, one row per weight vector (a quarter circle for
+                     two users); --seed --grid --bits --output
   verify INPUT       run the full inequality suite on a source, emit JSON
                      reports; --tol --output
   walkthrough INPUT  replay the converse chain on a channel + source/hierarchy
                      by quadrature, emit a JSON report; --bits --output
-  selftest           run the built-in acceptance checks on bundled fixtures;
-                     --seed --tol
+  selftest           run the built-in acceptance checks on bundled fixtures,
+                     the tracer against an exact boundary among them; --seed --tol
 
 Every command reads its channel through ``model.channel_from_dict``, so a
 channel that is not degraded, or whose first noise or cap is not positive
@@ -30,6 +31,7 @@ identical inputs, seeds and flags.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -51,9 +53,8 @@ from .model import (
 from .region import (
     CovarianceSplit,
     OptimizerConfig,
-    _compositions,
+    decoupled_boundary,
     rate_tuple,
-    scalar_region,
     trace_boundary,
 )
 
@@ -82,14 +83,20 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _weight_sweep(num_users: int, grid: int) -> list[tuple[float, ...]]:
-    """Quarter-circle sweep for two users, simplex grid for more."""
+    """Quarter-circle sweep of ``grid`` points for two users; for more, the
+    smallest simplex grid {c / g : c_1 + ... + c_K = g} with at least
+    ``grid`` points, c in lexicographic order (the bars of stars and bars)."""
     if num_users == 2:
         thetas = np.linspace(0.0, math.pi / 2.0, grid)
         return [(math.cos(t), math.sin(t)) for t in thetas]
     g = 1
     while math.comb(g + num_users - 1, num_users - 1) < grid:
         g += 1
-    return [tuple(c / g for c in comp) for comp in _compositions(g, num_users)]
+    top = g + num_users - 1
+    return [
+        tuple((b - a - 1) / g for a, b in zip((-1, *bars), (*bars, top)))
+        for bars in itertools.combinations(range(top), num_users - 1)
+    ]
 
 
 def _rates_csv(weight_list, results, bits: bool) -> str:
@@ -183,21 +190,15 @@ def _selftest_checks(cfg):
         "scalar_rate_exactness",
         abs(r[0] - 0.5 * math.log(1.5)) < 1e-12 and abs(r[1] - 0.5 * math.log(1.2)) < 1e-12,
     )
-    sweep = scalar_region(1.0, [1.0, 2.0], 21)
-    agree = all(
-        max(
-            abs(a - b)
-            for a, b in zip(
-                rt,
-                rate_tuple(
-                    ch, CovarianceSplit(parts=(np.array([[k / 20]]), np.array([[1 - k / 20]])))
-                ),
-            )
-        )
-        < 1e-12
-        for k, rt in enumerate(sweep)
-    )
-    yield ("scalar_region_agreement", agree)
+    diag, rotated = fixtures.decoupled_channel(fixtures.rng_for(cfg.seed, 78), 2, 3)
+    weights = [(0.25, 0.33, 0.42), (0.3, 0.5, 0.2)]
+    traced = trace_boundary(rotated, weights, OptimizerConfig(seed=cfg.seed))
+    oracle = decoupled_boundary(diag, weights)
+    gaps = [np.dot(w, r) - np.dot(w, e) for w, (_, r), e in zip(weights, traced, oracle)]
+    # the tracer's stop rule leaves w.R within 1e-8 sqrt(c n) (1 + w_max kappa / 2)
+    # of the maximum (tests/conftest.py derives it): c <= 2, n = 2, w_max = 0.5,
+    # kappa <= 2.0 / 0.5 on this fixture
+    yield ("decoupled_boundary_agreement", max(map(abs, gaps)) <= 1e-8 * 2.0 * 2.0)
 
     gsrc = fixtures.gaussian_source(np.array([[0.8]]))
     msrc = fixtures.two_component_scalar_source()
@@ -255,8 +256,8 @@ def _at_least_two(text: str) -> int:
 
 def _nonnegative(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -264,7 +265,8 @@ _FLAGS = {
     "--seed": dict(type=int, default=42, help="random seed (default 42)"),
     "--tol": dict(type=_nonnegative, default=1e-8, help="check tolerance (default 1e-8)"),
     "--grid": dict(type=_at_least_two, default=101,
-                   help="number of weight vectors (default 101)"),
+                   help="number of weight vectors for two users; for more, the "
+                   "smallest simplex grid with at least that many (default 101)"),
     "--bits": dict(action="store_true", help="report rates in bits"),
     "--output": dict(default=None, help="output path (default stdout)"),
 }

@@ -17,6 +17,7 @@ __all__ = [
     "random_spd",
     "random_mixture",
     "random_channel",
+    "decoupled_channel",
     "random_hierarchy",
     "admissible_channel_for",
     "scalar_channel",
@@ -60,6 +61,19 @@ def random_channel(rng: np.random.Generator, n: int, num_users: int) -> Broadcas
         covs.append(covs[-1] + random_spd(rng, n, 0.2, 1.0))
     S = random_spd(rng, n, 0.8, 2.0)
     return BroadcastChannel(noise_covs=tuple(covs), input_cap=S)
+
+
+def decoupled_channel(rng: np.random.Generator, n: int, num_users: int):
+    """A channel with diagonal noises and cap in the ranges of
+    ``random_channel``, and the same channel in a random orthonormal basis U
+    (Sigma_k -> U Sigma_k U^T, S -> U S U^T): (diagonal, rotated)."""
+    steps = [rng.uniform(0.5, 1.5, n)] + [rng.uniform(0.2, 1.0, n) for _ in range(num_users - 1)]
+    sig, cap = np.cumsum(steps, axis=0), rng.uniform(0.8, 2.0, n)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return tuple(
+        BroadcastChannel(noise_covs=tuple((B * s) @ B.T for s in sig), input_cap=(B * cap) @ B.T)
+        for B in (np.eye(n), U)
+    )
 
 
 def admissible_channel_for(

@@ -47,16 +47,16 @@ __all__ = [
 
 
 def symmetrize(M) -> np.ndarray:
-    """Return (M + M^T)/2 as a float array, validating squareness and
-    finiteness."""
+    """Return (M + M^T)/2 as a float array, for one matrix or a (..., n, n)
+    stack, validating squareness and finiteness."""
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] < 1:
+    if A.shape[-1] < 1:
         raise DimensionMismatchError("matrix dimension must be >= 1")
     # an overflow of the average is caught by the finiteness check below
     with np.errstate(over="ignore"):
-        S = (A + A.T) / 2.0
+        S = (A + np.swapaxes(A, -1, -2)) / 2.0
     if not np.all(np.isfinite(S)):
         raise ValueError("matrix entries must be finite")
     return S

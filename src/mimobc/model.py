@@ -66,6 +66,9 @@ class BroadcastChannel:
     def __post_init__(self):
         covs = tuple(mat.symmetrize(c) for c in self.noise_covs)
         cap = mat.symmetrize(self.input_cap)
+        for a in (*covs, cap):  # symmetrize also takes stacks
+            if a.ndim != 2:
+                raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
         if len(covs) < 2:
             raise InputFormatError("a broadcast channel needs at least 2 users")
         n = cap.shape[0]
@@ -136,10 +139,7 @@ class MixtureSource:
             raise InputFormatError("weights must be finite, nonnegative and sum to 1")
         if not np.all(np.isfinite(mu)):
             raise InputFormatError("means must be finite")
-        with np.errstate(over="ignore"):  # the finiteness check decides
-            C = (C + np.swapaxes(C, -1, -2)) / 2.0
-        if not np.all(np.isfinite(C)):
-            raise ValueError("matrix entries must be finite")
+        C = mat.symmetrize(C)
         bad = np.flatnonzero(np.linalg.eigvalsh(C)[:, 0] <= 0.0)
         if bad.size:
             raise NotPsdError(f"component covariance {bad[0]} is not positive definite")

@@ -1,8 +1,54 @@
+import math
 import os
+from itertools import combinations
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mimobc import region
 
 # pyproject's `pythonpath = ["src"]` reaches only the pytest process; the
 # tests that start `python -m mimobc.cli` or a demo script as a child
 # process hand it the package through the inherited PYTHONPATH.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+# How far ``trace_boundary`` may leave a point of the boundary, derived from
+# its stop rule: a projected-gradient residual r <= region._GRAD_TOL in the
+# whitened chain coordinates (its other stops are where round-off hides any
+# further gain). Where the objective is concave between the stopping point
+# and the maximum, w.R falls short by at most r (D + |grad|): D = sqrt(c n)
+# bounds the diameter of the chain set of c links, and each link's gradient,
+# half a difference of two weighted inverses (Q + N)^-1 with
+# |N^-1| <= kappa = lambda_max(S) / lambda_min(Sigma_1), has Frobenius norm
+# at most sqrt(n) w_max kappa / 2.
+#
+# A rate moves to first order in the distance to the maximum, w.R only to
+# second, so rates get their own bound. Where the channel decouples, moving
+# the layer boundary between users lo < hi in one direction by d costs
+# G^2 (1/w_lo - 1/w_hi) d^2 / 4 of w.R, G their common marginal utility
+# there, and moves their rates by G d / (2 w_lo) and G d / (2 w_hi). A user
+# has at most 2n such boundaries, so by Cauchy-Schwarz its rate moves at most
+# sqrt(2 n B rho), B the bound on w.R and rho the largest
+# w_hi / (w_lo (w_hi - w_lo)) over pairs of active users; G cancels. rho is
+# finite where the active weights differ, which is where the optimum is
+# unique.
+#
+# Both bounds add 1e-13 for the round-off of the 2K log-dets of a rate tuple
+# (a few eps each, times condition numbers below 10 on these fixtures).
+def _trace_bounds(ch, w):
+    """(bound on |w.R - WSR*|, bound on each |R_k - R*_k|) at weights w."""
+    w = np.asarray(w, dtype=float)
+    active = region._active_users(w)
+    c, n = len(active) - 1, ch.dim
+    kappa = np.linalg.eigvalsh(ch.input_cap)[-1] / np.linalg.eigvalsh(ch.noise_covs[0])[0]
+    b_wsr = region._GRAD_TOL * math.sqrt(c * n) * (1.0 + 0.5 * w.max() * kappa)
+    rho = max((w[j] / (w[i] * (w[j] - w[i])) for i, j in combinations(active, 2)), default=0.0)
+    return b_wsr + 1e-13, math.sqrt(2 * n * b_wsr * rho) + 1e-13
+
+
+@pytest.fixture
+def trace_bounds():
+    return _trace_bounds

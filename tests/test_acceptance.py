@@ -42,7 +42,6 @@ from mimobc.region import (
     OptimizerConfig,
     grid_oracle,
     rate_tuple,
-    scalar_region,
     trace_boundary,
 )
 from mimobc.verifier import (
@@ -73,9 +72,10 @@ def test_criterion_01_scalar_exactness():
     ch = scalar_channel()
     r = rate_tuple(ch, CovarianceSplit((np.array([[0.5]]), np.array([[0.5]]))))
     err_pinned = max(abs(r[0] - 0.2027325541), abs(r[1] - 0.0911607784))
-    pts = scalar_region(1.0, (1.0, 2.0), 101)
     err_sweep = 0.0
-    for a, p in zip(np.linspace(0.0, 1.0, 101), pts):
+    for a in np.linspace(0.0, 1.0, 101):
+        # user 1 takes power a over noise 1, user 2 the rest over a + noise 2
+        p = (0.5 * math.log((a + 1.0) / 1.0), 0.5 * math.log((1.0 + 2.0) / (a + 2.0)))
         q = rate_tuple(ch, CovarianceSplit((np.array([[a]]), np.array([[1.0 - a]]))))
         err_sweep = max(err_sweep, max(abs(x - y) for x, y in zip(p, q)))
     ok = err_pinned <= 1e-9 and err_sweep <= 1e-12

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mimobc import cli, region
-from mimobc.fixtures import admissible_mixture_for, random_channel, rng_for
+from mimobc.fixtures import admissible_mixture_for, decoupled_channel, random_channel, rng_for
+from mimobc.region import decoupled_boundary
 
 CLI = [sys.executable, "-m", "mimobc.cli"]
 
@@ -129,6 +130,28 @@ class TestRegion:
         last = [float(x) for x in lines[-1].split(",")]
         assert first[2] == pytest.approx(0.5 * math.log(2.0), abs=1e-6)
         assert last[3] == pytest.approx(0.5 * math.log(1.5), abs=1e-6)
+
+    def test_csv_matches_exact_boundary_of_rotated_channel(self, tmp_path, trace_bounds):
+        # K = 3: --grid 28 is the simplex grid c / 6, whose 28 rows include
+        # all three users active at w = (1, 2, 3) / 6
+        diag, rotated = decoupled_channel(rng_for(142), 2, 3)
+        doc = {"noise_covs": [c.tolist() for c in rotated.noise_covs],
+               "input_cap": rotated.input_cap.tolist()}
+        out = tmp_path / "out.csv"
+        argv = ["region", write(tmp_path, "ch.json", doc), "--grid", "28", "--output", str(out)]
+        assert cli.main(argv) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "w_1,w_2,w_3,R_1,R_2,R_3"
+        weights = cli._weight_sweep(3, 28)
+        assert len(lines) == 1 + len(weights) == 29
+        # 12 significant digits round a rate below 1 by at most 5e-13
+        for w, line, exact in zip(weights, lines[1:], decoupled_boundary(diag, weights)):
+            row = [float(x) for x in line.split(",")]
+            assert row[:3] == pytest.approx(w, rel=1e-11)
+            rates = row[3:]
+            b_wsr, b_rate = trace_bounds(diag, w)
+            assert abs(np.dot(w, rates) - np.dot(w, exact)) <= b_wsr + 5e-13
+            assert max(abs(a - b) for a, b in zip(rates, exact)) <= b_rate + 5e-13
 
     def test_bits_flag_scales(self, tmp_path):
         path = write(tmp_path, "ch.json", SCALAR_CHANNEL)
@@ -394,9 +417,13 @@ class TestSelftestAndFlags:
     @pytest.mark.parametrize("argv", [
         ["region", "in.json", "--grid", "1"],
         ["selftest", "--tol", "-1"],
+        ["verify", "in.json", "--tol", "nan"],
+        ["selftest", "--tol", "inf"],
     ])
-    def test_out_of_range_values_exit_2(self, argv):
-        assert cli.main(argv) == 2
+    def test_out_of_range_values_exit_2(self, argv, tmp_path):
+        # the input is valid, so only the flag can exit 2
+        path = write(tmp_path, "in.json", MIXTURE_INPUT)
+        assert cli.main([path if a == "in.json" else a for a in argv]) == 2
 
     def test_removed_samples_flag_exits_2(self):
         # selftest has no Monte Carlo check left, so no sample count

@@ -25,6 +25,18 @@ def test_symmetrize_rejects_nonsquare():
         mat.symmetrize(np.ones((2, 3)))
 
 
+def test_symmetrize_stack_matches_each_matrix_bit_for_bit():
+    stack = np.random.default_rng(3).standard_normal((2, 3, 4, 4))
+    out = mat.symmetrize(stack)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert out[idx].tobytes() == mat.symmetrize(stack[idx]).tobytes()
+    with pytest.raises(DimensionMismatchError):
+        mat.symmetrize(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        mat.symmetrize(np.full((2, 2, 2), np.inf))
+
+
 def _min_eig(M):
     return np.linalg.eigvalsh(M)[0]
 

@@ -45,6 +45,14 @@ class TestValidateChannel:
     def test_identity_chain_passes(self):
         assert _chan(np.eye(2), 2 * np.eye(2), 3 * np.eye(2)).dim == 2
 
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_a_stack_in_place_of_a_matrix_rejected(self, which):
+        # symmetrize takes stacks; a channel's matrices stay one each
+        mats = [np.eye(1), 2 * np.eye(1), np.eye(1)]
+        mats[which] = mats[which][None]
+        with pytest.raises(DimensionMismatchError, match=r"expected a square matrix, got shape \(1, 1, 1\)"):
+            BroadcastChannel(noise_covs=tuple(mats[:2]), input_cap=mats[2])
+
     def test_psd_increments_always_pass(self):
         for seed in range(10):
             assert random_channel(rng_for(31, seed), 3, 3).num_users == 3

@@ -10,6 +10,7 @@ from mimobc import cli, region
 from mimobc import matrices as mat
 from mimobc.fixtures import (
     admissible_mixture_for,
+    decoupled_channel,
     random_channel,
     rng_for,
     scalar_channel,
@@ -18,9 +19,9 @@ from mimobc.model import BroadcastChannel
 from mimobc.region import (
     CovarianceSplit,
     OptimizerConfig,
+    decoupled_boundary,
     grid_oracle,
     rate_tuple,
-    scalar_region,
     trace_boundary,
     weighted_sum_rate,
 )
@@ -137,38 +138,16 @@ class TestWeightedSumRate:
             weighted_sum_rate(ch, _split(0.5, 0.5), (-1.0, 1.0))
 
 
-class TestScalarRegion:
-    def test_endpoints(self):
-        pts = scalar_region(1.0, (1.0, 2.0), 11)
-        assert pts[0] == pytest.approx((0.0, 0.5 * math.log(1.5)), abs=1e-12)
-        assert pts[-1] == pytest.approx((0.5 * math.log(2.0), 0.0), abs=1e-12)
-
-    def test_agrees_with_rate_tuple(self):
-        ch = scalar_channel()
-        pts = scalar_region(1.0, (1.0, 2.0), 5)
-        for a, p in zip(np.linspace(0.0, 1.0, 5), pts):
-            assert rate_tuple(ch, _split(a, 1.0 - a)) == pytest.approx(p, abs=1e-12)
-
-    def test_three_user_simplex(self):
-        pts = scalar_region(1.0, (1.0, 1.5, 2.0), 4)
-        # compositions of 3 into 3 parts: C(5,2) = 10 allocations
-        assert len(pts) == 10
-        assert all(len(p) == 3 and min(p) >= 0 for p in pts)
-
-    def test_bad_sigma_order(self):
-        with pytest.raises(ValueError):
-            scalar_region(1.0, (2.0, 1.0), 5)
-
-
 class TestTraceBoundary:
-    def test_scalar_matches_exhaustive(self):
+    def test_scalar_matches_exhaustive(self, trace_bounds):
+        # against the exact boundary, which replaced a 4,001-split sweep
         ch = scalar_channel()
         weights = [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.3, 0.7), (0.0, 1.0)]
         results = trace_boundary(ch, weights)
-        fine = scalar_region(1.0, (1.0, 2.0), 4001)
-        for w, (_, rates) in zip(weights, results):
-            best = max(np.dot(w, p) for p in fine)
-            assert np.dot(w, rates) >= best - 1e-6
+        for w, (_, rates), exact in zip(weights, results, decoupled_boundary(ch, weights)):
+            b_wsr, b_rate = trace_bounds(ch, w)
+            assert abs(np.dot(w, rates) - np.dot(w, exact)) <= b_wsr
+            assert max(abs(a - b) for a, b in zip(rates, exact)) <= b_rate
 
     def test_deterministic(self):
         ch = scalar_channel()
@@ -646,13 +625,6 @@ def test_achieved_rates_never_beat_traced_boundary(seed, n, m):
 
 
 class TestGridOracle:
-    def test_scalar_consistency(self):
-        ch = scalar_channel()
-        pts = [r for _, r in grid_oracle(ch, 21)]
-        ref = scalar_region(1.0, (1.0, 2.0), 21)
-        for p, q in zip(pts, ref):
-            assert p == pytest.approx(q, abs=1e-12)
-
     def test_matrix_points_match_rate_tuple(self):
         # both take their rates from region._rates, so they agree exactly
         rng = rng_for(56)
@@ -661,11 +633,11 @@ class TestGridOracle:
         for split, rates in results[:: max(1, len(results) // 7)]:
             assert rate_tuple(ch, CovarianceSplit(split)) == rates
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [2])
     def test_splits_are_read_only_views_of_valid_parts(self, n):
         ch = random_channel(rng_for(59, n), n, 2)
         results = grid_oracle(ch, 5)
-        assert len(results) == (5 if n == 1 else 125)
+        assert len(results) == 125
         for split, rates in results:
             assert isinstance(split, np.ndarray) and split.shape == (2, n, n)
             assert not split.flags.writeable
@@ -678,6 +650,12 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(random_channel(rng, 1, 3), 5)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_other_dimensions(self, n):
+        # decoupled_boundary is the exact oracle at n = 1
+        with pytest.raises(ValueError, match="n=2 only"):
+            grid_oracle(random_channel(rng_for(57, n), n, 2), 5)
+
     def test_optimizer_not_beaten_by_oracle(self):
         # local ascent with restarts should match the brute-force grid
         rng = rng_for(58)
@@ -688,3 +666,105 @@ class TestGridOracle:
         for w, (_, rates) in zip(weights, results):
             best = max(np.dot(w, r) for _, r in oracle)
             assert np.dot(w, rates) >= best - 1e-3
+
+
+def _diagonal_channel(sigmas, cap):
+    """Channel with noises diag(sigmas[k]) and cap diag(cap)."""
+    return BroadcastChannel(
+        noise_covs=tuple(np.diag(np.asarray(sg, dtype=float)) for sg in sigmas),
+        input_cap=np.diag(np.asarray(cap, dtype=float)),
+    )
+
+
+class TestDecoupledBoundary:
+    @pytest.mark.parametrize("w", [(0.38, 0.62), (0.35, 0.65)])
+    def test_two_users_scalar_hand_formula(self, w):
+        # S = 1, noises (1, 2): user 1 takes [0, z] where its marginal
+        # utility w_1 / (z + 1) meets w_2 / (z + 2), user 2 the rest
+        w1, w2 = w
+        z = (2.0 * w1 - w2) / (w2 - w1)
+        (rates,) = decoupled_boundary(scalar_channel(), [w])
+        assert rates == pytest.approx(
+            (0.5 * math.log(1.0 + z), 0.5 * math.log(3.0 / (2.0 + z))), rel=1e-14)
+
+    @pytest.mark.parametrize("w, expected", [
+        ((1.0, 0.0), (0.5 * math.log(2.0), 0.0)),
+        ((0.0, 1.0), (0.0, 0.5 * math.log(1.5))),
+        ((0.45, 0.55), (0.5 * math.log(2.0), 0.0)),  # they would meet at z = 3.5 > S
+        ((0.3, 0.7), (0.0, 0.5 * math.log(1.5))),  # user 2 leads from z = 0
+    ])
+    def test_two_users_scalar_endpoints(self, w, expected):
+        (rates,) = decoupled_boundary(scalar_channel(), [w])
+        assert rates == pytest.approx(expected, rel=1e-15)
+        assert 0.0 in rates
+
+    @pytest.mark.parametrize("w", [(0.0, 0.5, 0.3, 0.8), (0.6, 0.2, 0.9, 0.4)])
+    def test_unsorted_and_zero_weights(self, w, trace_bounds):
+        # a user of zero weight, or of weight below an earlier user's, gets
+        # no rate; the tracer agrees on the rotated channel
+        diag, rotated = decoupled_channel(rng_for(140), 2, 4)
+        (exact,) = decoupled_boundary(diag, [w])
+        assert [k for k, r in enumerate(exact) if r == 0.0] == [
+            k for k in range(4) if w[k] == 0.0 or w[k] <= max(w[:k], default=0.0)]
+        (_, rates), = trace_boundary(rotated, [w])
+        b_wsr, b_rate = trace_bounds(diag, w)
+        assert abs(np.dot(w, rates) - np.dot(w, exact)) <= b_wsr
+        assert max(abs(a - b) for a, b in zip(rates, exact)) <= b_rate
+
+    def test_equal_weights_go_to_the_earlier_user(self):
+        # user 1's noise is smaller in direction 1 and equal in direction 2,
+        # so at equal weights its utility is never below user 2's
+        ch = _diagonal_channel([(1.0, 1.0), (2.0, 1.0)], (1.0, 2.0))
+        (rates,) = decoupled_boundary(ch, [(0.5, 0.5)])
+        assert rates == pytest.approx((0.5 * math.log(2.0) + 0.5 * math.log(3.0), 0.0), rel=1e-15)
+        assert rates[1] == 0.0
+
+    def test_equal_noises_in_one_direction_go_to_the_larger_weight(self):
+        # direction 1: equal noises, so user 2 owns it all; direction 2:
+        # user 1 takes [0, 1], where 0.4 / (z + 1) = 0.6 / (z + 2)
+        ch = _diagonal_channel([(1.0, 1.0), (1.0, 2.0)], (2.0, 3.0))
+        (rates,) = decoupled_boundary(ch, [(0.4, 0.6)])
+        expected = (0.5 * math.log(2.0), 0.5 * math.log(3.0) + 0.5 * math.log(5.0 / 3.0))
+        assert rates == pytest.approx(expected, rel=1e-15)
+        (_, traced), = trace_boundary(ch, [(0.4, 0.6)])
+        assert traced == pytest.approx(expected, abs=1e-7)
+
+    def test_three_utilities_meeting_at_one_point_go_to_the_largest_weight(self):
+        # w_k / (z + sigma_k) is 1/2 for all three users at z = 1; past it
+        # user 3's falls slowest, so user 2 gets nothing
+        ch = _diagonal_channel([(1.0,), (2.0,), (3.0,)], (3.0,))
+        (rates,) = decoupled_boundary(ch, [(1.0, 1.5, 2.0)])
+        assert rates == pytest.approx((0.5 * math.log(2.0), 0.0, 0.5 * math.log(1.5)), rel=1e-15)
+        assert rates[1] == 0.0
+
+    def test_rejects_channels_that_do_not_decouple(self):
+        _, rotated = decoupled_channel(rng_for(143), 2, 3)
+        with pytest.raises(ValueError, match="diagonal"):
+            decoupled_boundary(rotated, [(0.2, 0.3, 0.5)])
+        # the channel rule lets an increment fall 1e-9 below 0; the layer
+        # order does not
+        ch = _diagonal_channel([(1.0, 1.0), (1.0 - 1e-12, 2.0)], (1.0, 1.0))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            decoupled_boundary(ch, [(0.5, 0.5)])
+
+    def test_rejects_bad_weights(self):
+        ch = scalar_channel()
+        with pytest.raises(DimensionMismatchError):
+            decoupled_boundary(ch, [(0.2, 0.3, 0.5)])
+        for w in [(-0.1, 1.0), (0.0, 0.0)]:
+            with pytest.raises(ValueError):
+                decoupled_boundary(ch, [w])
+
+    @pytest.mark.parametrize("n, K", [
+        (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5),
+    ])
+    def test_tracer_matches_on_rotated_channels(self, n, K, trace_bounds):
+        # one weight vector with every user active, one in random order
+        rng = rng_for(141, n, K)
+        diag, rotated = decoupled_channel(rng, n, K)
+        weights = [np.sort(rng.uniform(0.05, 1.0, K)), rng.uniform(0.0, 1.0, K)]
+        exact = decoupled_boundary(diag, weights)
+        for w, (_, rates), e in zip(weights, trace_boundary(rotated, weights), exact):
+            b_wsr, b_rate = trace_bounds(diag, w)
+            assert abs(np.dot(w, rates) - np.dot(w, e)) <= b_wsr
+            assert max(abs(a - b) for a, b in zip(rates, e)) <= b_rate

@@ -35,7 +35,7 @@ def test_bench_script_writes_its_json(tmp_path):
     assert set(doc["median_s"]) == set(doc["relative_to_control"]) == {
         "stage_walk", "label_stage", "fixed_point", "line_integral",
         "walkthrough", "boundary_point", "closed_form_point", "interior_point", "rate_tuple",
-        "grid_oracle", "control",
+        "grid_oracle", "decoupled_point", "control",
     }
     assert all(t > 0.0 for t in doc["median_s"].values())
     assert doc["relative_to_control"]["control"] == 1.0
