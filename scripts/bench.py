@@ -28,8 +28,8 @@ median is reported in seconds:
 - ``decoupled_point``: one ``trace_boundary`` weight vector with all three
   users getting power, w = (0.25, 0.33, 0.42), on the rotated 2x2 channel of
   ``decoupled_channel(rng_for(11, 3, 5), 2, 3)``, whose exact boundary
-  ``decoupled_boundary`` gives: a two-link chain, which no ``region``
-  workload point ascends;
+  ``decoupled_boundary`` gives: a two-link chain, solved by one log-barrier
+  Newton solve, which no ``region`` workload point runs;
 - ``control``: fixed NumPy work that does not use the package (a 256 x 256
   matmul, an elementwise exponential and a Cholesky factorization).
 

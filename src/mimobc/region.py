@@ -1,9 +1,9 @@
 """Capacity region of the degraded Gaussian vector broadcast channel:
 exact rate tuples for a covariance split, weighted-sum-rate boundary
-tracing by projected ascent (gradient steps, and Newton steps at interior
-iterates), and two oracles for the tracer: a brute-force grid of splits
-for two users at n = 2, and the exact boundary of a channel that decouples
-into scalar channels (diagonal noises and cap) at any K and n.
+tracing (projected ascent for two active users, one log-barrier Newton
+solve for more), and two oracles for the tracer: a brute-force grid of
+splits for two users at n = 2, and the exact boundary of a channel that
+decouples into scalar channels (diagonal noises and cap) at any K and n.
 """
 
 from __future__ import annotations
@@ -78,12 +78,12 @@ class CovarianceSplit:
             raise ValueError("split parts do not sum to the input cap")
 
 
-# Each ascent stops at a projected-gradient (KKT) residual below _GRAD_TOL,
-# where round-off hides any further gain (see ``_ascend``), or capped after
-# _MAX_ITERS iterations, which ``trace_boundary`` reports as an error when
-# it caps the kept restart; _ARMIJO is the sufficient-increase constant of
-# its steps.
+# An ascent stops at a projected-gradient residual below _GRAD_TOL
+# (``_ascend``), a barrier solve at a duality gap below _GAP_TOL times the
+# chain's gradient scale (``_barrier``); either is capped after _MAX_ITERS
+# steps, an error. _ARMIJO is their sufficient-increase constant.
 _GRAD_TOL = 1e-8
+_GAP_TOL = 1e-12
 _MAX_ITERS = 5000
 _ARMIJO = 1e-4
 
@@ -95,7 +95,7 @@ _RESTARTS = 8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Boundary-tracer settings: the seed of the random starts."""
+    """Boundary-tracer settings: the seed of the two-user ascent's starts."""
 
     seed: int = 0
 
@@ -134,6 +134,16 @@ def rate_tuple(ch: BroadcastChannel, split: CovarianceSplit) -> tuple[float, ...
     return tuple(_rates(np.stack(ch.noise_covs), split.stack).tolist())
 
 
+def _weight_vector(weights, K: int) -> np.ndarray:
+    """K weights, nonnegative and not all zero, as a float array."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (K,):
+        raise DimensionMismatchError("one weight per user required")
+    if np.any(w < 0) or not np.any(w > 0):
+        raise ValueError("weight vectors must be nonnegative and not all zero")
+    return w
+
+
 def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> float:
     w = np.asarray(weights, dtype=float)
     if w.shape != (ch.num_users,):
@@ -160,34 +170,20 @@ def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> 
 # If w_k = 0 < w_{k+1} the gradient is -w_{k+1}/2 (C_k + Sigma_{k+1})^-1,
 # negative definite, so C_k = 0: users before the first of positive weight
 # get no power either. The users left (the "active" ones) have strictly
-# increasing weights. The ascent runs on their chain in whitened
-# coordinates C_i = S^{1/2} Q_i S^{1/2}, 0 <= Q_1 <= ... <= Q_{m-1} <= I.
-# The noises are whitened once per chain, N_k = S^{-1/2} Sigma_k S^{-1/2}, so that
-# ln|C_i + Sigma_k| = ln|S| + ln|Q_i + N_k|: the objective drops the
-# constant ln|S| terms, and its gradient S^{1/2} df/dC_i S^{1/2} =
-# 1/2 [w_i (Q_i + N_i)^-1 - w_{i+1} (Q_i + N_{i+1})^-1] needs no product
-# with the root until the final chain is mapped back to parts.
+# increasing weights. Their chain is solved in whitened coordinates
+# C_i = S^{1/2} Q_i S^{1/2}, 0 <= Q_1 <= ... <= Q_{m-1} <= I, with the noises
+# whitened once, N_k = S^{-1/2} Sigma_k S^{-1/2}: ln|C_i + Sigma_k| = ln|S| +
+# ln|Q_i + N_k|, so the objective drops the constant ln|S| terms, and the
+# root maps only the final chain back to parts.
 #
-# The ascent takes Barzilai-Borwein gradient steps, except on a one-link
-# chain (two active users) after a step whose eigenvalue clip left its trial
-# point unchanged. There no constraint binds, and where the chain is also
-# locally concave the next step is a Newton step (projected Newton,
-# Bertsekas 1982), which converges quadratically where the gradient steps
-# crawl. The second derivative of ln|Q + N| along E is -tr(A E A E),
-# A = (Q + N)^-1, so the Hessian is -M, one block per link:
-#
-#     M = 1/2 [w_lo (A_lo (x) A_lo) - w_hi (A_hi (x) A_hi)],
-#
-# taken on the n(n+1)/2 symmetric unknowns of each link; "locally concave"
-# means M positive definite. Where M is indefinite a Newton direction can
-# still point uphill, but it overshoots to the boundary and backtracking
-# then costs more evaluations than the gradient step saves. Longer chains
-# keep gradient steps only: their maxima had some constraint binding, and
-# on 64 points with 3 and 4 users all active, Newton steps there saved 1 of
-# 6,748 evaluations. Only a gradient step stops the ascent (``_ascend``):
-# a short Newton step certifies nothing, because |M| reaches about 1e12 on
-# ill-conditioned chains. An ascent that reaches the iteration cap is not a
-# boundary point.
+# Two active users (a one-link chain) take projected ascent (``_ascend``):
+# gradient steps, and Newton steps at interior iterates where the chain is
+# locally concave (projected Newton, Bertsekas 1982). The second derivative
+# of ln|Q + N| along E is -tr(A E A E), A = (Q + N)^-1, so the Hessian is -M,
+# one block per link, M = 1/2 [w_lo (A_lo (x) A_lo) - w_hi (A_hi (x) A_hi)],
+# taken on the n(n+1)/2 symmetric unknowns of each link. Longer chains have
+# constraints binding at their maxima in directions no clip isolates; one
+# log-barrier Newton solve (``_barrier``) takes them into its steps.
 
 
 def _active_users(w: np.ndarray) -> list[int]:
@@ -208,100 +204,35 @@ def _with_ends(Q: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1, n, n)), Q, np.eye(n)[None]])
 
 
-def _project_pairs(E: np.ndarray, first: int) -> np.ndarray:
-    """Nearest chain (Frobenius norm) to E = (0, Q_1, ..., Q_c, I) that
-    satisfies E_j <= E_{j+1} for j = first, first + 2, ...; E_0 and E_{c+1}
-    stay fixed.
-
-    The pairs are disjoint, so each is projected on its own: the negative
-    part of E_{j+1} - E_j is split evenly between the two matrices, or given
-    wholly to the free one when the other is the fixed 0 or I.
-    """
-    c = E.shape[0] - 2
-    j = np.arange(first, c + 1, 2)
-    lam, V = np.linalg.eigh(E[j + 1] - E[j])
-    neg = (V * np.clip(-lam, 0.0, None)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    left = np.where(j == 0, 0.0, np.where(j == c, 1.0, 0.5))[:, None, None]
-    out = E.copy()
-    out[j] -= left * neg
-    out[j + 1] += (1.0 - left) * neg
-    return out
-
-
-_MAX_SWEEPS = 10_000
-
-# A projected point of norm r lands outside the set by round-off of about
-# 1e-16 * r. Past this norm (a feasible chain has norm at most sqrt(c n)),
-# a Dykstra result is projected once more, from its own unit scale.
-_FAR = 10.0
-
-
 def _project_chain(Q: np.ndarray) -> np.ndarray:
-    """Nearest point of {0 <= Q_1 <= ... <= Q_c <= I} to the stack Q.
-
-    For one matrix (two active users) the two constraints share its
-    eigenvectors, so the projection is the eigenvalue clip to [0, 1]:
-    one ``eigh``, and a result V clip(lam) V^T within round-off of the set
-    whatever the norm of Q. A feasible Q comes back as the same array, so
-    the ascent reads "nothing clipped" as ``_project_chain(Q) is Q``; a
-    longer chain always comes back as a new array.
-
-    Longer chains alternate between the even and the odd pairwise
-    constraints with Dykstra's corrections (Boyle & Dykstra 1986), which
-    converge to the projection. Their result is exact only to round-off of
-    the input's norm: on an ill-conditioned cap a trial point of norm 4e7
-    came back outside the set by 1.5e-8, the ascent kept that chain (it
-    scores higher than any feasible one), and its parts missed the cap by
-    more than ``CovarianceSplit.validate`` allows. So a far chain is
-    projected twice; the second pass starts within round-off of the set.
+    """Nearest point of {0 <= Q <= I} to the one-link chain Q (1, n, n): the
+    eigenvalue clip to [0, 1], within round-off of the set at any norm of Q.
+    A feasible Q comes back as the same array, so the ascent reads "nothing
+    clipped" as ``_project_chain(Q) is Q``.
     """
-    if Q.shape[0] == 1:
-        lam, V = np.linalg.eigh(Q)
-        if lam[0, 0] >= 0.0 and lam[0, -1] <= 1.0:
-            return Q
-        # minimum/maximum, not np.clip: the clip's wrapper costs a large
-        # share of a 2 x 2 projection
-        lam = np.minimum(np.maximum(lam, 0.0), 1.0)
-        return (V * lam[..., None, :]) @ np.swapaxes(V, -1, -2)
-    x = _dykstra(Q)
-    if float(np.linalg.norm(Q)) > _FAR:
-        x = _dykstra(x)
-    return x
+    lam, V = np.linalg.eigh(Q)
+    if lam[0, 0] >= 0.0 and lam[0, -1] <= 1.0:
+        return Q
+    # minimum/maximum, not np.clip: the clip's wrapper costs a large share
+    # of a 2 x 2 projection
+    lam = np.minimum(np.maximum(lam, 0.0), 1.0)
+    return (V * lam[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _dykstra(Q: np.ndarray) -> np.ndarray:
-    """One run of the alternating projections of ``_project_chain``."""
-    x = _with_ends(Q)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(_MAX_SWEEPS):
-        y = _project_pairs(x + p, 0)
-        p = x + p - y
-        x_next = _project_pairs(y + q, 1)
-        q = y + q - x_next
-        moved = float(np.linalg.norm(x_next - x))
-        x = x_next
-        # the sums x + p and y + q round at the scale of their largest
-        # terms, so a move below 1e-13 of the run's own magnitudes is
-        # round-off, however far the input lies from the set
-        scale = 1.0 + sum(float(np.linalg.norm(a)) for a in (x, p, q))
-        if moved <= 1e-13 * scale:
-            break
-    return x[1:-1]
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A_i (x) B_i for each pair of matrices of two (m, n, n) stacks."""
+    m, n = A.shape[0], A.shape[-1]
+    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(m, n * n, n * n)
 
 
 class _ActiveChain:
-    """Weighted sum rate of the active users, up to a constant, and its
-    whitened gradient, as functions of the whitened chain Q of shape
-    (m-1, n, n).
-
-    The active noises are whitened once, with the cap's root S^{1/2}:
-    ``noise`` stacks N_lo and N_hi, N = S^{-1/2} Sigma S^{-1/2}, for the
-    lower and the upper user of each link. The channel rule
-    lambda_min(S) > 1e-9 lambda_max(Sigma) bounds |N| below 1e9. ``h``
-    holds the weights 1/2 [w_lo; -w_hi] of the stack's log-dets, ``dup``
-    the duplication matrix (vec E = dup vech E for symmetric E), and
-    ``root`` maps the final chain back to parts.
+    """Weighted sum rate f of the active users, up to a constant, and its
+    derivatives in the whitened chain Q of shape (m-1, n, n). ``noise``
+    stacks N_lo and N_hi, N = S^{-1/2} Sigma S^{-1/2} (whitened once; the
+    channel rule bounds |N| below 1e9), for the lower and the upper user of
+    each link; ``h`` holds the weights 1/2 [w_lo; -w_hi] of their log-dets,
+    ``dup`` the duplication matrix (vec E = dup vech E for symmetric E), and
+    ``root`` = S^{1/2} maps the final chain back to parts.
     """
 
     def __init__(self, ch: BroadcastChannel, w: np.ndarray, active: list[int]):
@@ -319,12 +250,10 @@ class _ActiveChain:
         self.dup[cols * n + rows, np.arange(rows.size)] = 1.0
 
     def value_and_grad(self, Q: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """f = 1/2 sum_i [w_lo ln|Q_i + N_lo| - w_hi ln|Q_i + N_hi|], its
-        gradient G in Q, and the inverses (Q_i + N_b)^-1 of the stack
-        [Q; Q] + noise, from one ``eigh`` and one reconstruction of that
-        stack: f = sum_b h_b ln|Q_i + N_b| and G = X_lo + X_hi with
-        X = h (Q_i + N_b)^-1. Halving is exact, so G is bit for bit
-        1/2 [w_lo (Q_i + N_lo)^-1 - w_hi (Q_i + N_hi)^-1]."""
+        """f = sum_b h_b ln|Q_i + N_b|, its gradient G = X_lo + X_hi with
+        X = h (Q_i + N_b)^-1 (bit for bit 1/2 [w_lo (Q_i + N_lo)^-1 - w_hi
+        (Q_i + N_hi)^-1], as halving is exact), and the inverses, from one
+        ``eigh`` of the stack [Q; Q] + noise."""
         c = Q.shape[0]
         lam, V = np.linalg.eigh(np.concatenate([Q, Q]) + self.noise)
         if not lam.min() > 0.0:
@@ -333,20 +262,20 @@ class _ActiveChain:
         X = self.h[:, None, None] * inv
         return float(self.h @ np.log(lam).sum(axis=-1)), X[:c] + X[c:], inv
 
-    def newton(self, inv: np.ndarray, G: np.ndarray) -> np.ndarray | None:
-        """Newton direction M^-1 G from the inverses and the gradient of one
-        ``value_and_grad`` call, or None unless M, minus the Hessian, is
-        positive definite (the chain is locally concave there).
+    def curvature(self, inv: np.ndarray) -> np.ndarray:
+        """M, minus the Hessian of f in vec(Q_i), per link: sum_b h_b (A_b (x)
+        A_b) from the inverses A_b = (Q_i + N_b)^-1 of ``value_and_grad``."""
+        c = inv.shape[0] // 2
+        kron = _kron(self.h[:, None, None] * inv, inv)
+        return kron[:c] + kron[c:]
 
-        M = sum_b h_b (A_b (x) A_b) with A_b = (Q_i + N_b)^-1; each link's
-        block D^T M D on the symmetric unknowns (D the duplication matrix)
-        comes from one stacked ``eigh``, which both tests and solves it.
-        ``_ascend`` asks for it on one-link chains only.
-        """
+    def newton(self, inv: np.ndarray, G: np.ndarray) -> np.ndarray | None:
+        """Newton direction M^-1 G, or None unless M is positive definite
+        (the chain is locally concave there): each link's block D^T M D on
+        the symmetric unknowns comes from one stacked ``eigh``, which both
+        tests and solves it."""
         c, n = G.shape[0], G.shape[-1]
-        X = self.h[:, None, None] * inv
-        kron = (X[:, :, None, :, None] * inv[:, None, :, None, :]).reshape(2 * c, n * n, n * n)
-        lam, V = np.linalg.eigh(self.dup.T @ (kron[:c] + kron[c:]) @ self.dup)
+        lam, V = np.linalg.eigh(self.dup.T @ self.curvature(inv) @ self.dup)
         if not lam.min() > 0.0:
             return None
         # vech(step) = (D^T M D)^-1 D^T vec(G), as <G, E> = vec(G)^T D vech(E)
@@ -356,28 +285,21 @@ class _ActiveChain:
 
 
 def _ascend(chain: _ActiveChain, Q: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Projected ascent from the feasible chain Q, with Armijo
+    """Projected ascent from the feasible one-link chain Q, with Armijo
     backtracking along the projection arc P(Q + t p): Barzilai-Borwein
     steps along the gradient, and Newton steps from t = 1 after an accepted
     step whose projection left its trial point unchanged (an interior
-    iterate of a one-link chain), where the chain is locally concave
-    (``_ActiveChain.newton``).
+    iterate), where the chain is locally concave (``_ActiveChain.newton``).
 
-    Returns the chain, its objective and whether the ascent was capped.
-    It stops in one of four ways:
-
-    - at a KKT point: the gradient trial ``P(Q + t grad)`` moved less than
-      ``_GRAD_TOL * min(t, 1)``, which bounds the projected-gradient
-      residual |P(Q + grad) - Q| by ``_GRAD_TOL``;
-    - when the gains have fallen to round-off on three steps in a row;
-    - when backtracking the gradient trial to t <= 1e-14 finds no ascent
-      step;
-    - capped, after ``_MAX_ITERS`` iterations.
-
-    Only the first checks the residual; the next two stop where round-off
-    hides any further gain. A Newton trial never stops the ascent: one that
-    is too short, clipped to a non-ascent direction (<grad, d> <= 0), or
-    backtracked to t <= 1e-14 gives way to the gradient trial.
+    Returns the chain, its objective and whether the ascent was capped
+    (after ``_MAX_ITERS`` iterations). It stops at a KKT point, where the
+    gradient trial ``P(Q + t grad)`` moved less than ``_GRAD_TOL * min(t,
+    1)``, which bounds the projected-gradient residual |P(Q + grad) - Q| by
+    ``_GRAD_TOL``; or where round-off hides any further gain: the gains fell
+    to round-off on three steps in a row, or backtracking the gradient trial
+    to t <= 1e-14 found no ascent. A Newton trial never stops the ascent:
+    one that is too short, clipped to a non-ascent direction (<grad, d> <=
+    0), or backtracked to t <= 1e-14 gives way to the gradient trial.
     """
     f, g, inv = chain.value_and_grad(Q)
     step, stalled, newton = 1.0, 0, None
@@ -415,6 +337,91 @@ def _ascend(chain: _ActiveChain, Q: np.ndarray) -> tuple[np.ndarray, float, bool
     return Q, f, True
 
 
+def _suffix_sums(X: np.ndarray) -> np.ndarray:
+    """X_j + ... + X_last for j = 0, ..., len(X), the last sum zero."""
+    return np.cumsum(np.concatenate([X, np.zeros_like(X[:1])])[::-1], axis=0)[::-1]
+
+
+def _partial_sums(F: np.ndarray) -> np.ndarray:
+    """The chain Q_i = Delta_0 + ... + Delta_i, i < c, of Delta_j = F_j F_j^T."""
+    return np.cumsum(F[:-1] @ np.swapaxes(F[:-1], -1, -2), axis=0)
+
+
+def _barrier_step(chain: _ActiveChain, F: np.ndarray, G: np.ndarray, inv: np.ndarray,
+                  mu: float) -> tuple[np.ndarray, float]:
+    """Newton step U of phi = f + mu sum_j ln|Delta_j| at the increments
+    Delta_j = F_j F_j^T, and its decrement g^T H^-1 g. It is taken in each
+    increment's own scale, Delta_j -> F_j (I + U_j) F_j^T with sum_j F_j U_j
+    F_j^T = 0, where the barrier's curvature is mu I; in Q, mu / delta^2 at
+    an eigenvalue delta = 1e-13 reaches 1e22 beside f's 1e-2. f reaches
+    Delta_j through each Q_i, i >= j, so its derivatives enter as suffix
+    sums. Where f is not concave, the reduced Hessian's eigenvalues are
+    taken in absolute value, at least its round-off, so the step ascends.
+    """
+    c1, n = F.shape[0], F.shape[-1]
+    p, dup = chain.dup.shape[1], chain.dup
+    T = _kron(F, F) @ dup  # vec(F U F^T) = T vech(U)
+    Tt = np.swapaxes(T, -1, -2)
+    g = (Tt @ _suffix_sums(G).reshape(c1, n * n, 1))[..., 0] + mu * (np.eye(n).ravel() @ dup)
+    r = np.arange(c1)
+    H = Tt[:, None] @ _suffix_sums(chain.curvature(inv))[np.maximum.outer(r, r)] @ T[None]
+    H[r, r] += mu * (dup.T @ dup)
+    H = H.transpose(0, 2, 1, 3).reshape(c1 * p, c1 * p)
+    rows, cols = mat.triu_indices(n)
+    Z = np.linalg.qr(np.concatenate(T[:, rows * n + cols], axis=1).T, mode="complete")[0][:, p:]
+    lam, V = np.linalg.eigh(Z.T @ H @ Z)
+    lam = np.maximum(np.abs(lam), lam.size * np.finfo(float).eps * np.abs(lam).max())
+    gz = Z.T @ g.ravel()
+    y = V @ ((V.T @ gz) / lam)
+    return ((Z @ y).reshape(c1, p) @ dup.T).reshape(c1, n, n), float(gz @ y)
+
+
+def _barrier(chain: _ActiveChain) -> tuple[np.ndarray, bool]:
+    """Maximum of f over the chain 0 <= Q_1 <= ... <= Q_c <= I, c >= 2: the
+    factors F_j of its increments Delta_j = F_j F_j^T (factors keep a small
+    eigenvalue's relative precision), and whether the solve was capped.
+
+    From the centre Q_i = i/(c+1) I it maximizes phi = f + mu sum_j
+    ln|Delta_j| for mu = 1, 0.1, ... Each step starts at Nesterov's damped
+    t = 1/(1 + lambda), lambda^2 = g^T H^-1 g / mu, and is halved until phi
+    gains _ARMIJO t g^T H^-1 g; one that cannot returns capped. It stops at
+    mu_end where g^T H^-1 g <= nu mu / 4, nu = (c+1) n. Where f is concave,
+    a central point is within nu mu of the maximum (the duality gap of its
+    multipliers mu Delta_j^-1; Boyd & Vandenberghe ch. 11) and this one
+    within nu mu (1 + 1/8 + 1/2), the decrement bounding phi's gap and the
+    barrier's change. nu mu_end = _GAP_TOL (1 + g), g = max|h| /
+    lambda_min(N) bounding a link's gradient, so the gap is below 2
+    _GAP_TOL (1 + g); at a smaller mu the binding eigenvalues, about mu / g,
+    would near round-off.
+    """
+    c, n = chain.noise.shape[0] // 2, chain.noise.shape[-1]
+    nu = (c + 1) * n
+    g = float(np.abs(chain.h).max() / np.linalg.eigvalsh(chain.noise)[:, 0].min())
+    mu, mu_end = 1.0, _GAP_TOL * (1.0 + g) / nu
+    F = np.broadcast_to(np.eye(n) / math.sqrt(c + 1), (c + 1, n, n))
+    f, G, inv = chain.value_and_grad(_partial_sums(F))
+    for _ in range(_MAX_ITERS):
+        U, dec = _barrier_step(chain, F, G, inv, mu)
+        if dec <= 0.25 * nu * mu:  # centred
+            if mu <= mu_end:
+                return F, False
+            mu = max(0.1 * mu, mu_end)
+            continue
+        sig, W = np.linalg.eigh(U)
+        t = 1.0 / (1.0 + math.sqrt(dec / mu))
+        while True:
+            if (1.0 + t * sig).min() > 0.0:
+                Ft = (F @ W) * np.sqrt(1.0 + t * sig)[:, None, :]
+                ft, Gt, inv_t = chain.value_and_grad(_partial_sums(Ft))
+                if ft - f + mu * float(np.log1p(t * sig).sum()) >= _ARMIJO * t * dec:
+                    break
+            t *= 0.5
+            if t <= 1e-14:
+                return F, True
+        F, f, G, inv = Ft, ft, Gt, inv_t
+    return F, True
+
+
 def _random_chain(rng: np.random.Generator, c: int, n: int) -> np.ndarray:
     """Random feasible chain: partial sums of c+1 Wishart draws, whitened by
     their total so that the last partial sum is I."""
@@ -430,54 +437,49 @@ def trace_boundary(
     weight_list,
     opt: OptimizerConfig | None = None,
 ) -> list[tuple[CovarianceSplit, tuple[float, ...]]]:
-    """Locally maximal split for each weight vector, with multi-start.
-
-    A ``BroadcastChannel`` is degraded (Sigma_1 <= ... <= Sigma_K) by
-    construction. Users before the first of positive weight, and users
-    whose weight does not exceed an earlier user's, get no power. With one
-    active user the split is closed-form (all of S to it); otherwise the
-    chain of active users is ascended from ``_RESTARTS`` random starts,
-    drawn from sub-seeds of (opt.seed, weight index, restart index), and
-    the best stopping point is kept: a
-    KKT point, or one where round-off hides any further gain (see
-    ``_ascend``). If the best restart was capped at ``_MAX_ITERS``,
-    ``NumericalError`` names the weight vector.
+    """Maximal split for each weight vector of the (degraded by
+    construction) channel. Users before the first of positive weight, and
+    users whose weight does not exceed an earlier user's, get no power. One
+    active user takes all of S. Two are ascended (``_ascend``) from
+    ``_RESTARTS`` random starts, drawn from sub-seeds of (opt.seed, weight
+    index, restart index), and the best stopping point is kept. More are
+    solved once, from the chain's centre (``_barrier``). If the kept ascent
+    or the solve was capped, ``NumericalError`` names the weight vector.
     """
     if opt is None:
         opt = OptimizerConfig()
     K, n = ch.num_users, ch.dim
     results = []
     for widx, weights in enumerate(weight_list):
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (K,):
-            raise DimensionMismatchError("one weight per user required")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("weight vectors must be nonnegative and not all zero")
+        w = _weight_vector(weights, K)
         active = _active_users(w)
         parts = [np.zeros((n, n)) for _ in range(K)]
         if len(active) == 1:
             parts[active[0]] = ch.input_cap
         else:
             chain = _ActiveChain(ch, w, active)
-            best_Q, best_f, best_capped = None, -np.inf, False
-            for r in range(_RESTARTS):
-                rng = np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence([opt.seed, widx, r]))
-                )
-                Q, f, capped = _ascend(chain, _random_chain(rng, len(active) - 1, n))
-                if f > best_f:
-                    best_Q, best_f, best_capped = Q, f, capped
-            if best_capped:
+            if len(active) == 2:
+                best_Q, best_f, capped = None, -np.inf, False
+                for r in range(_RESTARTS):
+                    rng = np.random.Generator(
+                        np.random.Philox(np.random.SeedSequence([opt.seed, widx, r]))
+                    )
+                    Q, f, capped_r = _ascend(chain, _random_chain(rng, 1, n))
+                    if f > best_f:
+                        best_Q, best_f, capped = Q, f, capped_r
+                # each part as B B^T, PSD by construction: a step PSD only to
+                # round-off, mapped through the root of a badly conditioned
+                # cap, is a rate below zero beyond round-off at a small noise
+                lam, V = np.linalg.eigh(np.diff(_with_ends(best_Q), axis=0))
+                B = chain.root @ V * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+            else:
+                F, capped = _barrier(chain)
+                B = chain.root @ F
+            if capped:
                 raise NumericalError(
                     f"boundary point at weights {w.tolist()} not converged "
-                    f"after {_MAX_ITERS} ascent iterations"
+                    f"within {_MAX_ITERS} iterations"
                 )
-            # each part as B B^T, PSD by construction: the chain's steps
-            # are PSD only to round-off, and on a badly conditioned cap
-            # that round-off, mapped through the cap's root, is a rate
-            # below zero beyond round-off at a small noise
-            lam, V = np.linalg.eigh(np.diff(_with_ends(best_Q), axis=0))
-            B = chain.root @ V * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
             for k, Bk in zip(active, B):
                 parts[k] = Bk @ Bk.T
         split = CovarianceSplit(parts=tuple(parts))
@@ -551,12 +553,7 @@ def decoupled_boundary(ch: BroadcastChannel, weight_list) -> list[tuple[float, .
         raise ValueError("decoupled_boundary needs each direction's noises nondecreasing")
     results = []
     for weights in weight_list:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (K,):
-            raise DimensionMismatchError("one weight per user required")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("weight vectors must be nonnegative and not all zero")
-        w, rates = w.tolist(), [0.0] * K
+        w, rates = _weight_vector(weights, K).tolist(), [0.0] * K
         for s, sg in zip(np.diag(ch.input_cap).tolist(), sig.T.tolist()):
             k, z = max(range(K), key=lambda j: (w[j] / sg[j], w[j], -j)), 0.0
             while z < s:

@@ -16,14 +16,17 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 
 # How far ``trace_boundary`` may leave a point of the boundary, derived from
-# its stop rule: a projected-gradient residual r <= region._GRAD_TOL in the
-# whitened chain coordinates (its other stops are where round-off hides any
-# further gain). Where the objective is concave between the stopping point
-# and the maximum, w.R falls short by at most r (D + |grad|): D = sqrt(c n)
-# bounds the diameter of the chain set of c links, and each link's gradient,
-# half a difference of two weighted inverses (Q + N)^-1 with
+# its stop rules. A one-link chain (two active users) stops at a
+# projected-gradient residual r <= region._GRAD_TOL in the whitened chain
+# coordinates (its other stops are where round-off hides any further gain).
+# Where the objective is concave between the stopping point and the
+# maximum, w.R falls short by at most r (D + |grad|): D = sqrt(c n) bounds
+# the diameter of the chain set of c links, and each link's gradient, half a
+# difference of two weighted inverses (Q + N)^-1 with
 # |N^-1| <= kappa = lambda_max(S) / lambda_min(Sigma_1), has Frobenius norm
-# at most sqrt(n) w_max kappa / 2.
+# at most sqrt(n) w_max kappa / 2. A longer chain's barrier solve stops
+# within 2 region._GAP_TOL (1 + g) of the maximum (see ``region._barrier``),
+# g = max|h| / lambda_min(N) <= w_max kappa / 2.
 #
 # A rate moves to first order in the distance to the maximum, w.R only to
 # second, so rates get their own bound. Where the channel decouples, moving
@@ -44,7 +47,10 @@ def _trace_bounds(ch, w):
     active = region._active_users(w)
     c, n = len(active) - 1, ch.dim
     kappa = np.linalg.eigvalsh(ch.input_cap)[-1] / np.linalg.eigvalsh(ch.noise_covs[0])[0]
-    b_wsr = region._GRAD_TOL * math.sqrt(c * n) * (1.0 + 0.5 * w.max() * kappa)
+    if c >= 2:
+        b_wsr = 2.0 * region._GAP_TOL * (1.0 + 0.5 * w.max() * kappa)
+    else:
+        b_wsr = region._GRAD_TOL * math.sqrt(c * n) * (1.0 + 0.5 * w.max() * kappa)
     rho = max((w[j] / (w[i] * (w[j] - w[i])) for i, j in combinations(active, 2)), default=0.0)
     return b_wsr + 1e-13, math.sqrt(2 * n * b_wsr * rho) + 1e-13
 

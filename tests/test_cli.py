@@ -194,6 +194,34 @@ class TestRegion:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_capped_barrier_solve_exits_1(self, tmp_path, capsys, monkeypatch):
+        # one Newton step solves no all-active point; the two-user ascents are
+        # stubbed out, so that the first of those points is the one named
+        monkeypatch.setattr(region, "_MAX_ITERS", 1)
+        monkeypatch.setattr(region, "_ascend", lambda chain, Q: (Q, 0.0, False))
+        ch = random_channel(rng_for(303, 4), 2, 3)
+        doc = {"noise_covs": [s.tolist() for s in ch.noise_covs], "input_cap": ch.input_cap.tolist()}
+        assert cli.main(["region", write(tmp_path, "ch.json", doc), "--grid", "28"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: boundary point at weights [") and "not converged" in err
+        w = json.loads(err[err.index("["):err.index("]") + 1])
+        assert region._active_users(np.array(w)) == [0, 1, 2]
+
+    def test_seed_moves_no_three_user_row(self, tmp_path):
+        # --seed seeds only the two-user restarts; a longer chain starts at
+        # its centre
+        ch = random_channel(rng_for(303, 4), 2, 3)
+        doc = {"noise_covs": [s.tolist() for s in ch.noise_covs], "input_cap": ch.input_cap.tolist()}
+        path = write(tmp_path, "ch.json", doc)
+        rows = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.csv"
+            assert cli.main(["region", path, "--seed", seed, "--output", str(out)]) == 0
+            rows.append(out.read_text().splitlines()[1:])
+        three = [a == b for a, b in zip(*rows)
+                 if len(region._active_users(np.array(a.split(",")[:3], dtype=float))) == 3]
+        assert len(three) == 8 and all(three)
+
     def test_twelve_significant_digits(self, tmp_path):
         path = write(tmp_path, "ch.json", SCALAR_CHANNEL)
         res = run_cli("region", path, "--grid", "3")
