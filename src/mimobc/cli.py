@@ -20,12 +20,13 @@ quadrature does not support (n > 3) or other than the channel's, and
 (a plain source has depth 2; ``verifier.converse_walkthrough`` checks it).
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed or the
-numerics diverged (``region`` when the tracer's kept ascent or barrier
-solve was capped at its iteration cap), 2 invalid input or configuration,
-which includes every ``errors.DomainError`` an input leads to (a singular
-or indefinite matrix, a dimension mismatch, a broken Loewner order) and a
-``MemoryError``: an input too large for the machine's memory. Outputs
-are byte-identical for identical inputs, seeds and flags.
+numerics diverged (``region`` when the tracer's kept ascent was capped at
+its iteration cap, or its barrier solve was capped or stalled), 2 invalid
+input or configuration, which includes every ``errors.DomainError`` an
+input leads to (a singular or indefinite matrix, a dimension mismatch, a
+broken Loewner order) and a ``MemoryError``: an input too large for the
+machine's memory. Outputs are byte-identical for identical inputs, seeds
+and flags.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _selftest_checks(cfg):
     # n = 2, w_max <= 0.5 and kappa <= 2.0 / 0.5 on this fixture: the
     # two-user point's ascent leaves w.R within 1e-8 sqrt(c n) (1 + w_max
     # kappa / 2) of the maximum, c = 1; the three-user point's barrier within
-    # 2e-12 (1 + w_max kappa / 2), far less
+    # 2e-12, far less
     yield ("decoupled_boundary_agreement", max(map(abs, gaps)) <= 1e-8 * math.sqrt(2.0) * 2.0)
 
     gsrc = fixtures.gaussian_source(np.array([[0.8]]))

@@ -78,10 +78,11 @@ class CovarianceSplit:
             raise ValueError("split parts do not sum to the input cap")
 
 
-# An ascent stops at a projected-gradient residual below _GRAD_TOL
-# (``_ascend``), a barrier solve at a duality gap below _GAP_TOL times the
-# chain's gradient scale (``_barrier``); either is capped after _MAX_ITERS
-# steps, an error. _ARMIJO is their sufficient-increase constant.
+# An ascent stops at a projected-gradient (KKT) residual below _GRAD_TOL,
+# or where round-off hides any further gain (see ``_ascend``); a barrier
+# solve stops at a duality gap below about _GAP_TOL nats (``_barrier``).
+# Either is capped after _MAX_ITERS steps, which ``trace_boundary`` reports
+# as an error; _ARMIJO is their sufficient-increase constant.
 _GRAD_TOL = 1e-8
 _GAP_TOL = 1e-12
 _MAX_ITERS = 5000
@@ -177,13 +178,26 @@ def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> 
 # root maps only the final chain back to parts.
 #
 # Two active users (a one-link chain) take projected ascent (``_ascend``):
-# gradient steps, and Newton steps at interior iterates where the chain is
-# locally concave (projected Newton, Bertsekas 1982). The second derivative
-# of ln|Q + N| along E is -tr(A E A E), A = (Q + N)^-1, so the Hessian is -M,
-# one block per link, M = 1/2 [w_lo (A_lo (x) A_lo) - w_hi (A_hi (x) A_hi)],
-# taken on the n(n+1)/2 symmetric unknowns of each link. Longer chains have
-# constraints binding at their maxima in directions no clip isolates; one
-# log-barrier Newton solve (``_barrier``) takes them into its steps.
+# Barzilai-Borwein gradient steps, except after a step whose eigenvalue
+# clip left its trial point unchanged. There no constraint binds, and where
+# the chain is also locally concave the next step is a Newton step
+# (projected Newton, Bertsekas 1982), which converges quadratically where
+# the gradient steps crawl. The second derivative of ln|Q + N| along E is
+# -tr(A E A E), A = (Q + N)^-1, so the Hessian is -M, one block per link:
+#
+#     M = 1/2 [w_lo (A_lo (x) A_lo) - w_hi (A_hi (x) A_hi)],
+#
+# taken on the n(n+1)/2 symmetric unknowns of each link; "locally concave"
+# means M positive definite. Where M is indefinite a Newton direction can
+# still point uphill, but it overshoots to the boundary and backtracking
+# then costs more evaluations than the gradient step saves. Only a gradient
+# step stops the ascent: a short Newton step certifies nothing, because |M|
+# reaches about 1e12 on ill-conditioned chains. An ascent that reaches the
+# iteration cap is not a boundary point.
+#
+# Longer chains have constraints binding at their maxima in directions no
+# clip isolates; one log-barrier Newton solve (``_barrier``) takes them into
+# its steps.
 
 
 def _active_users(w: np.ndarray) -> list[int]:
@@ -205,10 +219,13 @@ def _with_ends(Q: np.ndarray) -> np.ndarray:
 
 
 def _project_chain(Q: np.ndarray) -> np.ndarray:
-    """Nearest point of {0 <= Q <= I} to the one-link chain Q (1, n, n): the
-    eigenvalue clip to [0, 1], within round-off of the set at any norm of Q.
-    A feasible Q comes back as the same array, so the ascent reads "nothing
-    clipped" as ``_project_chain(Q) is Q``.
+    """Nearest point of {0 <= Q <= I} to the one-link chain Q (1, n, n).
+
+    The two constraints share Q's eigenvectors, so the projection is the
+    eigenvalue clip to [0, 1]: one ``eigh``, and a result V clip(lam) V^T
+    within round-off of the set whatever the norm of Q. A feasible Q comes
+    back as the same array, so the ascent reads "nothing clipped" as
+    ``_project_chain(Q) is Q``.
     """
     lam, V = np.linalg.eigh(Q)
     if lam[0, 0] >= 0.0 and lam[0, -1] <= 1.0:
@@ -291,15 +308,21 @@ def _ascend(chain: _ActiveChain, Q: np.ndarray) -> tuple[np.ndarray, float, bool
     step whose projection left its trial point unchanged (an interior
     iterate), where the chain is locally concave (``_ActiveChain.newton``).
 
-    Returns the chain, its objective and whether the ascent was capped
-    (after ``_MAX_ITERS`` iterations). It stops at a KKT point, where the
-    gradient trial ``P(Q + t grad)`` moved less than ``_GRAD_TOL * min(t,
-    1)``, which bounds the projected-gradient residual |P(Q + grad) - Q| by
-    ``_GRAD_TOL``; or where round-off hides any further gain: the gains fell
-    to round-off on three steps in a row, or backtracking the gradient trial
-    to t <= 1e-14 found no ascent. A Newton trial never stops the ascent:
-    one that is too short, clipped to a non-ascent direction (<grad, d> <=
-    0), or backtracked to t <= 1e-14 gives way to the gradient trial.
+    Returns the chain, its objective and whether the ascent was capped.
+    It stops in one of four ways:
+
+    - at a KKT point: the gradient trial ``P(Q + t grad)`` moved less than
+      ``_GRAD_TOL * min(t, 1)``, which bounds the projected-gradient
+      residual |P(Q + grad) - Q| by ``_GRAD_TOL``;
+    - when the gains have fallen to round-off on three steps in a row;
+    - when backtracking the gradient trial to t <= 1e-14 finds no ascent
+      step;
+    - capped, after ``_MAX_ITERS`` iterations.
+
+    Only the first checks the residual; the next two stop where round-off
+    hides any further gain. A Newton trial never stops the ascent: one that
+    is too short, clipped to a non-ascent direction (<grad, d> <= 0), or
+    backtracked to t <= 1e-14 gives way to the gradient trial.
     """
     f, g, inv = chain.value_and_grad(Q)
     step, stalled, newton = 1.0, 0, None
@@ -376,50 +399,54 @@ def _barrier_step(chain: _ActiveChain, F: np.ndarray, G: np.ndarray, inv: np.nda
     return ((Z @ y).reshape(c1, p) @ dup.T).reshape(c1, n, n), float(gz @ y)
 
 
-def _barrier(chain: _ActiveChain) -> tuple[np.ndarray, bool]:
+def _barrier(chain: _ActiveChain) -> tuple[np.ndarray, str | None]:
     """Maximum of f over the chain 0 <= Q_1 <= ... <= Q_c <= I, c >= 2: the
     factors F_j of its increments Delta_j = F_j F_j^T (factors keep a small
-    eigenvalue's relative precision), and whether the solve was capped.
+    eigenvalue's relative precision), and None, or why the solve failed.
 
     From the centre Q_i = i/(c+1) I it maximizes phi = f + mu sum_j
     ln|Delta_j| for mu = 1, 0.1, ... Each step starts at Nesterov's damped
     t = 1/(1 + lambda), lambda^2 = g^T H^-1 g / mu, and is halved until phi
-    gains _ARMIJO t g^T H^-1 g; one that cannot returns capped. It stops at
-    mu_end where g^T H^-1 g <= nu mu / 4, nu = (c+1) n. Where f is concave,
-    a central point is within nu mu of the maximum (the duality gap of its
-    multipliers mu Delta_j^-1; Boyd & Vandenberghe ch. 11) and this one
-    within nu mu (1 + 1/8 + 1/2), the decrement bounding phi's gap and the
-    barrier's change. nu mu_end = _GAP_TOL (1 + g), g = max|h| /
-    lambda_min(N) bounding a link's gradient, so the gap is below 2
-    _GAP_TOL (1 + g); at a smaller mu the binding eigenvalues, about mu / g,
-    would near round-off.
+    gains _ARMIJO t g^T H^-1 g; one that cannot by t = 1e-14 fails the
+    solve. f's gain is ln|I + A^-1 D| summed over the log-dets, D the step's
+    change of each Q_i and A = Q_i + N: a difference of two values of f
+    loses it to f's round-off, which the smallest eigenvalues of A raise to
+    about 1e-12 on ill-conditioned channels. The solve stops at nu mu =
+    _GAP_TOL, nu = (c+1) n, once g^T H^-1 g <= nu mu / 4. Where f is
+    concave, a central point is within nu mu of the maximum (the duality
+    gap of its multipliers mu Delta_j^-1; Boyd & Vandenberghe ch. 11) and
+    this one within nu mu (1 + 1/8 + 1/2) < 2 _GAP_TOL, the decrement
+    bounding phi's gap and the barrier's change. The gap is in nats, so no
+    scale of the channel moves it.
     """
     c, n = chain.noise.shape[0] // 2, chain.noise.shape[-1]
     nu = (c + 1) * n
-    g = float(np.abs(chain.h).max() / np.linalg.eigvalsh(chain.noise)[:, 0].min())
-    mu, mu_end = 1.0, _GAP_TOL * (1.0 + g) / nu
+    mu, mu_end = 1.0, _GAP_TOL / nu
     F = np.broadcast_to(np.eye(n) / math.sqrt(c + 1), (c + 1, n, n))
-    f, G, inv = chain.value_and_grad(_partial_sums(F))
+    _, G, inv = chain.value_and_grad(_partial_sums(F))
     for _ in range(_MAX_ITERS):
         U, dec = _barrier_step(chain, F, G, inv, mu)
         if dec <= 0.25 * nu * mu:  # centred
             if mu <= mu_end:
-                return F, False
+                return F, None
             mu = max(0.1 * mu, mu_end)
             continue
         sig, W = np.linalg.eigh(U)
+        D = np.cumsum(F[:-1] @ U[:-1] @ np.swapaxes(F[:-1], -1, -2), axis=0)
+        AD = inv @ np.concatenate([D, D])
         t = 1.0 / (1.0 + math.sqrt(dec / mu))
         while True:
             if (1.0 + t * sig).min() > 0.0:
-                Ft = (F @ W) * np.sqrt(1.0 + t * sig)[:, None, :]
-                ft, Gt, inv_t = chain.value_and_grad(_partial_sums(Ft))
-                if ft - f + mu * float(np.log1p(t * sig).sum()) >= _ARMIJO * t * dec:
+                sign, logdet = np.linalg.slogdet(np.eye(n) + t * AD)
+                if sign.min() > 0.0 and (float(chain.h @ logdet) + mu * float(
+                        np.log1p(t * sig).sum()) >= _ARMIJO * t * dec):
                     break
             t *= 0.5
             if t <= 1e-14:
-                return F, True
-        F, f, G, inv = Ft, ft, Gt, inv_t
-    return F, True
+                return F, f"stalled at mu = {mu:.1e}: backtracking found no ascent step"
+        F = (F @ W) * np.sqrt(1.0 + t * sig)[:, None, :]
+        _, G, inv = chain.value_and_grad(_partial_sums(F))
+    return F, f"not converged within {_MAX_ITERS} iterations"
 
 
 def _random_chain(rng: np.random.Generator, c: int, n: int) -> np.ndarray:
@@ -444,7 +471,8 @@ def trace_boundary(
     ``_RESTARTS`` random starts, drawn from sub-seeds of (opt.seed, weight
     index, restart index), and the best stopping point is kept. More are
     solved once, from the chain's centre (``_barrier``). If the kept ascent
-    or the solve was capped, ``NumericalError`` names the weight vector.
+    was capped, or the solve was capped or stalled, ``NumericalError`` names
+    the weight vector.
     """
     if opt is None:
         opt = OptimizerConfig()
@@ -472,14 +500,12 @@ def trace_boundary(
                 # cap, is a rate below zero beyond round-off at a small noise
                 lam, V = np.linalg.eigh(np.diff(_with_ends(best_Q), axis=0))
                 B = chain.root @ V * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+                error = f"not converged within {_MAX_ITERS} iterations" if capped else None
             else:
-                F, capped = _barrier(chain)
+                F, error = _barrier(chain)
                 B = chain.root @ F
-            if capped:
-                raise NumericalError(
-                    f"boundary point at weights {w.tolist()} not converged "
-                    f"within {_MAX_ITERS} iterations"
-                )
+            if error:
+                raise NumericalError(f"boundary point at weights {w.tolist()} {error}")
             for k, Bk in zip(active, B):
                 parts[k] = Bk @ Bk.T
         split = CovarianceSplit(parts=tuple(parts))

@@ -25,8 +25,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 # difference of two weighted inverses (Q + N)^-1 with
 # |N^-1| <= kappa = lambda_max(S) / lambda_min(Sigma_1), has Frobenius norm
 # at most sqrt(n) w_max kappa / 2. A longer chain's barrier solve stops
-# within 2 region._GAP_TOL (1 + g) of the maximum (see ``region._barrier``),
-# g = max|h| / lambda_min(N) <= w_max kappa / 2.
+# within 2 region._GAP_TOL nats of the maximum where the objective is
+# concave (see ``region._barrier``), a duality gap that no scale of the
+# channel moves.
 #
 # A rate moves to first order in the distance to the maximum, w.R only to
 # second, so rates get their own bound. Where the channel decouples, moving
@@ -46,10 +47,10 @@ def _trace_bounds(ch, w):
     w = np.asarray(w, dtype=float)
     active = region._active_users(w)
     c, n = len(active) - 1, ch.dim
-    kappa = np.linalg.eigvalsh(ch.input_cap)[-1] / np.linalg.eigvalsh(ch.noise_covs[0])[0]
     if c >= 2:
-        b_wsr = 2.0 * region._GAP_TOL * (1.0 + 0.5 * w.max() * kappa)
+        b_wsr = 2.0 * region._GAP_TOL
     else:
+        kappa = np.linalg.eigvalsh(ch.input_cap)[-1] / np.linalg.eigvalsh(ch.noise_covs[0])[0]
         b_wsr = region._GRAD_TOL * math.sqrt(c * n) * (1.0 + 0.5 * w.max() * kappa)
     rho = max((w[j] / (w[i] * (w[j] - w[i])) for i, j in combinations(active, 2)), default=0.0)
     return b_wsr + 1e-13, math.sqrt(2 * n * b_wsr * rho) + 1e-13

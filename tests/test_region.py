@@ -175,6 +175,14 @@ class TestTraceBoundary:
         (_, rates), = trace_boundary(ch, [(1.0, 0.0)], OptimizerConfig(seed=42))
         assert rates[1] == 0.0
 
+    def test_stalled_barrier_solve_raises_its_own_error(self, monkeypatch):
+        # no step gains a billion times the decrement, so the first barrier
+        # step backtracks to t <= 1e-14: a stall, not the iteration cap
+        monkeypatch.setattr(region, "_ARMIJO", 1e9)
+        ch = random_channel(rng_for(123, 3), 2, 3)
+        with pytest.raises(NumericalError, match=r"weights \[0\.25, 0\.35, 0\.4\] stalled at mu = "):
+            trace_boundary(ch, [(0.25, 0.35, 0.4)])
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_users_before_the_first_positive_weight_get_no_power(self, monkeypatch, n):
         # the five weights with w_1 = 0 of ``mimobc region --grid 15`` for
@@ -563,8 +571,11 @@ def _family_f(s):
 
 class TestIllConditionedChains:
     # w.R of the projected ascent with Dykstra projections that the barrier
-    # solve replaced (default seed), after 103, 7.8 and 20 s
-    ASCENT = {34: 6.732566695941118, 35: 1.8798618185377571, 90: 5.732613153970257}
+    # solve replaced (default seed; 103, 7.8 and 20 s), with its last part
+    # set to S minus the others: its parts missed the cap by up to 2.5e-8 in
+    # an entry, inside the split rule's slack, which raised w.R on s = 35 by
+    # 1.9e-12, about the barrier's bound
+    ASCENT = {34: 6.732566695940839, 35: 1.879861818535902, 90: 5.732613153968264}
 
     @pytest.mark.parametrize("s", [34, 35, 90])
     def test_not_below_the_projected_ascent(self, s, trace_bounds):
@@ -573,16 +584,13 @@ class TestIllConditionedChains:
         split.validate(ch.input_cap)
         assert float(w @ rates) >= self.ASCENT[s] - trace_bounds(ch, w)[0]
 
-    def test_every_point_ends_in_a_split_or_an_exit_1_error(self):
+    def test_every_point_converges_to_a_valid_split(self):
         # s = 46 capped the projected ascent after 272 s; a RuntimeWarning
-        # is an error here (pyproject), and a capped point raises
-        # NumericalError, which ``mimobc region`` turns into exit 1
+        # is an error here (pyproject), and a capped or stalled solve
+        # raises NumericalError
         for s in [*range(40), 46]:
             ch, w = _family_f(s)
-            try:
-                (split, _), = trace_boundary(ch, [w])
-            except NumericalError:
-                continue
+            (split, _), = trace_boundary(ch, [w])
             split.validate(ch.input_cap)
 
 
@@ -755,5 +763,22 @@ class TestDecoupledBoundary:
         exact = decoupled_boundary(diag, weights)
         for w, (_, rates), e in zip(weights, trace_boundary(rotated, weights), exact):
             b_wsr, b_rate = trace_bounds(diag, w)
+            assert abs(np.dot(w, rates) - np.dot(w, e)) <= b_wsr
+            assert max(abs(a - b) for a, b in zip(rates, e)) <= b_rate
+
+    @pytest.mark.parametrize("n, K", [(1, 3), (2, 3), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("snr", [1e8, 1e12])
+    def test_tracer_matches_at_high_snr(self, n, K, snr, trace_bounds):
+        # a cap 1e8 to 1e12 times the noises: the barrier's duality gap is
+        # in nats, so its bound does not grow with the cap's scale
+        rng = rng_for(144, n, K)
+        diag, rotated = decoupled_channel(rng, n, K)
+        diag, rotated = (BroadcastChannel(c.noise_covs, snr * c.input_cap) for c in (diag, rotated))
+        weights = [np.sort(rng.uniform(0.05, 1.0, K)) for _ in range(2)]
+        exact = decoupled_boundary(diag, weights)
+        for w, (_, rates), e in zip(weights, trace_boundary(rotated, weights), exact):
+            assert region._active_users(w) == list(range(K))
+            b_wsr, b_rate = trace_bounds(diag, w)
+            assert b_wsr == 2.0 * region._GAP_TOL + 1e-13
             assert abs(np.dot(w, rates) - np.dot(w, e)) <= b_wsr
             assert max(abs(a - b) for a, b in zip(rates, e)) <= b_rate
