@@ -146,11 +146,8 @@ def _weight_vector(weights, K: int) -> np.ndarray:
 
 
 def weighted_sum_rate(ch: BroadcastChannel, split: CovarianceSplit, weights) -> float:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (ch.num_users,):
-        raise DimensionMismatchError("one weight per user required")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    """w . R of one split, for weights as ``trace_boundary`` takes them."""
+    w = _weight_vector(weights, ch.num_users)
     return float(w @ np.asarray(rate_tuple(ch, split)))
 
 

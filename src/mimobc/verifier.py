@@ -46,7 +46,7 @@ reported as a ``kronrod_error`` residual and judged at the tolerance, so a
 field the rule cannot resolve within its interval cap does not pass.
 
 Every evaluation is deterministic. The settings no caller varies are module
-constants: the fixed-point bisection tolerance and the walkthrough's
+constants: the fixed point's end and bracket tolerance and the walkthrough's
 sandwich tolerance. The de Bruijn check takes its finite-difference step
 from its noise and observed covariances and judges its gap relative to J.
 """
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -100,7 +99,9 @@ __all__ = [
     "run_inequality_suite",
 ]
 
-# bisection tolerance on the entropy match of every fixed point
+# entropy tolerance of a fixed point's ends and bracket: a target this close
+# to an end's entropy takes that end, and one further outside the segment's
+# entropies is not bracketed (the Newton solve between them runs to round-off)
 _FIXED_POINT_TOL = 1e-10
 # tolerance of the walkthrough's per-stage sandwich and entropy-bound report
 _SANDWICH_TOL = 1e-8
@@ -332,26 +333,32 @@ class FixedPointResult:
     bracketed: bool
 
 
-def _pencil_entropy(
-    lower: np.ndarray, sigma: np.ndarray, upper_cap: np.ndarray
-) -> Callable[[float], float]:
-    """The function r(t) = ``gaussian_entropy``(A(t) + sigma) of t in
-    [0, 1], for A(t) = (1 - t) lower + t upper_cap.
+def _solve_fixed_point_core(
+    J: np.ndarray, h_target: float, sigma: np.ndarray, upper_cap: np.ndarray
+) -> FixedPointResult:
+    """The t in [0, 1] at which A(t) + sigma has Gaussian entropy h_target,
+    A(t) = (1 - t) lower + t upper_cap interpolating from
+    lower = J^{-1} - sigma to the cap.
 
-    A(t) + sigma is the pencil B_0 + t D, with B_0 = lower + sigma and
+    A(t) + sigma is the pencil B_0 + t D, with B_0 = J^{-1} and
     D = upper_cap - lower. One Cholesky B_0 = L L^T and the eigenvalues
-    lambda of L^{-1} D L^{-T} give r(t) = r(0) + sum_i ln(1 + t lambda_i) / 2,
-    a sum over n numbers per t. B(t) is a convex combination of B_0 and
-    upper_cap + sigma, so every 1 + t lambda_i is positive on [0, 1] when
-    both are positive definite; otherwise ``SingularMatrixError``, as
-    ``logdet`` raises.
+    lambda of L^{-1} D L^{-T} give its entropy
+    r(t) = r(0) + sum_i ln(1 + t lambda_i) / 2. B(t) is a convex
+    combination of B_0 and upper_cap + sigma, so every 1 + t lambda_i is
+    positive on [0, 1] when both are positive definite; otherwise
+    ``SingularMatrixError``, as ``logdet`` raises.
 
-    r(t) adds its n logarithms as Python floats, left to right, which is
-    the order numpy's sum takes for fewer than 8 terms: the same value as
-    ``r0 + 0.5 * np.sum(np.log1p(t * lam))`` without a numpy reduction
-    per bisection step. The logarithms stay numpy's, since ``math.log1p``
-    differs from numpy's vectorised one in the last bit on some inputs.
+    A target within ``_FIXED_POINT_TOL`` of r(0) or r(1) takes that end;
+    one outside [r(0), r(1)] by more is not bracketed and takes the nearer
+    end. Otherwise Newton solves g(t) = sum_i ln(1 + t lambda_i)
+    - 2 (h_target - r(0)) = 0 from t = 0. g is concave and rises through
+    its root, so each tangent's root lies below the root and the iterates
+    climb to it monotonically, with g' > 0 (Fourier's condition); they
+    stop when t stops rising, at round-off. The reported entropy match is
+    ``gaussian_entropy`` of the returned A + sigma.
     """
+    tol = _FIXED_POINT_TOL
+    lower = mat.inv_pd(J) - sigma
     L = mat.cholesky(lower + sigma)
     X = np.linalg.solve(L, upper_cap - lower)
     lam = np.linalg.eigvalsh(np.linalg.solve(L, X.T))
@@ -360,30 +367,7 @@ def _pencil_entropy(
             f"upper_cap + sigma is not positive definite (pencil eigenvalue {1.0 + lam[0]:.3e})"
         )
     r0 = 0.5 * (sigma.shape[0] * LOG_2PI_E + 2.0 * float(np.sum(np.log(np.diag(L)))))
-
-    def r(t: float) -> float:
-        total = 0.0
-        for term in np.log1p(t * lam).tolist():
-            total += term
-        return r0 + 0.5 * total
-
-    return r
-
-
-def _solve_fixed_point_core(
-    J: np.ndarray, h_target: float, sigma: np.ndarray, upper_cap: np.ndarray
-) -> FixedPointResult:
-    """Bisection for t with Gaussian entropy of A(t) + sigma matching the
-    target within ``_FIXED_POINT_TOL``; A(t) interpolates from
-    J^{-1} - sigma to the cap and is Loewner nondecreasing, so the objective
-    is monotone. Each step evaluates the entropy on the pencil's
-    eigenvalues (``_pencil_entropy``, whose B_0 is J^{-1}); the reported
-    entropy match is ``gaussian_entropy`` of the returned A + sigma.
-    """
-    tol = _FIXED_POINT_TOL
-    lower = mat.inv_pd(J) - sigma
-    r = _pencil_entropy(lower, sigma, upper_cap)
-    r0, r1 = r(0.0), r(1.0)
+    r1 = r0 + 0.5 * float(np.sum(np.log1p(lam)))
     bracketed = (r0 <= h_target + tol) and (r1 >= h_target - tol)
     if abs(r0 - h_target) <= tol:
         t = 0.0
@@ -392,17 +376,16 @@ def _solve_fixed_point_core(
     elif not bracketed:
         t = 0.0 if abs(r0 - h_target) <= abs(r1 - h_target) else 1.0
     else:
-        lo, hi = 0.0, 1.0
-        t = 0.5
-        for _ in range(200):
-            t = 0.5 * (lo + hi)
-            rt = r(t)
-            if abs(rt - h_target) <= tol:
+        gap = 2.0 * float(h_target - r0)
+        t = 0.0
+        # a guard: the climb takes a handful of steps, and a t it leaves
+        # short shows in the entropy match
+        for _ in range(100):
+            g = float(np.sum(np.log1p(t * lam))) - gap
+            t_next = t - g / float(np.sum(lam / (1.0 + t * lam)))
+            if not t_next > t:
                 break
-            if rt < h_target:
-                lo = t
-            else:
-                hi = t
+            t = t_next
     A = (1.0 - t) * lower + t * upper_cap
     return FixedPointResult(
         t_star=t,

@@ -40,10 +40,24 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 # finite where the active weights differ, which is where the optimum is
 # unique.
 #
-# Both bounds add 1e-13 for the round-off of the 2K log-dets of a rate tuple
-# (a few eps each, times condition numbers below 10 on these fixtures).
-def _trace_bounds(ch, w):
-    """(bound on |w.R - WSR*|, bound on each |R_k - R*_k|) at weights w."""
+# Both bounds add the round-off of the rate tuple's 2K log-dets, computed
+# at the split under test: a Cholesky log-det of M is off by about
+# n eps kappa(M), so R_k = 1/2 [ln|C_k + Sigma_k| - ln|C_{k-1} + Sigma_k|]
+# is off by n eps (kappa(C_k + Sigma_k) + kappa(C_{k-1} + Sigma_k)) / 2, and
+# w.R by the w-weighted sum of those.
+def _rate_round_off(ch, split):
+    """Round-off bound of each rate of ``rate_tuple(ch, split)``."""
+    C = np.cumsum(split.stack, axis=0)
+    below = np.concatenate([np.zeros_like(C[:1]), C[:-1]])
+    noise = np.stack(ch.noise_covs)
+    kappa = np.linalg.cond(np.concatenate([C + noise, below + noise]))
+    K = len(ch.noise_covs)
+    return ch.dim * np.finfo(float).eps * (kappa[:K] + kappa[K:]) / 2.0
+
+
+def _trace_bounds(ch, w, split):
+    """(bound on |w.R - WSR*|, bound on each |R_k - R*_k|) at weights w,
+    for the split traced on ch."""
     w = np.asarray(w, dtype=float)
     active = region._active_users(w)
     c, n = len(active) - 1, ch.dim
@@ -53,7 +67,8 @@ def _trace_bounds(ch, w):
         kappa = np.linalg.eigvalsh(ch.input_cap)[-1] / np.linalg.eigvalsh(ch.noise_covs[0])[0]
         b_wsr = region._GRAD_TOL * math.sqrt(c * n) * (1.0 + 0.5 * w.max() * kappa)
     rho = max((w[j] / (w[i] * (w[j] - w[i])) for i, j in combinations(active, 2)), default=0.0)
-    return b_wsr + 1e-13, math.sqrt(2 * n * b_wsr * rho) + 1e-13
+    round_off = _rate_round_off(ch, split)
+    return b_wsr + float(w @ round_off), math.sqrt(2 * n * b_wsr * rho) + float(round_off.max())
 
 
 @pytest.fixture

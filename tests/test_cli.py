@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mimobc import cli, region
 from mimobc.fixtures import admissible_mixture_for, decoupled_channel, random_channel, rng_for
-from mimobc.region import decoupled_boundary
+from mimobc.region import decoupled_boundary, trace_boundary
 
 CLI = [sys.executable, "-m", "mimobc.cli"]
 
@@ -145,11 +145,13 @@ class TestRegion:
         weights = cli._weight_sweep(3, 28)
         assert len(lines) == 1 + len(weights) == 29
         # 12 significant digits round a rate below 1 by at most 5e-13
-        for w, line, exact in zip(weights, lines[1:], decoupled_boundary(diag, weights)):
+        # the round-off term of the bounds is taken at the traced splits
+        splits = [split for split, _ in trace_boundary(rotated, weights)]
+        for w, line, exact, split in zip(weights, lines[1:], decoupled_boundary(diag, weights), splits):
             row = [float(x) for x in line.split(",")]
             assert row[:3] == pytest.approx(w, rel=1e-11)
             rates = row[3:]
-            b_wsr, b_rate = trace_bounds(diag, w)
+            b_wsr, b_rate = trace_bounds(rotated, w, split)
             assert abs(np.dot(w, rates) - np.dot(w, exact)) <= b_wsr + 5e-13
             assert max(abs(a - b) for a, b in zip(rates, exact)) <= b_rate + 5e-13
 

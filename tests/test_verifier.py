@@ -336,59 +336,106 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             solve_fixed_point(gaussian_source(np.array([[0.5]])), ch, 3, ch.input_cap)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_pencil_entropy_matches_gaussian_entropy(self, n):
-        for seed in range(5):
-            rng = rng_for(313, n, seed)
-            sigma = random_spd(rng, n, 0.5, 1.5)
-            lower = random_spd(rng, n, 0.1, 1.0)
-            cap = lower + random_spd(rng, n, 0.01, 3.0)
-            r = verifier._pencil_entropy(lower, sigma, cap)
-            for t in np.linspace(0.0, 1.0, 11):
-                exact = gaussian_entropy((1.0 - t) * lower + t * cap + sigma)
-                assert abs(r(t) - exact) <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_pencil_entropy_is_the_numpy_sum_bit_for_bit(self, n):
-        # an equal r(t) at every step is an equal bisection path, so the
-        # scalar pencil cannot move t_star
-        for seed in range(5):
-            rng = rng_for(313, n, seed)
-            sigma = random_spd(rng, n, 0.5, 1.5)
-            lower = random_spd(rng, n, 0.1, 1.0)
-            cap = lower + random_spd(rng, n, 0.01, 3.0)
-            r = verifier._pencil_entropy(lower, sigma, cap)
-            L = np.linalg.cholesky(lower + sigma)
-            X = np.linalg.solve(L, cap - lower)
-            lam = np.linalg.eigvalsh(np.linalg.solve(L, X.T))
-            r0 = 0.5 * (n * LOG_2PI_E + 2.0 * float(np.sum(np.log(np.diag(L)))))
-            for t in np.linspace(0.0, 1.0, 11):
-                assert r(t) == r0 + 0.5 * float(np.sum(np.log1p(t * lam)))
-
-    @pytest.mark.parametrize("seed", [3, 7, 11])
+    # 11, 12, 907, 5, 7 and 2211 are the seeds of the benchmark's converse
+    # instances, every stage bracketed and passed; the bisection that the
+    # Newton solve replaced stopped up to 1e-10 nats short on them
+    @pytest.mark.parametrize("seed", [3, 7, 11, 12, 907, 5, 2211])
     def test_same_t_star_as_the_logdet_bisection(self, seed):
+        # within the reference's own tolerance over the smallest slope of
+        # the entropy on the segment; the walkthrough's J and h come from
+        # its stage level and differ from these in the last bits
         for c in range(3):
-            rng = rng_for(seed, 2, c)
-            h = random_hierarchy(rng, 3, (2, 2))
-            ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
-            report = converse_walkthrough(h, ch)
-            cap = ch.input_cap
-            for stage in report.stages:
-                k = stage.user_index
-                sigma, sigma_prev = ch.noise_covs[k - 1], ch.noise_covs[k - 2]
-                joint = coarsen(h, k)
-                J = mixture_fisher_quad(h.base, sigma, joint=joint)
-                target = mixture_entropy_quad(
-                    h.base, np.stack([sigma, sigma_prev]), joint=joint)[0]
-                t_star = _logdet_bisection(J, target, sigma, cap)
-                assert verifier._solve_fixed_point_core(J, target, sigma, cap).t_star == t_star
-                assert stage.t_star == t_star
-                cap = stage.A
+            for stage, J, target, sigma, cap in _converse_solves(seed, c):
+                assert abs(stage.entropy_match_residual) <= _round_off(target)
+                t_ref = _logdet_bisection(J, target, sigma, cap)
+                bound = _reference_t_bound(J, target, sigma, cap)
+                res = verifier._solve_fixed_point_core(J, target, sigma, cap)
+                assert abs(res.t_star - t_ref) <= bound
+                assert abs(stage.t_star - t_ref) <= bound
+
+    def test_indefinite_pencil_reaches_its_target(self):
+        # D = L diag(-0.4, 2.5) L^T: one pencil eigenvalue in (-1, 0), and
+        # still a concave entropy that rises through each target
+        rng = rng_for(314)
+        sigma = random_spd(rng, 2, 0.5, 1.5)
+        B0 = random_spd(rng, 2, 0.5, 2.0)
+        L = np.linalg.cholesky(B0)
+        lower = B0 - sigma
+        cap = lower + L @ np.diag([-0.4, 2.5]) @ L.T
+        J = np.linalg.inv(B0)
+        for t in (0.1, 0.5, 0.9):
+            target = gaussian_entropy((1.0 - t) * lower + t * cap + sigma)
+            res = verifier._solve_fixed_point_core(J, target, sigma, cap)
+            assert res.bracketed
+            assert abs(res.entropy_match_residual) <= _round_off(target)
+            assert abs(res.t_star - t) <= _round_off(target) / _slope_at_one(J, sigma, cap)
+
+    def test_degenerate_pencil_takes_an_end(self):
+        # upper_cap = J^{-1} - sigma: D = 0, so the entropy is flat and no
+        # target inside the segment needs a solve; a RuntimeWarning would
+        # be an error here (pyproject)
+        rng = rng_for(315)
+        sigma = random_spd(rng, 2, 0.5, 1.5)
+        J = np.linalg.inv(sigma + random_spd(rng, 2, 0.1, 1.0))
+        cap = matrices.inv_pd(J) - sigma
+        h = gaussian_entropy(cap + sigma)
+        res = verifier._solve_fixed_point_core(J, h, sigma, cap)
+        assert res.t_star == 0.0 and res.bracketed
+        for target in (h - 0.1, h + 0.1):
+            res = verifier._solve_fixed_point_core(J, target, sigma, cap)
+            assert res.t_star == 0.0 and not res.bracketed
 
     def test_non_positive_definite_cap_raises(self):
         ch = scalar_channel(S=2.5)
         with pytest.raises(SingularMatrixError):
             solve_fixed_point(two_component_scalar_source(), ch, 2, -2.0 * ch.noise_covs[1])
+
+
+def _round_off(h):
+    """Round-off allowance of an entropy h in nats."""
+    return 64.0 * np.finfo(float).eps * max(1.0, abs(h))
+
+
+def _slope_at_one(J, sigma, upper_cap):
+    """r'(1) = sum_i lambda_i / (1 + lambda_i) / 2 for the pencil eigenvalues
+    lambda: the smallest slope of the concave entropy r(t) on [0, 1]."""
+    L = np.linalg.cholesky(np.linalg.inv(J))
+    D = upper_cap - (matrices.inv_pd(J) - sigma)
+    lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, D).T))
+    return 0.5 * float(np.sum(lam / (1.0 + lam)))
+
+
+def _reference_t_bound(J, h_target, sigma, upper_cap):
+    """How far the reference bisection's t may lie from the root: it stops
+    within ``_FIXED_POINT_TOL`` of the target, the solve within round-off,
+    and r rises at least r'(1) per unit t."""
+    return (verifier._FIXED_POINT_TOL + _round_off(h_target)) / _slope_at_one(J, sigma, upper_cap)
+
+
+def _converse_solves(seed, c):
+    """(stage, J, target, sigma, cap) of each fixed point of the c-th
+    instance of seed, built as the ``converse`` benchmark workload builds
+    its instances, after checking that its walkthrough passes with every
+    stage bracketed."""
+    rng = rng_for(seed, 2, c)
+    h = random_hierarchy(rng, 3, (2, 2))
+    ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
+    report = converse_walkthrough(h, ch)
+    assert report.passed
+    stage_reports = [r for r in report.reports if r.name.startswith("stage_") and r.name[6:].isdigit()]
+    assert len(stage_reports) == 2
+    assert all(r.residual("bracketed") == 0.0 for r in stage_reports)
+    solves = []
+    cap = ch.input_cap
+    for stage in report.stages:
+        k = stage.user_index
+        sigma, sigma_prev = ch.noise_covs[k - 1], ch.noise_covs[k - 2]
+        joint = coarsen(h, k)
+        J = mixture_fisher_quad(h.base, sigma, joint=joint)
+        target = mixture_entropy_quad(h.base, np.stack([sigma, sigma_prev]), joint=joint)[0]
+        solves.append((stage, J, target, sigma, cap))
+        cap = stage.A
+    return solves
 
 
 def _logdet_bisection(J, h_target, sigma, upper_cap):
