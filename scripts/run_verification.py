@@ -39,16 +39,20 @@ def main() -> None:
 
     print("\n== converse walkthrough ==")
     rep = converse_walkthrough(thing, ch)
+    reports = {r.name: r for r in rep.reports}
     for stage in rep.stages:
+        fp = reports[f"stage_{stage.user_index}"]
+        identity = reports[f"stage_{stage.user_index}_integral_identity"]
         print(
             f"stage user {stage.user_index}: t*={stage.t_star:.6f}  "
-            f"entropy match {stage.entropy_match_residual: .2e}  "
-            f"sandwich ({stage.sandwich_lower_residual: .2e}, "
-            f"{stage.sandwich_upper_residual: .2e})"
+            f"entropy match {fp.residual('entropy_match'): .2e}  "
+            f"sandwich ({fp.residual('sandwich_lower'): .2e}, "
+            f"{fp.residual('sandwich_upper'): .2e})  "
+            f"integral identity {identity.residual('integral_identity_gap'): .2e}"
         )
     print("achieved rates:", [f"{r:.8f}" for r in rep.achieved_rates])
     print("region rates:  ", [f"{r:.8f}" for r in rep.region_rates])
-    domination = next(r for r in rep.reports if r.name == "domination")
+    domination = reports["domination"]
     print("domination:", "PASS" if domination.passed else "FAIL")
     for r in domination.residuals:
         print(f"    {r.label:40s} {r.value: .3e} [{r.kind}]")

@@ -39,12 +39,11 @@ long as their second-moment mass sum w (1 + |z|^2) stays within sqrt(N) eps
 u's grid, y = mu_u + L_u z, every component's log-density is a quadratic in
 the standard node z, so the log-densities of all components at all noise
 covariances are one matmul of their coefficients with the per-node
-features [1, z, z_i z_j] (see ``_ObservedLevel``). The features are built
-once per grid and cached with it, and the nodes are a view of their rows
-(``_gh_grid``); at the default orders they take 1.6 KB (n = 1), 58 KB
-(n = 2) and 848 KB (n = 3). The features times the node weights, which
-the Fisher moments are sums against, are cached as well and take as much
-(``_weighted_features``). Each node's m log-densities are shifted by their largest and exponentiated
+features [1, z, z_i z_j] (see ``_ObservedLevel``). The features, and the
+features times the node weights that the Fisher moments are sums against,
+are built once per grid and cached with it (``_gh_grid``); at the default
+orders each takes 1.6 KB (n = 1), 58 KB (n = 2) and 848 KB (n = 3). Each
+node's m log-densities are shifted by their largest and exponentiated
 once per component. A block's scaled densities are laid out (m, R, B),
 component first, then (grid, noise) row and node, so every symbol's
 mixture density, the Fisher pair weights and their moments are each one
@@ -206,14 +205,11 @@ class _ObservedLevel:
         max(1, ``_BLOCK_BYTES`` // (m R 8)), so the densities take at most
         ``_BLOCK_BYTES`` whatever m and R are (unless one node's exceed
         it). The features and weighted features are slices of those cached
-        with the grid (``_gh_grid``, ``_weighted_features``), not rebuilt
-        per block or per walk. A block's arrays are dropped
-        before the next block is computed, so the caller drops them too."""
+        with the grid (``_gh_grid``), not rebuilt per block or per walk. A
+        block's arrays are dropped before the next block is computed, so
+        the caller drops them too."""
         coef = self.coefs(grids, noises)
-        z, wt = _gh_grid(self.n, order)
-        # the features cached with the grid, whose rows 1..n the nodes view
-        F = z.base
-        FW = _weighted_features(self.n, order)
+        F, wt, FW = _gh_grid(self.n, order)
         shape = (self.m, len(grids), -1)
         size = max(1, _BLOCK_BYTES // (self.m * len(grids) * 8))
         for start in range(0, len(wt), size):
@@ -324,10 +320,10 @@ _BLOCK_BYTES = 256 * 1024
 
 
 @functools.lru_cache(maxsize=16)
-def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pruned tensor Gauss-Hermite grid for a standard normal in n
-    dimensions: (nodes (N, n), weights (N,)), both read-only because every
-    caller shares them.
+    dimensions: (features (F, N), weights (N,), weighted features (F, N)),
+    all read-only because every caller shares them.
 
     Every node of weight at most tau is dropped, with tau the largest weight
     at which the dropped second-moment mass sum w (1 + |z|^2) stays within
@@ -336,11 +332,12 @@ def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     stays symmetric under z_i -> -z_i. At the default orders it keeps 68,
     1,200 and 10,600 nodes (n = 1, 2, 3).
 
-    The grid's features [1; z; z_i z_j] (``_features``, (1 + n + n(n+1)/2,
-    N)) are built here, once per grid, and the nodes are the view of their
-    rows 1..n (``nodes.base`` is the features), so nothing is stored twice.
-    At the default orders the features take 1.6 KB (n = 1), 58 KB (n = 2)
-    and 848 KB (n = 3)."""
+    The features are [1; z; z_i z_j] (``_features``, F = 1 + n + n(n+1)/2),
+    so the nodes z (N, n) are ``features[1:1 + n].T``. The weighted features
+    are the features times the weights: every walk's Fisher moments are
+    sums against them, so they are formed once per grid, not once per walk.
+    At the default orders each takes 1.6 KB (n = 1), 58 KB (n = 2) and 848
+    KB (n = 3)."""
     x, w = hermgauss(order)
     z1 = math.sqrt(2.0) * x
     w1 = w / math.sqrt(math.pi)
@@ -362,21 +359,10 @@ def _gh_grid(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     for d, idx in enumerate(keep):
         z[:, d] = z1[idx]
     F = _features(z, *mat.triu_indices(n))
-    F.flags.writeable = False
-    wt.flags.writeable = False
-    return F[1:1 + n].T, wt
-
-
-@functools.lru_cache(maxsize=16)
-def _weighted_features(n: int, order: int) -> np.ndarray:
-    """The features of ``_gh_grid``'s nodes times their weights, (F, N) and
-    read-only: every walk's Fisher moments are sums against them, so they
-    are formed once per grid, not once per walk. They take as much as the
-    features: 848 KB at the default n = 3 grid."""
-    z, wt = _gh_grid(n, order)
-    FW = z.base * wt
-    FW.flags.writeable = False
-    return FW
+    FW = F * wt
+    for a in (F, wt, FW):
+        a.flags.writeable = False
+    return F, wt, FW
 
 
 def _quad_order(n: int, order: int | None) -> int:
@@ -390,7 +376,7 @@ def _quad_order(n: int, order: int | None) -> int:
 
 
 def _walk(
-    obs: _ObservedLevel, order: int, P: np.ndarray | None, Q: np.ndarray | None,
+    obs: _ObservedLevel, order: int | None, P: np.ndarray | None, Q: np.ndarray | None,
     fisher_at: np.ndarray | None, T_h: int,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """J(Y | U) of the joint table P (m, G) at the noise covariances
@@ -413,7 +399,9 @@ def _walk(
     the broad member of some pair), their moments against the block's slice
     of the grid's cached weighted features and the entropy's mixture
     densities are each one 2-D matmul per block. A call in which no symbol
-    mixes components returns the closed forms and walks nothing."""
+    mixes components returns the closed forms and walks nothing, so only a
+    walk resolves ``order`` (``_quad_order``, None for the default): the
+    closed forms hold at every dimension."""
     m, T = obs.m, obs.T
     J = H = None
     if P is not None:
@@ -448,6 +436,7 @@ def _walk(
         Qm = Q[:, mixed]
         cond_T = (Qm / Qm.sum(axis=0)).T
         entropy[np.any(Qm > 0.0, axis=1), :T_h] = True
+    order = _quad_order(obs.n, order)
     kinds = (fisher & ~entropy, fisher & entropy, entropy & ~fisher)
     grids, noises = np.concatenate([np.nonzero(kind) for kind in kinds], axis=1)
     if not grids.size:
@@ -547,7 +536,7 @@ def mixture_entropy_quad(
     """
     P = _joint_table(src, joint)
     obs = _ObservedLevel(src, noise_cov)
-    _, H = _walk(obs, _quad_order(obs.n, order), None, P, None, obs.T)
+    _, H = _walk(obs, order, None, P, None, obs.T)
     h = H.sum(axis=1)
     return h if obs.stacked else float(h[0])
 
@@ -589,7 +578,6 @@ def mixture_fisher_tables(
     pairs on the shared level."""
     tables = [_joint_table(src, P) for P in joints]
     obs = _ObservedLevel(src, noise_cov)
-    order = _quad_order(obs.n, order)
     Js = [_walk(obs, order, P, None, np.arange(obs.T), 0)[0] for P in tables]
     return Js if obs.stacked else [J[0] for J in Js]
 
@@ -617,5 +605,5 @@ def mixture_level_quad(
     P = _joint_table(src, joint)
     obs, at, T_h = _joined(src, fisher_cov, entropy_cov)
     Q = np.column_stack([P, src.weights]) if unconditional else P
-    J, H = _walk(obs, _quad_order(obs.n, None), P, Q, at, T_h)
+    J, H = _walk(obs, None, P, Q, at, T_h)
     return J, H[:, :P.shape[1]].sum(axis=1), H[:, -1] if unconditional else None

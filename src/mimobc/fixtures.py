@@ -39,28 +39,28 @@ def random_spd(rng: np.random.Generator, n: int, eig_lo: float = 0.5, eig_hi: fl
     return mat.symmetrize((Q * w) @ Q.T)
 
 
-def random_mixture(
-    rng: np.random.Generator,
-    n: int,
-    m: int,
-    mean_scale: float = 1.0,
-    eig_lo: float = 0.5,
-    eig_hi: float = 2.0,
-) -> MixtureSource:
+def random_mixture(rng: np.random.Generator, n: int, m: int) -> MixtureSource:
+    """m components with means in [-1, 1]^n and covariance eigenvalues in
+    [0.5, 2]."""
     w = rng.uniform(0.2, 1.0, size=m)
     w /= w.sum()
-    means = rng.uniform(-mean_scale, mean_scale, size=(m, n))
-    covs = np.stack([random_spd(rng, n, eig_lo, eig_hi) for _ in range(m)])
+    means = rng.uniform(-1.0, 1.0, size=(m, n))
+    covs = np.stack([random_spd(rng, n) for _ in range(m)])
     return MixtureSource(weights=w, means=means, comp_covs=covs)
+
+
+def _noise_chain(rng: np.random.Generator, n: int, num_users: int) -> tuple[np.ndarray, ...]:
+    """Degraded noise covariances: PSD increments on top of an SPD base."""
+    covs = [random_spd(rng, n, 0.5, 1.5)]
+    for _ in range(num_users - 1):
+        covs.append(covs[-1] + random_spd(rng, n, 0.2, 1.0))
+    return tuple(covs)
 
 
 def random_channel(rng: np.random.Generator, n: int, num_users: int) -> BroadcastChannel:
     """Valid degraded channel: PSD increments on top of an SPD base."""
-    covs = [random_spd(rng, n, 0.5, 1.5)]
-    for _ in range(num_users - 1):
-        covs.append(covs[-1] + random_spd(rng, n, 0.2, 1.0))
-    S = random_spd(rng, n, 0.8, 2.0)
-    return BroadcastChannel(noise_covs=tuple(covs), input_cap=S)
+    covs = _noise_chain(rng, n, num_users)
+    return BroadcastChannel(noise_covs=covs, input_cap=random_spd(rng, n, 0.8, 2.0))
 
 
 def decoupled_channel(rng: np.random.Generator, n: int, num_users: int):
@@ -81,18 +81,14 @@ def admissible_channel_for(
 ) -> BroadcastChannel:
     """Channel whose input cap strictly dominates the given covariance."""
     n = source_cov.shape[0]
-    covs = [random_spd(rng, n, 0.5, 1.5)]
-    for _ in range(num_users - 1):
-        covs.append(covs[-1] + random_spd(rng, n, 0.2, 1.0))
-    S = source_cov + random_spd(rng, n, 0.05, 0.5)
-    return BroadcastChannel(noise_covs=tuple(covs), input_cap=S)
+    covs = _noise_chain(rng, n, num_users)
+    return BroadcastChannel(noise_covs=covs, input_cap=source_cov + random_spd(rng, n, 0.05, 0.5))
 
 
 def random_hierarchy(
     rng: np.random.Generator,
     n: int,
     alphabet_sizes: tuple[int, ...],
-    mean_scale: float = 1.0,
 ) -> MarkovHierarchy:
     """Random chain U_K -> ... -> U_2 -> X; ``alphabet_sizes`` runs from the
     finest auxiliary (U_2) to the coarsest (U_K)."""
@@ -107,8 +103,8 @@ def random_hierarchy(
     induced = top.copy()
     for T in reversed(tables):
         induced = T @ induced
-    means = rng.uniform(-mean_scale, mean_scale, size=(base_m, n))
-    covs = np.stack([random_spd(rng, n, 0.5, 2.0) for _ in range(base_m)])
+    means = rng.uniform(-1.0, 1.0, size=(base_m, n))
+    covs = np.stack([random_spd(rng, n) for _ in range(base_m)])
     base = MixtureSource(weights=induced, means=means, comp_covs=covs)
     return MarkovHierarchy(base=base, tables=tuple(tables), top_weights=top)
 
@@ -137,10 +133,10 @@ def gaussian_source(cov: np.ndarray, mean: np.ndarray | None = None) -> MixtureS
 
 
 def admissible_mixture_for(
-    ch: BroadcastChannel, rng: np.random.Generator, m: int, mean_scale: float = 1.0
+    ch: BroadcastChannel, rng: np.random.Generator, m: int
 ) -> MixtureSource:
     """Mixture scaled so its aggregate covariance sits strictly below the cap."""
-    src = random_mixture(rng, ch.dim, m, mean_scale)
+    src = random_mixture(rng, ch.dim, m)
     cov = aggregate_covariance(src)
     root_inv = mat.inv_pd(mat.sqrt_psd(cov))
     # largest alpha with alpha * cov <= 0.9 * S

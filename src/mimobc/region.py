@@ -136,12 +136,12 @@ def rate_tuple(ch: BroadcastChannel, split: CovarianceSplit) -> tuple[float, ...
 
 
 def _weight_vector(weights, K: int) -> np.ndarray:
-    """K weights, nonnegative and not all zero, as a float array."""
+    """K weights, finite, nonnegative and not all zero, as a float array."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (K,):
         raise DimensionMismatchError("one weight per user required")
-    if np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("weight vectors must be nonnegative and not all zero")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0) and np.any(w > 0)):
+        raise ValueError("weight vectors must be finite, nonnegative and not all zero")
     return w
 
 

@@ -53,26 +53,19 @@ class VerificationReport:
 
 @dataclass(frozen=True, slots=True)
 class WalkthroughStage:
-    """One stage of the converse recursion: the interpolation parameter, the
-    anchored covariance, and the residuals established at that stage."""
+    """One stage of the converse recursion: the interpolation parameter and
+    the anchored covariance. The residuals established at the stage are in
+    the walkthrough's reports ``stage_k`` and ``stage_k_integral_identity``."""
 
     user_index: int
     t_star: float
     A: object  # ndarray; kept loose to avoid a numpy import here
-    entropy_match_residual: float
-    sandwich_lower_residual: float
-    sandwich_upper_residual: float
-    integral_entropy_residual: float
 
     def to_dict(self) -> dict:
         return {
             "user_index": self.user_index,
             "t_star": self.t_star,
             "A": [list(row) for row in self.A],
-            "entropy_match_residual": self.entropy_match_residual,
-            "sandwich_lower_residual": self.sandwich_lower_residual,
-            "sandwich_upper_residual": self.sandwich_upper_residual,
-            "integral_entropy_residual": self.integral_entropy_residual,
         }
 
 

@@ -8,22 +8,23 @@ table P(u_2 = u, U_k = g), and ``estimators.mixture_fisher_quad`` and
 ``mixture_entropy_quad`` turn it into J(Y | U_k) and h(Y | U_k) in one
 call, at one noise covariance or a stack of them; ``mixture_level_quad``
 gives J(Y | U_k) at one stack of noises and h(Y | U_k) and h(Y) at another
-from one factorization and one walk of the quadrature grids. Every
-walkthrough stage builds one level, on [Sigma_k, Sigma_{k-1}, the 15 nodes
-of its line integral's first G7/K15 rule], in that rule's field call: J at
-Sigma_k and the nodes, both entropies at Sigma_k and Sigma_{k-1} and at the
-top stage h(Y_K). A stage on a coarser auxiliary walks the grids once for
-all of them, with no Fisher row at Sigma_{k-1}; the label stage (a diagonal
-table) walks none. Given the mixture label X + N is Gaussian, and
-``given_label`` gives its closed forms J and h from one factorization,
-also at a stack of noise covariances; the kernels share that code for the
-finest auxiliary, whose every symbol has one component. Given a coarser
-auxiliary the kernels use the deterministic Gauss-Hermite quadrature: a
-tensor grid pruned at its own summation round-off (the dropped nodes'
-second-moment mass is at most sqrt(N) eps for N tensor nodes). The error
-of the quadrature order itself is not estimated and does not enter any
-tolerance. On a badly conditioned mixture
-it is about 1e-9 in Fisher information but reaches about 5e-4 in entropy
+from one factorization and one walk of the quadrature grids. One helper,
+``_stage_level``, runs a converse stage: it builds one level, on [Sigma_k,
+Sigma_{k-1}, the 15 nodes of its line integral's first G7/K15 rule], in
+that rule's field call: J at Sigma_k and the nodes, both entropies at
+Sigma_k and Sigma_{k-1} and at the top stage h(Y_K). A stage on a coarser
+auxiliary walks the grids once for all of them, with no Fisher row at
+Sigma_{k-1}; the label stage (a diagonal table) walks none, so it holds at
+every dimension. Every walkthrough stage calls it, and so does the line
+integral check, which is the label stage. Given the mixture label X + N is
+Gaussian, and ``given_label`` gives its closed forms J and h from one
+factorization, also at a stack of noise covariances; the kernels share that
+code for the finest auxiliary, whose every symbol has one component. Given
+a coarser auxiliary the kernels use the deterministic Gauss-Hermite
+quadrature: a tensor grid pruned at its own summation round-off (the
+dropped nodes' second-moment mass is at most sqrt(N) eps for N tensor
+nodes). The error of the quadrature order itself is not estimated and does
+not enter any tolerance. On a badly conditioned mixture it is about 1e-9 in Fisher information but reaches about 5e-4 in entropy
 at the default order (see ``estimators.mixture_entropy_quad``), more than
 the 1e-6 to 1e-10 the walkthrough's identities are judged at, so a pass
 does not bound it.
@@ -34,8 +35,8 @@ calls: de Bruijn's J and its perturbed noises, dembo's J and h, f_epsilon's
 J_0 and its eps * sigma, and the fixed point's J and h are one
 ``given_label`` call each; each sigma_a / sigma_b pair is one
 ``fisher_conditional`` call; the line integral's end entropies join its
-field's first call; and Fisher DPI's two tables share one level
-(``mixture_fisher_tables``). A suite run builds 8 levels, one more per
+field's first call (``_stage_level``); and Fisher DPI's two tables share one
+level (``mixture_fisher_tables``). A suite run builds 8 levels, one more per
 further interval of a bisected line integral.
 
 The matrix line integrals of the Fisher field use the adaptive
@@ -242,26 +243,17 @@ def check_line_integral_entropy(
     src: MixtureSource, sigma_a, sigma_b, tol: float = 1e-6
 ) -> VerificationReport:
     """Entropy difference as a matrix line integral of the conditional
-    Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J."""
-    # the field is the closed form at all of an interval's nodes in one call,
-    # and its first call gives h at both ends from the same factorization;
-    # the rule's error budget is tol on the integral, so tol / 2 on the gap
-    ends = []
+    Fisher field: h(Y_b|U) - h(Y_a|U) = 0.5 * int_{sigma_a}^{sigma_b} J.
 
-    def field(sigmas):
-        if ends:
-            return fisher_conditional(src, sigmas)
-        J, h = given_label(src, sigmas, np.stack([sigma_b, sigma_a]))
-        ends.extend(h.tolist())
-        return J
-
-    integral, err = mat.matrix_line_integral(field, sigma_a, sigma_b, tol)
-    h_b, h_a = ends
-    exact = float(h_b - h_a)
+    This is the converse's label stage (``_stage_level`` on the diagonal
+    table of U), whose level gives the closed forms and walks no grid, so it
+    holds at every dimension. The rule's error budget is tol on the
+    integral, so tol / 2 on the gap."""
+    _, h_b, h_a, _, integral, err = _stage_level(src, np.diag(src.weights), sigma_a, sigma_b, tol)
     return VerificationReport.from_residuals(
         "line_integral_entropy",
         [
-            Residual("integral_minus_entropy_gap", 0.5 * integral - exact, "eq"),
+            Residual("integral_minus_entropy_gap", 0.5 * integral - (h_b - h_a), "eq"),
             Residual("kronrod_error", 0.5 * err, "eq"),
         ],
         tol,
@@ -412,6 +404,40 @@ def solve_fixed_point(
     return _solve_fixed_point_core(J, h, sigma, upper_cap)
 
 
+def _stage_level(
+    base: MixtureSource, joint, sigma_lo, sigma_hi, tol: float, unconditional: bool = False
+):
+    """One converse stage on the (m, G) table ``joint`` of its auxiliary U:
+    (J(Y|U) at sigma_hi, h(Y|U) at sigma_hi, h(Y|U) at sigma_lo, h(Y) at
+    sigma_hi if ``unconditional`` else None, int_{sigma_lo}^{sigma_hi} J
+    dSigma, that integral's summed Kronrod error estimate), the integral
+    within ``tol`` (``matrices.matrix_line_integral``).
+
+    The field's first call, on the rule on the whole path (which
+    ``matrices.matrix_line_integral`` always evaluates first), is the
+    stage's one level (``mixture_level_quad``): J at sigma_hi and the
+    rule's 15 nodes, and the entropies at sigma_hi and sigma_lo. A table
+    that mixes components walks the grids once for all of them, with no
+    Fisher row at sigma_lo; a diagonal one (the mixture label) walks none
+    unless h(Y) is asked. Only an integral that bisects factorizes and
+    walks again, one ``mixture_fisher_quad`` per further interval."""
+    level = []
+
+    def field(sigmas):
+        if level:
+            return mixture_fisher_quad(base, sigmas, joint=joint)
+        level.extend(mixture_level_quad(
+            base, np.concatenate([sigma_hi[None], sigmas]), np.stack([sigma_hi, sigma_lo]),
+            joint, unconditional=unconditional,
+        ))
+        return level[0][1:]
+
+    integral, err = mat.matrix_line_integral(field, sigma_lo, sigma_hi, tol)
+    Js, hs, h_y = level
+    h_hi, h_lo = hs.tolist()
+    return Js[0], h_hi, h_lo, None if h_y is None else float(h_y[0]), integral, err
+
+
 def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
     """Replay the converse chain on a concrete input distribution.
 
@@ -423,18 +449,14 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
 
     Every entropy is deterministic: closed form given the finest auxiliary,
     Gauss-Hermite quadrature given a coarser one and for the unconditional
-    h(Y_K). Each stage builds one observed level: the line integral's
-    field, on its first call (the rule on the whole path, which
-    ``matrices.matrix_line_integral`` always evaluates first), calls
-    ``mixture_level_quad`` with J at Sigma_k and the rule's 15 nodes and
-    the entropies at Sigma_k and Sigma_{k-1}, for the field there and
-    J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and, at the top stage
-    only, h(Y_K). A stage with a coarser auxiliary walks the grids once in
-    all; the label stage's diagonal table walks none. So a K = 3
-    walkthrough builds 2 levels. Only an integral that bisects factorizes
-    and walks again, one ``mixture_fisher_quad`` per further interval. Each
+    h(Y_K). Each stage builds one observed level (``_stage_level``), for
+    its line integral's first rule and J(Y_k | U_k), h(Y_k | U_k),
+    h(Y_{k-1} | U_k) and, at the top stage only, h(Y_K). A stage with a
+    coarser auxiliary walks the grids once in all; the label stage's
+    diagonal table walks none. So a K = 3 walkthrough builds 2 levels. Each
     entropy is computed once, and the achieved rates are differences of
-    the stored values.
+    the stored values. A stage keeps t_star and A; its residuals are in
+    the reports ``stage_k`` and ``stage_k_integral_identity``.
     """
     if isinstance(source, MixtureSource):
         hierarchy = MarkovHierarchy(base=source)
@@ -447,62 +469,29 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
         )
     if not mat.loewner_leq(aggregate_covariance(hierarchy.base), ch.input_cap):
         raise InadmissibleSourceError(
-            "source covariance exceeds the channel input cap"
+            "source covariance exceeds the channel input cap; the converse "
+            "presumes the input covariance constraint"
         )
     n = ch.dim
     S = ch.input_cap
 
-    base = hierarchy.base
     stages: list[WalkthroughStage] = []
     reports: list[VerificationReport] = []
     A = {K + 1: S.copy()}
     h_cond = {}  # h(Y_k | U_k)
-    h_prev = {}  # h(Y_{k-1} | U_k)
+    h_prev = {}  # h(Y_{k-1} | U_k), and h(Y_K) = h(Y_K | U_{K+1}) at K + 1
     for k in range(K, 1, -1):
         sigma = ch.noise_covs[k - 1]
         sigma_prev = ch.noise_covs[k - 2]
-        joint = coarsen(hierarchy, k)
-        level = []
-
-        def field(sigmas):
-            # the rule's first call, on [0, 1], is the stage's one level
-            # (``mixture_level_quad``): J at Sigma_k and the rule's nodes,
-            # the entropies at Sigma_k and Sigma_{k-1}, and h(Y_K) at the
-            # top; a bisected interval walks again
-            if level:
-                return mixture_fisher_quad(base, sigmas, joint=joint)
-            level.extend(mixture_level_quad(
-                base, np.concatenate([sigma[None], sigmas]), np.stack([sigma, sigma_prev]),
-                joint, unconditional=k == K,
-            ))
-            return level[0][1:]
-
-        integral, integral_err = mat.matrix_line_integral(field, sigma_prev, sigma, _INTEGRAL_TOL)
-        # J(Y_k | U_k), h(Y_k | U_k), h(Y_{k-1} | U_k) and at the top stage
-        # h(Y_K) = h(Y_K | U_{K+1}), from the stage's level
-        Js, hs, h_y = level
-        J = Js[0]
-        h, h_prev[k] = hs.tolist()
-        if k == K:
-            h_prev[K + 1] = float(h_y[0])
-        h_cond[k] = h
-        fp = _solve_fixed_point_core(J, h, sigma, A[k + 1])
-        A[k] = fp.A
-
-        # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
-        integral_residual = (h_prev[k] - h) - (-0.5 * integral)
-        entropy_bound_residual = gaussian_entropy(fp.A + sigma_prev) - h_prev[k]
-        stages.append(
-            WalkthroughStage(
-                user_index=k,
-                t_star=fp.t_star,
-                A=fp.A,
-                entropy_match_residual=fp.entropy_match_residual,
-                sandwich_lower_residual=fp.sandwich_lower_residual,
-                sandwich_upper_residual=fp.sandwich_upper_residual,
-                integral_entropy_residual=integral_residual,
-            )
+        J, h_cond[k], h_prev[k], h_y, integral, integral_err = _stage_level(
+            hierarchy.base, coarsen(hierarchy, k), sigma_prev, sigma, _INTEGRAL_TOL,
+            unconditional=k == K,
         )
+        if k == K:
+            h_prev[K + 1] = h_y
+        fp = _solve_fixed_point_core(J, h_cond[k], sigma, A[k + 1])
+        A[k] = fp.A
+        stages.append(WalkthroughStage(user_index=k, t_star=fp.t_star, A=fp.A))
         # the report names and labels recur in every walkthrough: interned,
         # all the reports a caller keeps share one copy of each
         reports.append(
@@ -513,17 +502,21 @@ def converse_walkthrough(source, ch: BroadcastChannel) -> WalkthroughReport:
                     Residual("sandwich_lower", fp.sandwich_lower_residual, "ineq"),
                     Residual("sandwich_upper", fp.sandwich_upper_residual, "ineq"),
                     Residual("bracketed", 0.0 if fp.bracketed else -1.0, "ineq"),
-                    Residual("entropy_bound", entropy_bound_residual, "ineq"),
+                    Residual(
+                        "entropy_bound", gaussian_entropy(fp.A + sigma_prev) - h_prev[k], "ineq"
+                    ),
                 ],
                 _SANDWICH_TOL,
-                notes=f"t_star={fp.t_star}",
             )
         )
+        # integral identity: h(Y_{k-1}|U_k) - h(Y_k|U_k) = -0.5 int J dSigma
         reports.append(
             VerificationReport.from_residuals(
                 sys.intern(f"stage_{k}_integral_identity"),
                 [
-                    Residual("integral_identity_gap", integral_residual, "eq"),
+                    Residual(
+                        "integral_identity_gap", (h_prev[k] - h_cond[k]) - (-0.5 * integral), "eq"
+                    ),
                     Residual("kronrod_error", 0.5 * integral_err, "eq"),
                 ],
                 _INTEGRAL_TOL,

@@ -373,7 +373,8 @@ class TestWhitenedKernel:
         # tau, the largest at which the dropped mass sum w (1 + |z|^2) stays
         # within the rule's summation round-off sqrt(N) eps
         for order in (estimators._DEFAULT_QUAD_ORDER[n], CONVERGED_ORDER[n]):
-            z, wt = estimators._gh_grid(n, order)
+            F, wt, _ = estimators._gh_grid(n, order)
+            z = F[1:1 + n].T
             full_z, full_wt = _full_grid(n, order)
             budget = math.sqrt(full_wt.size) * np.finfo(float).eps
             tau = full_wt[full_wt < wt.min()].max()
@@ -394,8 +395,8 @@ class TestWhitenedKernel:
                 assert {tuple(node) for node in mirrored} == kept
 
     def test_pruning_shrinks_the_three_dimensional_grid(self):
-        z, _ = estimators._gh_grid(3, estimators._DEFAULT_QUAD_ORDER[3])
-        assert z.shape == (10600, 3)
+        F, _, _ = estimators._gh_grid(3, estimators._DEFAULT_QUAD_ORDER[3])
+        assert F[1:4].T.shape == (10600, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 3])
@@ -482,31 +483,21 @@ class TestWhitenedKernel:
         assert peak <= _walk_memory_bound(m=m, n=n, T=2, G=2)
 
     def test_cached_grid_is_shared_and_read_only(self):
-        z, wt = estimators._gh_grid(2, 56)
-        assert estimators._gh_grid(2, 56)[0] is z
-        with pytest.raises(ValueError):
-            z[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            wt[0] = 0.0
-        # the features [1; z; z_i z_j] are cached with the grid, and the
-        # nodes are the view of their rows 1..n
-        F = z.base
-        assert estimators._gh_grid(2, 56)[0].base is F
+        F, wt, FW = estimators._gh_grid(2, 56)
+        assert all(a is b for a, b in zip(estimators._gh_grid(2, 56), (F, wt, FW)))
+        for a in (F, wt, FW):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
+        # the features [1; z; z_i z_j], whose rows 1..n are the nodes
+        z = F[1:3].T
         i, j = np.triu_indices(2)
         assert np.array_equal(F, np.vstack([np.ones((1, len(wt))), z.T, (z[:, i] * z[:, j]).T]))
-        with pytest.raises(ValueError):
-            F[0, 0] = 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weighted_features_are_cached_read_only_and_exact(self, n):
-        order = estimators._DEFAULT_QUAD_ORDER[n]
-        z, wt = estimators._gh_grid(n, order)
-        FW = estimators._weighted_features(n, order)
-        assert estimators._weighted_features(n, order) is FW
-        with pytest.raises(ValueError):
-            FW[0, 0] = 0.0
+        F, wt, FW = estimators._gh_grid(n, estimators._DEFAULT_QUAD_ORDER[n])
         # bit for bit the product a block would form from its own slice
-        assert np.array_equal(FW[:, 5:17], z.base[:, 5:17] * wt[5:17])
+        assert np.array_equal(FW[:, 5:17], F[:, 5:17] * wt[5:17])
 
 
 def _per_symbol_reference(src, joint, noise, order):
@@ -516,7 +507,8 @@ def _per_symbol_reference(src, joint, noise, order):
     correction p_u E_u[pi_v d_uv d_uv^T] on the narrower member u of every
     pair, with the plain precision-matrix densities."""
     n = src.dim
-    z, wt = estimators._gh_grid(n, order)
+    F, wt, _ = estimators._gh_grid(n, order)
+    z = F[1:1 + n].T
     J, h = np.zeros((n, n)), 0.0
     for col in np.asarray(joint).T:
         idx = np.flatnonzero(col > 0.0)
@@ -744,10 +736,10 @@ def _log_space_reference(src, joint, noise, order):
     d = g_u - g_v summed node by node instead of from weighted moments."""
     obs = estimators._ObservedLevel(src, noise)
     n, m = src.dim, src.num_components
-    z, wt = estimators._gh_grid(n, order)
+    F, wt, _ = estimators._gh_grid(n, order)
+    z = F[1:1 + n].T
     # logs[w, u] = ln N(y; mu_w, C_w) at the nodes y = mu_u + L_u z of u's grid
-    logs = obs.coefs(np.arange(m), np.zeros(m, dtype=int)) @ estimators._features(
-        z, *np.triu_indices(n))
+    logs = obs.coefs(np.arange(m), np.zeros(m, dtype=int)) @ F
     logs = logs.reshape(m, m, -1)
     precs = np.swapaxes(obs.inv_chols[0], 1, 2) @ obs.inv_chols[0]
     hl = obs.half_logdet[0]

@@ -135,7 +135,7 @@ class TestWeightedSumRate:
     def test_negative_weight_rejected(self):
         # the weight rule of trace_boundary and decoupled_boundary
         ch = scalar_channel()
-        for w in [(-1.0, 1.0), (0.0, 0.0)]:
+        for w in [(-1.0, 1.0), (0.0, 0.0), (math.nan, 1.0), (1.0, math.inf)]:
             with pytest.raises(ValueError, match="nonnegative and not all zero"):
                 weighted_sum_rate(ch, _split(0.5, 0.5), w)
         with pytest.raises(DimensionMismatchError):
@@ -232,6 +232,13 @@ class TestTraceBoundary:
     def test_rejects_wrong_weight_length(self):
         with pytest.raises(DimensionMismatchError):
             trace_boundary(scalar_channel(), [(0.2, 0.3, 0.5)])
+
+    def test_rejects_non_finite_weights(self):
+        # unchecked, a NaN weight gives a point, and an infinite one an
+        # AttributeError once every restart's objective is NaN
+        for w in [(math.nan, 1.0), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="nonnegative and not all zero"):
+                trace_boundary(scalar_channel(), [w])
 
 
 def _sqrt_and_inv_sqrt(S):
@@ -752,7 +759,7 @@ class TestDecoupledBoundary:
         ch = scalar_channel()
         with pytest.raises(DimensionMismatchError):
             decoupled_boundary(ch, [(0.2, 0.3, 0.5)])
-        for w in [(-0.1, 1.0), (0.0, 0.0)]:
+        for w in [(-0.1, 1.0), (0.0, 0.0), (math.nan, 1.0), (1.0, math.inf)]:
             with pytest.raises(ValueError):
                 decoupled_boundary(ch, [w])
 

@@ -266,6 +266,27 @@ class TestLineIntegralEntropy:
         assert rep.passed, rep.to_dict()
         assert abs(rep.residual("integral_minus_entropy_gap")) <= 1e-12
 
+    def test_is_the_walkthrough_label_stage_bit_for_bit(self):
+        # a plain source on a two-user channel: the check and the
+        # walkthrough's one stage run the same level and line integral
+        for c in range(30):
+            rng = rng_for(91, c)
+            ch = random_channel(rng, 1 + c % 3, 2)
+            src = admissible_mixture_for(ch, rng, 2 + c % 2)
+            rep = check_line_integral_entropy(src, *ch.noise_covs, 1e-6)
+            stage = converse_walkthrough(src, ch).reports[1]
+            assert stage.name == "stage_2_integral_identity"
+            gap = rep.residual("integral_minus_entropy_gap")
+            assert gap == stage.residual("integral_identity_gap")
+
+    def test_four_dimensional_mixture(self):
+        # closed forms only: no quadrature grid, so no dimension limit
+        rng = rng_for(318)
+        src = random_mixture(rng, 4, 3)
+        a = random_spd(rng, 4, 0.5, 1.5)
+        rep = check_line_integral_entropy(src, a, a + random_spd(rng, 4, 0.1, 1.0))
+        assert rep.passed, rep.to_dict()
+
     def test_fails_on_kronrod_error_when_the_field_is_sharp(self, monkeypatch):
         # the same field with bisection disabled
         monkeypatch.setattr(matrices, "_MAX_INTERVALS", 1)
@@ -345,8 +366,8 @@ class TestFixedPoint:
         # the entropy on the segment; the walkthrough's J and h come from
         # its stage level and differ from these in the last bits
         for c in range(3):
-            for stage, J, target, sigma, cap in _converse_solves(seed, c):
-                assert abs(stage.entropy_match_residual) <= _round_off(target)
+            for stage, match, J, target, sigma, cap in _converse_solves(seed, c):
+                assert abs(match) <= _round_off(target)
                 t_ref = _logdet_bisection(J, target, sigma, cap)
                 bound = _reference_t_bound(J, target, sigma, cap)
                 res = verifier._solve_fixed_point_core(J, target, sigma, cap)
@@ -413,10 +434,10 @@ def _reference_t_bound(J, h_target, sigma, upper_cap):
 
 
 def _converse_solves(seed, c):
-    """(stage, J, target, sigma, cap) of each fixed point of the c-th
-    instance of seed, built as the ``converse`` benchmark workload builds
-    its instances, after checking that its walkthrough passes with every
-    stage bracketed."""
+    """(stage, entropy match of its report, J, target, sigma, cap) of each
+    fixed point of the c-th instance of seed, built as the ``converse``
+    benchmark workload builds its instances, after checking that its
+    walkthrough passes with every stage bracketed."""
     rng = rng_for(seed, 2, c)
     h = random_hierarchy(rng, 3, (2, 2))
     ch = admissible_channel_for(aggregate_covariance(h.base), rng, 3)
@@ -427,13 +448,14 @@ def _converse_solves(seed, c):
     assert all(r.residual("bracketed") == 0.0 for r in stage_reports)
     solves = []
     cap = ch.input_cap
-    for stage in report.stages:
+    for stage, stage_report in zip(report.stages, stage_reports):
         k = stage.user_index
+        assert stage_report.name == f"stage_{k}"
         sigma, sigma_prev = ch.noise_covs[k - 1], ch.noise_covs[k - 2]
         joint = coarsen(h, k)
         J = mixture_fisher_quad(h.base, sigma, joint=joint)
         target = mixture_entropy_quad(h.base, np.stack([sigma, sigma_prev]), joint=joint)[0]
-        solves.append((stage, J, target, sigma, cap))
+        solves.append((stage, stage_report.residual("entropy_match"), J, target, sigma, cap))
         cap = stage.A
     return solves
 
@@ -650,7 +672,10 @@ class TestConverseWalkthrough:
         keys = {"stages", "achieved_rates", "region_rates", "split", "passed", "reports"}
         if bits:
             keys |= {"achieved_rates_bits", "region_rates_bits"}
-        assert set(json.loads(out.read_text())) == keys
+        doc = json.loads(out.read_text())
+        assert set(doc) == keys
+        # a stage holds its t_star and A; its residuals are in the reports
+        assert [set(stage) for stage in doc["stages"]] == [{"user_index", "t_star", "A"}]
 
 
 class TestInequalitySuite:
